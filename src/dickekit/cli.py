@@ -77,7 +77,10 @@ class SweepRow:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+    x = float(x)
+    if not np.isfinite(x):
+        raise DomainError(f"refusing to write the non-finite number {x} into a document")
+    return f"{x:.17g}"
 
 
 def _to_json(obj) -> str:
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--i0", type=float, default=1.0, help="single-atom radiation rate")
-    p.add_argument("--p", type=float, default=0.0, help="white-noise ratio (dense backend)")
+    p.add_argument("--p", type=float, default=0.0, help="white-noise ratio")
 
     p = sub.add_parser("verify-appendix", parents=[common], help="exhaustive overlap-bound check")
     p.add_argument("--n", type=int, required=True)
@@ -267,10 +270,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _noisy_state(cfg: RunConfig, p: float):
-    target = dicke_state(cfg.n, cfg.m)
     if cfg.noise == "psixy":
+        if cfg.m != cfg.n // 2:
+            raise DomainError(
+                f"--noise psixy mixes around |N/2,N>; --m must be {cfg.n // 2}, got {cfg.m}"
+            )
         return psixy_noise_mix(cfg.n, p, cfg.phi)
-    return white_noise_mix(target, p)
+    return white_noise_mix(dicke_state(cfg.n, cfg.m), p)
 
 
 def _cmd_dicke(cfg: RunConfig) -> str:
@@ -370,10 +376,7 @@ def _cmd_sweep(cfg: RunConfig) -> str:
 
 
 def _cmd_intensity(cfg: RunConfig) -> str:
-    if cfg.p > 0.0:
-        state = white_noise_mix(dicke_state(cfg.n, cfg.m), cfg.p)
-    else:
-        state = dicke_symmetric(cfg.n, cfg.m)  # O(N) backend, no dense limit
+    state = white_noise_mix(dicke_symmetric(cfg.n, cfg.m), cfg.p)  # O(N), no dense limit
     value = superradiance_intensity(state, i0=cfg.i0)
     if cfg.output_format == "csv":
         return _csv(["n", "m", "i0", "p", "intensity"],

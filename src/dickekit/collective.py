@@ -32,6 +32,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError
+from .fidelity import _margin_crossing
 from .operators import (
     HermitianOperator,
     QuadraticForm,
@@ -40,7 +41,7 @@ from .operators import (
     PAULI,
 )
 from .oracle import maximize_over_ti_product
-from .states import DensityMatrix, PureState, SymmetricState, dicke_state, psixy_noise_mix, white_noise_mix
+from .states import DensityMatrix, PureState, dicke_state, psixy_noise_mix, white_noise_mix
 from .verdicts import DETECTED_ENTANGLED, DETECTED_GENUINE, WitnessVerdict, make_verdict
 
 CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4")
@@ -97,7 +98,7 @@ def criterion_verdict(
     if kind == "symmetric_jz":
         total = expectation(state, _TOTAL_FORM)
         maximal = (n / 2.0) * (n / 2.0 + 1.0)
-        if abs(total - maximal) > tol.symmetry_atol:
+        if abs(total - maximal) > tol.symmetry_atol * max(1.0, maximal):
             raise DomainError(
                 f"symmetric_jz needs a maximal-spin state: <J^2> = {total:.12g}, expected {maximal:.12g}"
             )
@@ -258,9 +259,11 @@ def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float
 def collective_threshold_numeric(
     n: int, kind: str, noise: str = "white", tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
-    """Noise threshold found by root-finding the verdict margin over p in [0,1]."""
-    from scipy.optimize import brentq
+    """Noise threshold found by root-finding the verdict margin over p in [0,1].
 
+    Like ``fidelity_threshold_numeric``, it builds the noisy state and judges
+    it at each probe, independent of the closed formula.
+    """
     if kind not in ("theorem2", "genuine4"):
         raise DomainError(f"numeric threshold supports 'theorem2'/'genuine4', got {kind!r}")
     target = dicke_state(n, n // 2)
@@ -274,11 +277,4 @@ def collective_threshold_numeric(
             raise DomainError(f"noise family must be 'white' or 'psixy', got {noise!r}")
         return criterion_verdict(rho, kind).margin
 
-    lo, hi = margin(0.0), margin(1.0)
-    if lo <= 0:
-        raise DomainError("criterion does not detect the noiseless state; no threshold")
-    if hi > tol.soundness_tol:
-        raise DomainError("margin stays positive on [0, 1]; no threshold to find")
-    if hi > 0:
-        return 1.0  # crossing sits at the endpoint within roundoff
-    return float(brentq(margin, 0.0, 1.0, xtol=tol.bisection_xtol))
+    return _margin_crossing(margin, tol)

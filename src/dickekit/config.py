@@ -27,7 +27,7 @@ class Tolerances:
     expectation_atol: float = 1e-10   # expectation-value agreement checks
     schmidt_atol: float = 1e-10       # Schmidt spectrum normalization / closed forms
     commutator_atol: float = 1e-12    # angular-momentum algebra checks
-    symmetry_atol: float = 1e-8       # <J^2> distance from the maximal-spin value
+    symmetry_atol: float = 1e-8       # <J^2> distance from J(J+1), relative to max(1, J(J+1))
     detection_tolerance: float = 0.0  # margin must exceed this to count as detected
     attainment_tol: float = 1e-6      # optimizers must reach known optima this closely
     soundness_tol: float = 1e-9       # sampled states may not exceed bounds by more

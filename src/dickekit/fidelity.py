@@ -15,14 +15,15 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, InvariantViolationError
 from .states import (
     Bipartition,
     DensityMatrix,
+    Mixture,
     PureState,
+    SymmetricState,
     dicke_state,
     schmidt_spectrum,
     white_noise_mix,
@@ -63,27 +64,36 @@ def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
 
 
 def fidelity_witness_verdict(
-    state: "PureState | DensityMatrix",
+    state: "PureState | SymmetricState | Mixture | DensityMatrix",
     n: int,
     m: int,
     detection_tolerance: float | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> WitnessVerdict:
     """Compare <m,N| rho |m,N> against the biseparable overlap bound."""
-    target = dicke_state(n, m).amplitudes
-    if isinstance(state, PureState):
-        if state.n_qubits != n:
-            raise DomainError(f"state has {state.n_qubits} qubits, expected {n}")
-        value = abs(np.vdot(target, state.amplitudes)) ** 2
-    elif isinstance(state, DensityMatrix):
-        if state.n_qubits != n:
-            raise DomainError(f"state has {state.n_qubits} qubits, expected {n}")
+    if not isinstance(state, (PureState, SymmetricState, Mixture, DensityMatrix)):
+        raise DomainError(f"unsupported state type {type(state).__name__}")
+    if state.n_qubits != n:
+        raise DomainError(f"state has {state.n_qubits} qubits, expected {n}")
+    bound = dicke_fidelity_bound(n, m)
+    if isinstance(state, DensityMatrix):
+        target = dicke_state(n, m).amplitudes
         value = float(np.vdot(target, state.matrix @ target).real)
     else:
-        raise DomainError(f"unsupported state type {type(state).__name__}")
-    bound = dicke_fidelity_bound(n, m)
+        value = _dicke_fidelity(state, m)
     dt = tol.detection_tolerance if detection_tolerance is None else detection_tolerance
     return make_verdict("fidelity", value, bound, DETECTED_GENUINE, dt)
+
+
+def _dicke_fidelity(state: "PureState | SymmetricState | Mixture", m: int) -> float:
+    """<m,N| rho |m,N>: |<m,N|psi>|^2 for a pure state; for a Mixture the
+    weighted sum over its components plus the identity's share 2^-N."""
+    if isinstance(state, Mixture):
+        value = sum(w * _dicke_fidelity(psi, m) for w, psi in zip(state.weights, state.components))
+        return value + state.identity_weight * 2.0 ** -state.n_qubits
+    if isinstance(state, SymmetricState):
+        return abs(state.sector_amplitudes[m]) ** 2
+    return abs(np.vdot(dicke_state(state.n_qubits, m).amplitudes, state.amplitudes)) ** 2
 
 
 def fidelity_noise_threshold(n: int) -> float:
@@ -119,6 +129,8 @@ def _margin_crossing(margin, tol: Tolerances) -> float:
         raise DomainError("margin stays positive on [0, 1]; no threshold to find")
     if hi > 0:
         return 1.0  # crossing sits at the endpoint within roundoff
+    from scipy.optimize import brentq
+
     return float(brentq(margin, 0.0, 1.0, xtol=tol.bisection_xtol))
 
 

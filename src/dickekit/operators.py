@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, DENSE_QUBIT_LIMIT
 from .errors import DomainError, InvariantViolationError
-from .states import DensityMatrix, PureState, SymmetricState
+from .states import DensityMatrix, Mixture, PureState, SymmetricState
 
 SIGMA_X = np.array([[0, -1], [-1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -65,6 +65,8 @@ class QuadraticForm:
         b = tuple(float(x) for x in self.b)
         if len(a) != 3 or len(b) != 3:
             raise DomainError("QuadraticForm coefficients must be triples (x, y, z)")
+        if not all(np.isfinite(x) for x in a + b):
+            raise DomainError(f"quadratic form coefficients must be finite, got a = {a}, b = {b}")
         if any(x < 0 for x in a):
             raise DomainError(f"quadratic coefficients must be nonnegative, got a = {a}")
         object.__setattr__(self, "a", a)
@@ -153,27 +155,44 @@ def _sector_apply(axis: str, amps: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _form_expectation(apply, amps: np.ndarray, which: "QuadraticForm | str") -> float:
-    """<sum_l a_l J_l^2 + b_l J_l> as sum_l a_l |J_l psi|^2 + b_l <psi|J_l psi>.
+def _form_expectation(moment, which: "QuadraticForm | str") -> float:
+    """<sum_l a_l J_l^2 + b_l J_l> as sum_l a_l <J_l^2> + b_l <J_l>.
 
-    ``apply(axis, amps)`` returns J_axis applied to ``amps``; an axis tag
-    ``which`` means the bare J_axis.
+    ``moment(axis, power)`` returns <J_axis^power> for power 1 or 2; an axis
+    tag ``which`` means the bare J_axis.
     """
     if isinstance(which, str):
         if which not in AXES:
             raise DomainError(f"axis must be one of {AXES}, got {which!r}")
-        return float(np.vdot(amps, apply(which, amps)).real)
+        return moment(which, 1)
     if not isinstance(which, QuadraticForm):
         raise DomainError(f"cannot take an expectation of {type(which).__name__}")
     total = 0.0
     for coeff, axis in zip(which.a, AXES):
         if coeff != 0.0:
-            jv = apply(axis, amps)
-            total += coeff * float(np.vdot(jv, jv).real)
+            total += coeff * moment(axis, 2)
     for coeff, axis in zip(which.b, AXES):
         if coeff != 0.0:
-            total += coeff * float(np.vdot(amps, apply(axis, amps)).real)
+            total += coeff * moment(axis, 1)
     return total
+
+
+def _pure_moments(apply, amps: np.ndarray):
+    """Moments of a pure state: <J^2> = |J psi|^2 and <J> = <psi|J psi>, where
+    ``apply(axis, amps)`` returns J_axis applied to ``amps``."""
+    def moment(axis: str, power: int) -> float:
+        jv = apply(axis, amps)
+        return float(np.vdot(jv, jv).real) if power == 2 else float(np.vdot(amps, jv).real)
+    return moment
+
+
+def _density_moments(rho: np.ndarray, n: int):
+    """Moments of a dense density matrix, Tr(rho J^2) and Tr(rho J), read off
+    the cached axis matrices without assembling a collective operator."""
+    def moment(axis: str, power: int) -> float:
+        mat = _axis_squared(n, axis) if power == 2 else _axis_matrix(n, axis)
+        return float(np.einsum("ij,ji->", rho, mat).real)
+    return moment
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +200,32 @@ def _form_expectation(apply, amps: np.ndarray, which: "QuadraticForm | str") -> 
 # ---------------------------------------------------------------------------
 
 def expectation(state, op) -> float:
-    """<op> on a PureState, DensityMatrix, or SymmetricState.
+    """<op> on a PureState, DensityMatrix, SymmetricState, or Mixture.
 
     ``op`` may be a HermitianOperator, a QuadraticForm, or an axis tag
     ('x', 'y', 'z') meaning the corresponding J operator.  Symmetric-sector
-    states accept only collective forms and axis tags.
+    states accept only collective forms and axis tags.  A Mixture takes the
+    weighted sum of its components' values plus its identity weight times
+    Tr(op)/2^N, which is exact: Tr(J_l^2)/2^N = N/4 and Tr(J_l)/2^N = 0.
     """
+    if isinstance(state, Mixture):
+        value = sum(w * expectation(psi, op) for w, psi in zip(state.weights, state.components))
+        return value + state.identity_weight * _identity_expectation(state.n_qubits, op)
     if isinstance(state, SymmetricState):
         if isinstance(op, HermitianOperator):
             raise DomainError("SymmetricState supports only collective forms and axis tags")
         n = state.n_qubits
-        return _form_expectation(lambda axis, v: _sector_apply(axis, v, n), state.sector_amplitudes, op)
+        moment = _pure_moments(lambda axis, v: _sector_apply(axis, v, n), state.sector_amplitudes)
+        return _form_expectation(moment, op)
 
     if isinstance(op, (QuadraticForm, str)):
         n = _qubits_of(state)
         _check_dense(n)
         if isinstance(state, PureState):
-            return _form_expectation(lambda axis, v: _axis_matrix(n, axis) @ v, state.amplitudes, op)
-        op = collective_operator(n, op)
+            moment = _pure_moments(lambda axis, v: _axis_matrix(n, axis) @ v, state.amplitudes)
+        else:
+            moment = _density_moments(state.matrix, n)
+        return _form_expectation(moment, op)
     if not isinstance(op, HermitianOperator):
         raise DomainError(f"cannot take an expectation of {type(op).__name__}")
 
@@ -217,8 +244,15 @@ def expectation(state, op) -> float:
     raise DomainError(f"unsupported state type {type(state).__name__}")
 
 
+def _identity_expectation(n: int, op) -> float:
+    """Tr(op)/2^N, the value of ``op`` on the maximally mixed state."""
+    if isinstance(op, HermitianOperator):
+        return float(np.trace(op.matrix).real) / op.dimension
+    return _form_expectation(lambda _axis, power: n / 4.0 if power == 2 else 0.0, op)
+
+
 def _qubits_of(state) -> int:
-    if isinstance(state, (PureState, DensityMatrix, SymmetricState)):
+    if isinstance(state, (PureState, DensityMatrix)):
         return state.n_qubits
     raise DomainError(f"unsupported state type {type(state).__name__}")
 

@@ -10,7 +10,9 @@ Conventions used throughout the library:
 
 The symmetric-sector representation stores only the N+1 amplitudes of the
 maximal-spin (permutation-symmetric) subspace, indexed by excitation count,
-which keeps collective-spin computations tractable at large N.
+which keeps collective-spin computations tractable at large N.  Noisy states
+are ``Mixture`` records: weights over pure components plus a weight on the
+identity, never a dense density matrix.
 """
 
 from __future__ import annotations
@@ -116,6 +118,67 @@ class SymmetricState:
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > DEFAULT_TOLERANCES.norm_atol:
             raise DomainError(f"SymmetricState is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+
+
+@dataclass(frozen=True, eq=False)
+class Mixture:
+    """Convex mixture sum_i w_i |psi_i><psi_i| + w_I I/2^N, held lazily.
+
+    The components are pure states of one kind (all ``PureState`` or all
+    ``SymmetricState``) on the same N.  Finite nonnegative weights summing to
+    one make the mixture Hermitian, unit-trace and positive semidefinite by
+    construction, so no 2^N x 2^N matrix is built or diagonalized; every
+    quantity linear in the state is the same weighted sum of component
+    values plus the identity's share.
+    """
+
+    components: tuple
+    weights: tuple
+    identity_weight: float = 0.0
+
+    def __post_init__(self):
+        components = tuple(self.components)
+        if not components:
+            raise DomainError("Mixture needs at least one pure component")
+        kind, n = type(components[0]), components[0].n_qubits
+        if kind not in (PureState, SymmetricState):
+            raise DomainError(f"Mixture components must be pure states, got {kind.__name__}")
+        if any(type(psi) is not kind or psi.n_qubits != n for psi in components):
+            raise DomainError("Mixture components must be all PureState or all SymmetricState, on one N")
+        weights = tuple(_check_weight(w) for w in self.weights)
+        if len(weights) != len(components):
+            raise DomainError(f"Mixture has {len(components)} components but {len(weights)} weights")
+        identity_weight = _check_weight(self.identity_weight)
+        total = sum(weights) + identity_weight
+        if abs(total - 1.0) > DEFAULT_TOLERANCES.trace_atol:
+            raise DomainError(f"Mixture weights sum to {total:.15g}, expected 1")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "identity_weight", identity_weight)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.components[0].n_qubits
+
+    def to_density(self) -> "DensityMatrix":
+        """The mixture as a dense DensityMatrix (dense qubit limit applies)."""
+        n = self.n_qubits
+        _check_qubit_count(n)
+        dim = 2 ** n
+        rho = self.identity_weight * np.eye(dim, dtype=complex) / dim
+        for w, psi in zip(self.weights, self.components):
+            v = (symmetric_to_dense(psi) if isinstance(psi, SymmetricState) else psi).amplitudes
+            rho += w * np.outer(v, v.conj())
+        return DensityMatrix(n, rho)
+
+
+def _check_weight(w) -> float:
+    if isinstance(w, (bool, np.bool_)):
+        raise DomainError(f"Mixture weight must be a number, got {w!r}")
+    value = float(w)
+    if not np.isfinite(value) or value < 0.0:
+        raise DomainError(f"Mixture weight must be finite and nonnegative, got {w!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -265,17 +328,17 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
 
 
-def white_noise_mix(target: PureState, p: float) -> DensityMatrix:
-    """p * I/2^N + (1-p) |target><target|, the white-noise admixture family."""
+def white_noise_mix(target: PureState | SymmetricState, p: float) -> Mixture:
+    """p * I/2^N + (1-p) |target><target|, the white-noise admixture family.
+
+    Works on either backend: a symmetric-sector target keeps the mixture
+    O(N), since the identity term is carried by its weight alone."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"noise ratio p = {p!r} must lie in [0, 1]")
-    dim = target.dimension
-    rho = p * np.eye(dim, dtype=complex) / dim
-    rho += (1.0 - p) * np.outer(target.amplitudes, target.amplitudes.conj())
-    return DensityMatrix(target.n_qubits, rho)
+    return Mixture((target,), (1.0 - p,), identity_weight=p)
 
 
-def psixy_noise_mix(n: int, p: float, phi: float = 0.0) -> DensityMatrix:
+def psixy_noise_mix(n: int, p: float, phi: float = 0.0) -> Mixture:
     """p |psixy><psixy| + (1-p) |N/2,N><N/2,N|: coherent equatorial noise on
     the half-excited Dicke state.  Requires even n."""
     _check_qubit_count(n)
@@ -283,10 +346,7 @@ def psixy_noise_mix(n: int, p: float, phi: float = 0.0) -> DensityMatrix:
         raise DomainError(f"psixy_noise_mix requires an even qubit count, got n = {n}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"noise ratio p = {p!r} must lie in [0, 1]")
-    sep = psixy_state(n, phi).amplitudes
-    tgt = dicke_state(n, n // 2).amplitudes
-    rho = p * np.outer(sep, sep.conj()) + (1.0 - p) * np.outer(tgt, tgt.conj())
-    return DensityMatrix(n, rho)
+    return Mixture((psixy_state(n, phi), dicke_state(n, n // 2)), (p, 1.0 - p))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,10 @@ def test_intensity_subcommand(capsys):
     assert status == 0
     # white noise interpolates toward the maximally mixed intensity N/2
     assert json.loads(out)["intensity"] == pytest.approx(0.5 * 4.0 + 0.5 * 2.0)
+    # noisy intensities stay on the O(N) backend far beyond the dense limit
+    status, out, _err = run_cli(capsys, "intensity", "--n", "10000", "--p", "0.1")
+    assert status == 0
+    assert json.loads(out)["intensity"] == pytest.approx(0.9 * 5000 * 5001 + 0.1 * 5000)
 
 
 def test_verify_appendix_subcommand(capsys):
@@ -168,6 +172,27 @@ def test_domain_errors_exit_2(capsys):
         capsys, "sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", "0:1:1"
     )
     assert status == 2
+
+
+def test_psixy_noise_needs_half_excitation(capsys):
+    status, out, err = run_cli(capsys, "witness", "--n", "4", "--m", "1", "--noise", "psixy",
+                               "--p", "0.5")
+    assert status == 2 and out == "" and "--m" in err
+    status, out, _err = run_cli(capsys, "witness", "--n", "4", "--m", "2", "--noise", "psixy",
+                                "--p", "0.5")
+    assert status == 0
+    assert json.loads(out)["value"] == pytest.approx(0.5 + 0.5 * 6 / 16)  # |<2,4|psixy>|^2 = 6/16
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN phase in the state arithmetic
+def test_non_finite_numbers_exit_2_without_a_document(capsys):
+    status, out, err = run_cli(capsys, "bound", "--n", "4", "--a", "nan,1,0")
+    assert status == 2 and out == "" and "error" in err
+    # a NaN that reaches the writer is refused too, in JSON and in CSV
+    for fmt in ("json", "csv"):
+        status, out, err = run_cli(capsys, "witness", "--n", "4", "--phi", "nan",
+                                   "--noise", "psixy", "--p", "0.5", "--format", fmt)
+        assert status == 2 and out == "" and "non-finite" in err
 
 
 def test_unknown_flags_exit_2():

@@ -85,6 +85,16 @@ def test_symmetric_jz_requires_maximal_spin():
         dk.criterion_verdict(rho, "symmetric_jz")
 
 
+def test_symmetric_jz_tolerance_scales_with_total_spin():
+    # <J^2> = 2.5e7 at N = 10^4: an absolute 1e-8 sits below its roundoff
+    state = dk.psixy_symmetric(10_000, 4.748431922814731)
+    verdict = dk.criterion_verdict(state, "symmetric_jz")
+    assert verdict.value == pytest.approx(0.0, abs=1e-6)  # N/4 - <Jz^2> on an equatorial state
+    noisy = dk.white_noise_mix(dk.dicke_symmetric(10_000, 5_000), 0.01)
+    with pytest.raises(dk.DomainError):
+        dk.criterion_verdict(noisy, "symmetric_jz")
+
+
 def test_crit2_requires_shift():
     with pytest.raises(dk.DomainError):
         dk.criterion_verdict(dk.dicke_state(4, 2), "crit2")

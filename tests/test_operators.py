@@ -69,6 +69,27 @@ def test_quadratic_form_requires_nonnegative_a():
         dk.QuadraticForm(a=(-1.0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_quadratic_form_requires_finite_coefficients(bad):
+    with pytest.raises(dk.DomainError):
+        dk.QuadraticForm(a=(bad, 1.0, 0.0))
+    with pytest.raises(dk.DomainError):
+        dk.QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, bad, 0.0))
+
+
+def test_density_expectation_uses_cached_axis_matrices(monkeypatch):
+    rho = next(dk.sample_random_states("density", 3, 1, seed=4))
+    form = dk.QuadraticForm(a=(0.3, 1.1, 0.7), b=(0.2, -0.4, 0.9))
+    assembled = [dk.expectation(rho, dk.collective_operator(3, op)) for op in (form, "x", "y", "z")]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("expectation assembled a collective operator")
+
+    monkeypatch.setattr(dk.operators, "collective_operator", forbidden)
+    direct = [dk.expectation(rho, op) for op in (form, "x", "y", "z")]
+    assert direct == pytest.approx(assembled, abs=1e-12)
+
+
 def test_hermitian_operator_validation():
     with pytest.raises(dk.DomainError):
         dk.HermitianOperator(2, [[0, 1], [0, 0]])

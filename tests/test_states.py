@@ -84,16 +84,16 @@ def test_psixy_phase_shows_in_jy():
 def test_white_noise_endpoints():
     target = dk.dicke_state(4, 2)
     pure = dk.white_noise_mix(target, 0.0)
-    assert np.allclose(pure.matrix, np.outer(target.amplitudes, target.amplitudes.conj()))
+    assert np.allclose(pure.to_density().matrix, np.outer(target.amplitudes, target.amplitudes.conj()))
     mixed = dk.white_noise_mix(target, 1.0)
-    assert np.allclose(np.diag(mixed.matrix), 1 / 16)
-    assert np.allclose(mixed.matrix, np.diag(np.diag(mixed.matrix)))
+    assert np.allclose(np.diag(mixed.to_density().matrix), 1 / 16)
+    assert np.allclose(mixed.to_density().matrix, np.diag(np.diag(mixed.to_density().matrix)))
 
 
 def test_white_noise_fidelity_value():
     target = dk.dicke_state(4, 2)
     rho = dk.white_noise_mix(target, 0.3)
-    fid = np.vdot(target.amplitudes, rho.matrix @ target.amplitudes).real
+    fid = np.vdot(target.amplitudes, rho.to_density().matrix @ target.amplitudes).real
     assert fid == pytest.approx(0.3 / 16 + 0.7, abs=1e-12)
 
 
@@ -106,10 +106,10 @@ def test_white_noise_p_range(p):
 def test_psixy_noise_endpoints_and_errors():
     proj_dicke = dk.psixy_noise_mix(2, 0.0)
     target = dk.dicke_state(2, 1).amplitudes
-    assert np.allclose(proj_dicke.matrix, np.outer(target, target.conj()))
+    assert np.allclose(proj_dicke.to_density().matrix, np.outer(target, target.conj()))
     proj_sep = dk.psixy_noise_mix(2, 1.0, 0.0)
     plus = dk.psixy_state(2, 0.0).amplitudes
-    assert np.allclose(proj_sep.matrix, np.outer(plus, plus.conj()))
+    assert np.allclose(proj_sep.to_density().matrix, np.outer(plus, plus.conj()))
     with pytest.raises(dk.DomainError):
         dk.psixy_noise_mix(3, 0.5)
 
@@ -129,6 +129,104 @@ def test_density_matrix_validation():
         dk.DensityMatrix(1, [[1.0, 0], [0, 1.0]])  # trace 2
     with pytest.raises(dk.DomainError):
         dk.DensityMatrix(1, [[1.5, 0], [0, -0.5]])  # negative eigenvalue
+
+
+@pytest.mark.parametrize(
+    "components,weights,identity_weight",
+    [
+        ((dk.dicke_state(2, 1),), (1.5,), -0.5),  # negative identity weight
+        ((dk.dicke_state(2, 1), dk.dicke_state(2, 0)), (-0.2, 1.2), 0.0),  # negative weight
+        ((dk.dicke_state(2, 1),), (float("nan"),), 0.0),
+        ((dk.dicke_state(2, 1),), (0.5,), float("nan")),
+        ((dk.dicke_state(2, 1),), (float("inf"),), 0.0),
+        ((dk.dicke_state(2, 1),), (True,), 0.0),  # bool is not a weight
+        ((dk.dicke_state(2, 1),), (0.5,), False),
+        ((dk.dicke_state(2, 1),), (0.5,), 0.0),  # sums to 1/2
+        ((dk.dicke_state(2, 1),), (0.7,), 0.4),  # sums to 1.1
+        ((dk.dicke_state(2, 1), dk.dicke_state(3, 1)), (0.5, 0.5), 0.0),  # mixed N
+        ((dk.dicke_symmetric(2, 1), dk.dicke_symmetric(3, 1)), (0.5, 0.5), 0.0),
+        ((dk.dicke_state(2, 1), dk.dicke_symmetric(2, 1)), (0.5, 0.5), 0.0),  # mixed kinds
+        ((dk.dicke_state(2, 1),), (0.5, 0.5), 0.0),  # weight count mismatch
+        ((), (), 1.0),  # no component fixes N
+        ((dk.maximally_mixed(2),), (1.0,), 0.0),  # components must be pure
+    ],
+)
+def test_mixture_rejects_invalid_weights_and_components(components, weights, identity_weight):
+    with pytest.raises(dk.DomainError):
+        dk.Mixture(components, weights, identity_weight=identity_weight)
+
+
+def test_noise_mixtures_build_no_dense_matrix(monkeypatch):
+    # PSD by construction: neither constructor nor evaluation may diagonalize
+    # or assemble a 2^N x 2^N matrix
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("dense path called on a noise mixture")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(dk.operators, "collective_operator", forbidden)
+    monkeypatch.setattr(dk.states, "DensityMatrix", forbidden)
+    monkeypatch.setattr(np, "outer", forbidden)
+    for rho in (dk.white_noise_mix(dk.dicke_state(6, 3), 0.2), dk.psixy_noise_mix(6, 0.2, 0.3),
+                dk.white_noise_mix(dk.dicke_symmetric(6, 3), 0.2)):
+        assert isinstance(rho, dk.Mixture)
+        dk.criterion_verdict(rho, "theorem2")
+        dk.criterion_verdict(rho, "variance")
+        dk.fidelity_witness_verdict(rho, 6, 3)
+        dk.superradiance_intensity(rho)
+
+
+_FORMS = st.builds(
+    lambda a, b: dk.QuadraticForm(a=a, b=b),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+)
+
+
+def _assert_same_moments(mixture, reference, form):
+    n = mixture.n_qubits
+    for op in (form, "x", "y", "z"):
+        assert abs(dk.expectation(mixture, op) - dk.expectation(reference, op)) <= 1e-12, op
+    for k in range(n + 1):
+        got = dk.fidelity_witness_verdict(mixture, n, k).value
+        want = dk.fidelity_witness_verdict(reference, n, k).value
+        assert abs(got - want) <= 1e-12, k
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), p=st.floats(0.0, 1.0), form=_FORMS)
+def test_noise_mixture_matches_dense_route(data, p, form):
+    if data.draw(st.booleans(), label="psixy"):
+        n = data.draw(st.sampled_from([2, 4, 6]), label="n")
+        mixture = dk.psixy_noise_mix(n, p, data.draw(st.floats(-np.pi, np.pi), label="phi"))
+    else:
+        n = data.draw(st.integers(2, 6), label="n")
+        mixture = dk.white_noise_mix(dk.dicke_state(n, data.draw(st.integers(0, n), label="m")), p)
+    dense = mixture.to_density()
+    _assert_same_moments(mixture, dense, form)
+    # a general operator takes the identity share as Tr(H)/2^N
+    op = dk.collective_operator(n, form)
+    assert abs(dk.expectation(mixture, op) - dk.expectation(dense, op)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(2, 6), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+       phi=st.floats(-np.pi, np.pi), data=st.data(), form=_FORMS)
+def test_symmetric_mixture_matches_embedded(n, p, q, phi, data, form):
+    m = data.draw(st.integers(0, n), label="m")
+    symmetric = dk.Mixture(
+        (dk.dicke_symmetric(n, m), dk.psixy_symmetric(n, phi)),
+        ((1.0 - p) * q, (1.0 - p) * (1.0 - q)),
+        identity_weight=p,
+    )
+    embedded = dk.Mixture(
+        tuple(dk.symmetric_to_dense(c) for c in symmetric.components),
+        symmetric.weights,
+        identity_weight=symmetric.identity_weight,
+    )
+    _assert_same_moments(symmetric, embedded, form)
+    _assert_same_moments(symmetric, symmetric.to_density(), form)
+    white = dk.white_noise_mix(dk.dicke_symmetric(n, m), p)
+    _assert_same_moments(white, dk.white_noise_mix(dk.dicke_state(n, m), p), form)
 
 
 def test_symmetric_embedding_matches_dense_dicke():
