@@ -41,7 +41,7 @@ from .operators import (
     PAULI,
 )
 from .oracle import maximize_over_ti_product
-from .states import DensityMatrix, PureState, dicke_state, psixy_noise_mix, white_noise_mix
+from .states import DensityMatrix, PureState, _is_int, dicke_state, psixy_noise_mix, white_noise_mix
 from .verdicts import DETECTED_ENTANGLED, DETECTED_GENUINE, WitnessVerdict, make_verdict
 
 CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4")
@@ -63,12 +63,12 @@ def lemma1_bound(form: QuadraticForm, n: int, tol: Tolerances = DEFAULT_TOLERANC
     """Separable-state maximum of the quadratic collective form.
 
     With no linear part the closed form applies; otherwise the maximum over
-    N-fold tensor powers (which equals the separable maximum) is computed
-    numerically over a single Bloch vector.
+    N-fold tensor powers (which equals the separable maximum) is solved exactly
+    by ``maximize_over_ti_product``: the secular equation and its hard case.
     """
     if not isinstance(form, QuadraticForm):
         form = QuadraticForm(*form)
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if form.is_linear_free:
         a = form.a
@@ -105,7 +105,7 @@ def criterion_verdict(
         value = n / 4.0 - expectation(state, _Z2_FORM)
         return make_verdict(kind, value, 0.0, DETECTED_ENTANGLED, dt)
     if kind == "crit2":
-        if m is None or not isinstance(m, (int, np.integer)):
+        if m is None or not _is_int(m):
             raise DomainError("crit2 needs an integer shift m")
         form = QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, 0.0, -2.0 * m))
         value = expectation(state, form)
@@ -239,7 +239,7 @@ def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float
     white noise: 'theorem2' -> 1/N (even N); 'genuine4' -> (5/2 - sqrt(3))/4
     at N = 4.  psixy noise: 'theorem2' -> 1 (detection for every p < 1).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
+    if not _is_int(n) or n < 2 or n % 2 != 0:
         raise DomainError(f"noise thresholds are defined for even n >= 2, got {n!r}")
     if noise == "white":
         if kind == "theorem2":

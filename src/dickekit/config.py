@@ -31,7 +31,6 @@ class Tolerances:
     detection_tolerance: float = 0.0  # margin must exceed this to count as detected
     attainment_tol: float = 1e-6      # optimizers must reach known optima this closely
     soundness_tol: float = 1e-9       # sampled states may not exceed bounds by more
-    ti_opt_tol: float = 1e-8          # single-Bloch-vector maximizer accuracy
     convergence_tol: float = 1e-12    # alternating-update stopping threshold
     bisection_xtol: float = 1e-12     # root finding on noise-sweep margins
 

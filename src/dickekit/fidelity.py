@@ -24,6 +24,7 @@ from .states import (
     Mixture,
     PureState,
     SymmetricState,
+    _is_int,
     dicke_state,
     schmidt_spectrum,
     white_noise_mix,
@@ -34,24 +35,23 @@ from .verdicts import DETECTED_GENUINE, WitnessVerdict, make_verdict
 def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
     """Maximal squared overlap of |m,N> with biseparable pure states.
 
-    method='exact' enumerates the closed-form squared Schmidt coefficients
-    C(N1,k) C(N-N1,m-k) / C(N,m) with exact integer arithmetic; method='svd'
-    sweeps all split sizes with a dense singular value decomposition.  The two
-    must agree to tight tolerance, which the test suite enforces.
+    method='exact' takes the closed-form squared Schmidt coefficients
+    C(N1,k) C(N-N1,m-k) / C(N,m) in exact integer arithmetic; each row in k is
+    hypergeometric, so only its mode k = floor((N1+1)(m+1)/(N+2)) is taken (a
+    tie leaves k - 1 with the same value).  method='svd' sweeps all split sizes
+    with a dense singular value decomposition.  The two must agree to tight
+    tolerance, which the test suite enforces.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not _is_int(n) or n < 2:
         raise DomainError(f"need at least two qubits for a bipartition, got n = {n!r}")
-    if not isinstance(m, (int, np.integer)) or not 0 <= m <= n:
+    if not _is_int(m) or not 0 <= m <= n:
         raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
     if method == "exact":
-        best = Fraction(0)
-        total = comb(n, m)
+        best = 0
         for n1 in range(1, n // 2 + 1):
-            k_lo = max(0, m - (n - n1))
-            k_hi = min(n1, m)
-            for k in range(k_lo, k_hi + 1):
-                best = max(best, Fraction(comb(n1, k) * comb(n - n1, m - k), total))
-        return float(best)
+            k = (n1 + 1) * (m + 1) // (n + 2)  # a mode of the row, always a valid k
+            best = max(best, comb(n1, k) * comb(n - n1, m - k))
+        return float(Fraction(best, comb(n, m)))
     if method == "svd":
         state = dicke_state(n, m)
         best = 0.0
@@ -99,7 +99,7 @@ def _dicke_fidelity(state: "PureState | SymmetricState | Mixture", m: int) -> fl
 def fidelity_noise_threshold(n: int) -> float:
     """White-noise ratio below which the fidelity witness still detects
     |N/2,N>: (1/2) (N-2) / ((N-1) (1 - 2^-N)).  Even n >= 4 only."""
-    if not isinstance(n, (int, np.integer)) or n < 4 or n % 2 != 0:
+    if not _is_int(n) or n < 4 or n % 2 != 0:
         raise DomainError(f"threshold formula needs even n >= 4, got n = {n!r}")
     return 0.5 * (n - 2) / ((n - 1) * (1.0 - 2.0 ** (-n)))
 
@@ -110,7 +110,7 @@ def fidelity_threshold_numeric(n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     Independent of the closed formula: evaluates the full state-construction
     and fidelity pipeline at each probe.
     """
-    if not isinstance(n, (int, np.integer)) or n < 4 or n % 2 != 0:
+    if not _is_int(n) or n < 4 or n % 2 != 0:
         raise DomainError(f"numeric threshold needs even n >= 4, got n = {n!r}")
     target = dicke_state(n, n // 2)
 
@@ -164,7 +164,7 @@ def verify_appendix_inequality(n: int) -> AppendixReport:
     Raises InvariantViolationError with a counterexample if either claim
     fails (it never should).
     """
-    if not isinstance(n, (int, np.integer)) or n % 2 != 0 or not 4 <= n <= 64:
+    if not _is_int(n) or n % 2 != 0 or not 4 <= n <= 64:
         raise DomainError(f"verification needs even n with 4 <= n <= 64, got n = {n!r}")
     half = n // 2
     table: dict[tuple[int, int], int] = {}

@@ -18,9 +18,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, DENSE_QUBIT_LIMIT
+from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, InvariantViolationError
-from .states import DensityMatrix, Mixture, PureState, SymmetricState
+from .states import DensityMatrix, Mixture, PureState, SymmetricState, _check_qubit_count
 
 SIGMA_X = np.array([[0, -1], [-1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -103,16 +103,9 @@ def _axis_squared(n: int, axis: str) -> np.ndarray:
     return out
 
 
-def _check_dense(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n > DENSE_QUBIT_LIMIT:
-        raise DomainError(f"n = {n} exceeds the dense backend limit of {DENSE_QUBIT_LIMIT} qubits")
-
-
 def collective_operator(n: int, which: "QuadraticForm | str") -> HermitianOperator:
     """Dense J_axis for an axis tag, or sum_l a_l J_l^2 + b_l J_l for a form."""
-    _check_dense(n)
+    _check_qubit_count(n)
     if isinstance(which, str):
         if which not in AXES:
             raise DomainError(f"axis must be one of {AXES}, got {which!r}")
@@ -220,7 +213,7 @@ def expectation(state, op) -> float:
 
     if isinstance(op, (QuadraticForm, str)):
         n = _qubits_of(state)
-        _check_dense(n)
+        _check_qubit_count(n)
         if isinstance(state, PureState):
             moment = _pure_moments(lambda axis, v: _axis_matrix(n, axis) @ v, state.amplitudes)
         else:

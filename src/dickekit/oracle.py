@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import hypot, sqrt
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import DEFAULT_RESTARTS, DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, InvariantViolationError
 from .operators import AXES, PAULI, HermitianOperator, QuadraticForm
-from .states import Bipartition, DensityMatrix, PureState, assemble_bipartite, product_state
+from .states import Bipartition, DensityMatrix, PureState, _is_int, assemble_bipartite, product_state
 
 _BISEP_QUBIT_LIMIT = 8  # general pure-state pairs get expensive beyond this
+_RADIUS = 0.5  # Bloch-vector length of a pure qubit state
+_SECULAR_MAX_STEPS = 200  # safety cap; Newton from the left needs a handful of steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,53 +188,55 @@ def ti_objective(form: QuadraticForm, n: int, s: np.ndarray) -> float:
 
 
 def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
-    """Maximize the quadratic form over states |psi>^(x N).
+    """Maximize the quadratic form exactly over states |psi>^(x N).
 
-    The objective is convex in the Bloch vector, so the maximum sits on the
-    pure-state sphere |s| = 1/2; a dense angular grid is polished with a
-    local simplex refinement.
+    The objective is convex in the Bloch vector s, so the maximum sits on the
+    sphere |s| = 1/2 at s_l = beta_l / (2 (lambda - alpha_l)), alpha = N(N-1) a,
+    beta = N b, with lambda >= max(alpha) the root of the secular equation
+    |s(lambda)| = 1/2, or lambda = max(alpha) in its hard case (README, Lemma 1;
+    More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    a = np.asarray(form.a)
-    b = np.asarray(form.b)
+    alpha = [n * (n - 1) * x for x in form.a]
+    beta = [n * x for x in form.b]
+    gaps = [max(alpha) - x for x in alpha]  # lambda - alpha_l = gap_l + mu, mu = lambda - max(alpha)
+    mu = _secular_root(gaps, beta)
+    s = _secular_point(gaps, beta, mu)
+    if mu == 0.0:  # hard case
+        s[gaps.index(0.0)] = sqrt(max(0.0, _RADIUS ** 2 - hypot(*s) ** 2))
+    s = np.array(s) * (_RADIUS / hypot(*s))
+    return OptimizationResult(ti_objective(form, n, s), BlochProduct(np.tile(s, (n, 1))), 1, 0)
 
-    def value_of(theta: float, phi: float) -> float:
-        s = 0.5 * np.array(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-        )
-        return ti_objective(form, n, s)
 
-    thetas = np.linspace(0.0, np.pi, 61)
-    phis = np.linspace(0.0, 2 * np.pi, 121, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    sx = 0.5 * np.sin(tt) * np.cos(pp)
-    sy = 0.5 * np.sin(tt) * np.sin(pp)
-    sz = 0.5 * np.cos(tt)
-    grid = (
-        a.sum() * n / 4.0
-        + n * (n - 1) * (a[0] * sx ** 2 + a[1] * sy ** 2 + a[2] * sz ** 2)
-        + n * (b[0] * sx + b[1] * sy + b[2] * sz)
-    )
-    order = np.argsort(grid, axis=None)[::-1][:6]
-    seeds = [(float(tt.flat[i]), float(pp.flat[i])) for i in order]
-    seeds += [(np.pi / 2, 0.0), (np.pi / 2, np.pi), (np.pi / 2, np.pi / 2),
-              (np.pi / 2, 3 * np.pi / 2), (0.0, 0.0), (np.pi, 0.0)]
+def _secular_point(gaps, beta, mu: float) -> list[float]:
+    """s_l = beta_l / (2 (gap_l + mu)), and 0 wherever beta_l = 0."""
+    return [bl / (2.0 * (gl + mu)) if bl != 0.0 else 0.0 for gl, bl in zip(gaps, beta)]
 
-    best_value, best_angles = -np.inf, None
-    for theta0, phi0 in seeds:
-        res = minimize(
-            lambda ang: -value_of(ang[0], ang[1]),
-            x0=np.array([theta0, phi0]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-        )
-        if -res.fun > best_value:
-            best_value, best_angles = -res.fun, res.x
-    theta, phi = best_angles
-    s = 0.5 * np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    bloch = BlochProduct(np.tile(s, (n, 1)))
-    return OptimizationResult(float(best_value), bloch, len(seeds), 0)
+
+def _secular_root(gaps, beta) -> float:
+    """mu > 0 with |s(mu)| = R, or 0 in the hard case.  psi = 1/|s| - 1/R is
+    increasing and concave in mu, so Newton steps from the left stay left of
+    the root; bisection takes over if roundoff pushes one out of the bracket."""
+    top_beta = hypot(*(bl for bl, gl in zip(beta, gaps) if gl == 0.0))
+    if top_beta == 0.0 and hypot(*_secular_point(gaps, beta, 0.0)) <= _RADIUS:
+        return 0.0
+    # |beta| / (2 (max gap + mu)) and |beta_top| / (2 mu) <= |s(mu)| <= |beta| / (2 mu)
+    hi = hypot(*beta) / (2.0 * _RADIUS)
+    lo = mu = max(0.0, hi - max(gaps), top_beta / (2.0 * _RADIUS))
+    for _ in range(_SECULAR_MAX_STEPS):
+        s = _secular_point(gaps, beta, mu)
+        length = hypot(*s)
+        psi = 1.0 / length - 1.0 / _RADIUS
+        lo, hi = (lo, mu) if psi >= 0.0 else (mu, hi)
+        slope = sum(x * x / (gl + mu) for x, gl in zip(s, gaps) if x != 0.0) / length ** 3
+        step = mu - psi / slope
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if psi == 0.0 or abs(step - mu) <= 4.0 * np.finfo(float).eps * mu:
+            break
+        mu = step
+    return mu
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,17 +28,27 @@ from .config import DEFAULT_TOLERANCES, DENSE_QUBIT_LIMIT, SYMMETRIC_QUBIT_LIMIT
 from .errors import DomainError
 
 
-def _as_complex_vector(values, length: int, what: str) -> np.ndarray:
+def _as_unit_vector(values, length: int, kind: str) -> np.ndarray:
+    """Read-only complex copy of a unit-norm amplitude vector of a ``kind`` state."""
     arr = np.asarray(values, dtype=complex)
     if arr.shape != (length,):
-        raise DomainError(f"{what}: expected shape ({length},), got {arr.shape}")
+        raise DomainError(f"{kind} amplitudes: expected shape ({length},), got {arr.shape}")
+    norm = np.linalg.norm(arr)
+    if not isfinite(norm):  # any NaN or inf amplitude makes the norm NaN or inf
+        raise DomainError(f"{kind} amplitudes contain non-finite values")
+    if abs(norm - 1.0) > DEFAULT_TOLERANCES.norm_atol:
+        raise DomainError(f"{kind} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
+def _is_int(x) -> bool:  # bool is an int subclass but never a count
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_qubit_count(n: int, limit: int = DENSE_QUBIT_LIMIT) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"n_qubits must be a positive integer, got {n!r}")
     if n > limit:
         raise DomainError(f"n_qubits = {n} exceeds the backend limit of {limit} qubits")
@@ -53,11 +63,8 @@ class PureState:
 
     def __post_init__(self):
         _check_qubit_count(self.n_qubits)
-        amps = _as_complex_vector(self.amplitudes, 2 ** self.n_qubits, "PureState amplitudes")
+        amps = _as_unit_vector(self.amplitudes, 2 ** self.n_qubits, "PureState")
         object.__setattr__(self, "amplitudes", amps)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > DEFAULT_TOLERANCES.norm_atol:
-            raise DomainError(f"PureState is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
     @property
     def dimension(self) -> int:
@@ -85,7 +92,10 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         tol = DEFAULT_TOLERANCES
-        if np.abs(mat - mat.conj().T).max() > tol.hermitian_atol:
+        asymmetry = np.abs(mat - mat.conj().T).max()
+        if not isfinite(asymmetry):  # any NaN or inf entry makes this NaN or inf
+            raise DomainError("DensityMatrix has non-finite entries")
+        if asymmetry > tol.hermitian_atol:
             raise DomainError("DensityMatrix is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > tol.trace_atol or abs(np.trace(mat).imag) > tol.trace_atol:
             raise DomainError(f"DensityMatrix trace is {np.trace(mat):.15g}, expected 1")
@@ -111,13 +121,8 @@ class SymmetricState:
 
     def __post_init__(self):
         _check_qubit_count(self.n_qubits, limit=SYMMETRIC_QUBIT_LIMIT)
-        amps = _as_complex_vector(
-            self.sector_amplitudes, self.n_qubits + 1, "SymmetricState sector_amplitudes"
-        )
+        amps = _as_unit_vector(self.sector_amplitudes, self.n_qubits + 1, "SymmetricState")
         object.__setattr__(self, "sector_amplitudes", amps)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > DEFAULT_TOLERANCES.norm_atol:
-            raise DomainError(f"SymmetricState is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +241,7 @@ def dicke_state(n: int, m: int) -> PureState:
     """Dense Dicke state |m,N>: equal weight 1/sqrt(C(N,m)) on every basis
     label with exactly m excited qubits."""
     _check_qubit_count(n)
-    if not isinstance(m, (int, np.integer)) or m < 0 or m > n:
+    if not _is_int(m) or m < 0 or m > n:
         raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
     amps = np.zeros(2 ** n, dtype=complex)
     weight = 1.0 / sqrt(comb(n, m))
@@ -248,7 +253,7 @@ def dicke_state(n: int, m: int) -> PureState:
 def dicke_symmetric(n: int, m: int) -> SymmetricState:
     """Symmetric-sector Dicke state: unit amplitude on excitation count m."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
-    if not isinstance(m, (int, np.integer)) or m < 0 or m > n:
+    if not _is_int(m) or m < 0 or m > n:
         raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
     amps = np.zeros(n + 1, dtype=complex)
     amps[m] = 1.0
@@ -291,17 +296,12 @@ def psixy_symmetric(n: int, phi: float = 0.0) -> SymmetricState:
     """Symmetric-sector amplitudes of psixy_state: a_m = sqrt(C(N,m)) 2^{-N/2} e^{i m phi}."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
     m = np.arange(n + 1)
-    # log-domain binomials keep this stable far beyond the dense limit
-    log_binom = [0.5 * (_log_comb(n, k) - n * np.log(2.0)) for k in m]
-    amps = np.exp(np.array(log_binom)) * np.exp(1j * phi * m)
+    # log C(N,k) = sum_{j<k} log((N-j)/(j+1)): log-domain binomials keep this
+    # stable far beyond the dense limit
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - m[:-1]) / (m[:-1] + 1.0)))))
+    amps = np.exp(0.5 * (log_binom - n * np.log(2.0))) * np.exp(1j * phi * m)
     amps /= np.linalg.norm(amps)
     return SymmetricState(n, amps)
-
-
-def _log_comb(n: int, k: int) -> float:
-    from math import lgamma
-
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
 def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition) -> PureState:

@@ -188,7 +188,7 @@ def test_psixy_noise_needs_half_excitation(capsys):
 def test_non_finite_numbers_exit_2_without_a_document(capsys):
     status, out, err = run_cli(capsys, "bound", "--n", "4", "--a", "nan,1,0")
     assert status == 2 and out == "" and "error" in err
-    # a NaN that reaches the writer is refused too, in JSON and in CSV
+    # a NaN phase is refused when the state is built, in JSON and in CSV alike
     for fmt in ("json", "csv"):
         status, out, err = run_cli(capsys, "witness", "--n", "4", "--phi", "nan",
                                    "--noise", "psixy", "--p", "0.5", "--format", fmt)

@@ -37,6 +37,13 @@ def test_lemma1_rejects_negative_a():
         dk.lemma1_bound(dk.QuadraticForm(a=(1, -1, 0)), 3)
 
 
+@pytest.mark.parametrize("b", [(0, 0, 0), (0, 0, -2)])
+def test_lemma1_rejects_bool_sizes(b):
+    for n in (True, np.bool_(True), 0):
+        with pytest.raises(dk.DomainError):
+            dk.lemma1_bound(dk.QuadraticForm(a=(1, 1, 0), b=b), n)
+
+
 def test_theorem2_on_half_excited_dicke():
     verdict = dk.criterion_verdict(dk.dicke_state(4, 2), "theorem2")
     assert verdict.value == pytest.approx(6.0, abs=1e-10)

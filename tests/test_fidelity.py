@@ -35,7 +35,28 @@ def test_exact_and_svd_agree_everywhere():
             assert exact == pytest.approx(svd, abs=1e-10), (n, m)
 
 
-@pytest.mark.parametrize("n,m", [(1, 0), (4, 5), (4, -1)])
+def test_exact_bound_matches_the_exhaustive_table():
+    # reference: every (N1, k) entry of the squared Schmidt table, exactly
+    from fractions import Fraction
+    from math import comb
+
+    for n in range(2, 40):
+        for m in range(n + 1):
+            best = max(
+                Fraction(comb(n1, k) * comb(n - n1, m - k), comb(n, m))
+                for n1 in range(1, n // 2 + 1)
+                for k in range(max(0, m - (n - n1)), min(n1, m) + 1)
+            )
+            assert dk.dicke_fidelity_bound(n, m) == float(best), (n, m)
+
+
+def test_exact_bound_at_large_n():
+    for n in (400, 1000):
+        assert dk.dicke_fidelity_bound(n, n // 2) == pytest.approx(n / (2 * (n - 1)), rel=1e-15)
+        assert dk.dicke_fidelity_bound(n, 1) == pytest.approx((n - 1) / n, rel=1e-15)
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (4, 5), (4, -1), (4, True), (True, 0)])
 def test_bound_domain_errors(n, m):
     with pytest.raises(dk.DomainError):
         dk.dicke_fidelity_bound(n, m)
@@ -65,6 +86,12 @@ def test_verdict_on_noisy_target():
     verdict = dk.fidelity_witness_verdict(rho, 4, 2)
     assert verdict.value == pytest.approx(0.71875, abs=1e-12)
     assert verdict.detected == dk.DETECTED_GENUINE
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN phase in the state arithmetic
+def test_verdict_refuses_a_nan_noise_phase():
+    with pytest.raises(dk.DomainError):
+        dk.fidelity_witness_verdict(dk.psixy_noise_mix(4, 0.5, float("nan")), 4, 2)
 
 
 def test_verdict_dimension_mismatch():

@@ -1,10 +1,14 @@
+import subprocess
+import sys
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dickekit as dk
-from dickekit.oracle import _product_update_sweeps
+from dickekit.oracle import _product_update_sweeps, ti_objective
 
 
 def test_max_eigenvalue_examples():
@@ -74,6 +78,93 @@ def test_ti_product_examples():
     result = dk.maximize_over_ti_product(dk.QuadraticForm(a=(1, 0, 0), b=(1, 0, 0)), 2)
     assert result.value == pytest.approx(2.0, abs=1e-8)
     assert np.allclose(result.argument.vectors[0], [0.5, 0, 0], atol=1e-6)
+
+
+_THETA, _PHI = np.meshgrid(np.linspace(0, np.pi, 241), np.linspace(0, 2 * np.pi, 481), indexing="ij")
+_GRID = 0.5 * np.stack([np.sin(_THETA) * np.cos(_PHI), np.sin(_THETA) * np.sin(_PHI), np.cos(_THETA)],
+                       -1).reshape(-1, 3)  # dense angular grid on the pure-state sphere
+
+
+def _grid_max(form, n):
+    a, b = np.asarray(form.a), np.asarray(form.b)
+    return float(np.max(a.sum() * n / 4 + n * (n - 1) * (_GRID ** 2) @ a + n * _GRID @ b))
+
+
+def _crit2_form(m):
+    return dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, -2.0 * m))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    a=st.tuples(*[st.floats(0, 3) | st.just(0.0) for _ in range(3)]),
+    b=st.tuples(*[st.floats(-3, 3) | st.just(0.0) for _ in range(3)]),
+    n=st.integers(1, 8),
+)
+def test_ti_product_is_the_sphere_maximum(a, b, n):
+    form = dk.QuadraticForm(a=a, b=b)
+    result = dk.maximize_over_ti_product(form, n)
+    s = result.argument.vectors[0]
+    assert abs(np.linalg.norm(s) - 0.5) <= 1e-12
+    assert np.array_equal(result.argument.vectors, np.tile(s, (n, 1)))
+    assert result.value == ti_objective(form, n, s)
+    assert _grid_max(form, n) <= result.value + 1e-9 * max(1.0, abs(result.value))
+
+
+@pytest.mark.parametrize("n,m", [(4, 1), (4, -1), (5, 2), (9, -4), (10, 0), (100, 7)])
+def test_ti_product_hard_case(n, m):
+    # beta vanishes on both top axes x, y and |s_z| = |m|/(N-1) <= 1/2: the
+    # multiplier sits at max(alpha) and the rest of the length goes along x
+    result = dk.maximize_over_ti_product(_crit2_form(m), n)
+    s = result.argument.vectors[0]
+    assert s[2] == pytest.approx(-m / (n - 1), rel=1e-15, abs=1e-15)
+    assert np.linalg.norm(s) == pytest.approx(0.5, abs=1e-15)
+    expected = n / 2 + n * (n - 1) / 4 + n * m ** 2 / (n - 1)
+    assert result.value == pytest.approx(expected, rel=1e-14)
+    assert result.restarts_used == 1
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (4, -3), (9, 5), (10, 7)])
+def test_ti_product_beyond_the_hard_case_sits_at_a_pole(n, m):
+    # |m| > (N-1)/2: the secular root puts the optimum at s = -sign(m) z / 2
+    result = dk.maximize_over_ti_product(_crit2_form(m), n)
+    assert np.allclose(result.argument.vectors[0], [0, 0, -0.5 * np.sign(m)], atol=1e-15)
+    assert result.value == pytest.approx(n / 2 + n * abs(m), rel=1e-15)
+
+
+def test_ti_product_without_linear_part_and_on_one_qubit():
+    # beta = 0: the length goes along an axis of largest a
+    result = dk.maximize_over_ti_product(dk.QuadraticForm(a=(0.2, 0.9, 0.4)), 5)
+    assert np.allclose(result.argument.vectors[0], [0, 0.5, 0], atol=1e-15)
+    assert result.value == pytest.approx(1.5 * 5 / 4 + 0.9 * 2.5 * 2.0, rel=1e-15)
+    # N = 1 has no quadratic part: s = beta / (2 |beta|)
+    form = dk.QuadraticForm(a=(2, 1, 0), b=(0.3, -0.4, 1.2))
+    result = dk.maximize_over_ti_product(form, 1)
+    assert np.allclose(result.argument.vectors[0], np.array([0.3, -0.4, 1.2]) / 2.6, atol=1e-15)
+    assert result.value == pytest.approx(3 / 4 + 0.65, rel=1e-15)
+    # with nothing to maximize, any pure Bloch vector is optimal
+    result = dk.maximize_over_ti_product(dk.QuadraticForm(), 1)
+    assert np.linalg.norm(result.argument.vectors[0]) == pytest.approx(0.5, abs=1e-15)
+    assert result.value == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 1000, 10_000])
+def test_ti_product_matches_the_crit2_closed_form(n):
+    for m in range(-((n - 1) // 2), (n - 1) // 2 + 1, max(1, n // 40)):
+        expected = n / 2 + n * (n - 1) / 4 + n * m ** 2 / (n - 1)
+        assert dk.maximize_over_ti_product(_crit2_form(m), n).value == pytest.approx(expected, rel=1e-12)
+        assert dk.lemma1_bound(_crit2_form(m), n) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.0, True, np.bool_(True)])
+def test_ti_product_rejects_non_integer_sizes(n):
+    with pytest.raises(dk.DomainError):
+        dk.maximize_over_ti_product(_crit2_form(1), n)
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, dickekit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_ti_and_product_routes_agree():

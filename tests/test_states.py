@@ -24,10 +24,16 @@ def test_dicke_half_excited_four_qubits():
     assert np.allclose(nonzero, 6 ** -0.5)
 
 
-@pytest.mark.parametrize("n,m", [(3, -1), (3, 4), (0, 0), (13, 2)])
+@pytest.mark.parametrize("n,m", [(3, -1), (3, 4), (0, 0), (13, 2), (4, True), (True, 0), (4, np.bool_(True))])
 def test_dicke_domain_errors(n, m):
     with pytest.raises(dk.DomainError):
         dk.dicke_state(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(4, True), (True, 0), (4, np.bool_(False)), (4, 2.0)])
+def test_dicke_symmetric_rejects_non_integer_counts(n, m):
+    with pytest.raises(dk.DomainError):
+        dk.dicke_symmetric(n, m)
 
 
 def test_dicke_oversize_error_names_the_limit():
@@ -57,6 +63,21 @@ def test_dicke_permutation_invariance(data):
     state = dk.dicke_state(n, m)
     permuted = state.amplitudes.reshape([2] * n).transpose(perm).reshape(-1)
     assert np.allclose(permuted, state.amplitudes, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite phases in the state arithmetic
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_states_reject_non_finite_entries(bad):
+    with pytest.raises(dk.DomainError, match="non-finite"):
+        dk.PureState(1, [bad, 0.0])
+    with pytest.raises(dk.DomainError, match="non-finite"):
+        dk.SymmetricState(1, [bad, 0.0])
+    with pytest.raises(dk.DomainError, match="non-finite"):
+        dk.DensityMatrix(1, [[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(dk.DomainError):
+        dk.psixy_state(3, bad)
+    with pytest.raises(dk.DomainError):
+        dk.psixy_symmetric(3, bad)
 
 
 def test_pure_state_must_be_normalized():
@@ -241,6 +262,26 @@ def test_psixy_symmetric_matches_dense():
     dense = dk.psixy_state(n, phi)
     embedded = dk.symmetric_to_dense(dk.psixy_symmetric(n, phi))
     assert np.allclose(dense.amplitudes, embedded.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 11])
+def test_psixy_symmetric_matches_dense_at_every_phase(n):
+    for phi in (0.0, 0.4, 2.1, -3.0):
+        dense = dk.psixy_state(n, phi)
+        embedded = dk.symmetric_to_dense(dk.psixy_symmetric(n, phi))
+        assert np.max(np.abs(dense.amplitudes - embedded.amplitudes)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 40, 1000, 10_000])
+def test_psixy_symmetric_matches_the_lgamma_route(n):
+    # reference: one lgamma-based log binomial per excitation count
+    from math import lgamma
+
+    log_binom = [lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) for k in range(n + 1)]
+    reference = np.exp(0.5 * (np.array(log_binom) - n * np.log(2.0))) * np.exp(0.7j * np.arange(n + 1))
+    reference /= np.linalg.norm(reference)
+    amps = dk.psixy_symmetric(n, 0.7).sector_amplitudes
+    assert np.max(np.abs(amps - reference)) <= 1e-12
 
 
 def test_symmetric_norm_enforced():
