@@ -32,6 +32,10 @@ from .oracle import max_eigenvalue, maximize_over_biseparable, maximize_over_pro
 from .states import dicke_state, dicke_symmetric, psixy_noise_mix, white_noise_mix
 from .verdicts import WitnessVerdict
 
+# Caps on sizes taken from the command line, checked before any work starts.
+MAX_RESTARTS = 10_000
+MAX_GRID_STEPS = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -147,8 +151,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"grid: {exc}") from exc
-    if steps < 2:
-        raise DomainError(f"grid needs at least 2 steps, got {steps}")
+    if not 2 <= steps <= MAX_GRID_STEPS:
+        raise DomainError(f"grid needs 2 to {MAX_GRID_STEPS} steps, got {steps}")
     if start > stop:
         raise DomainError(f"grid start {start} must not exceed stop {stop}")
     return start, stop, steps
@@ -214,12 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", default="1,1,0")
     p.add_argument("--b", default="0,0,0")
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
+                   help=f"seeded restarts per search (at most {MAX_RESTARTS})")
 
     p = sub.add_parser("sweep-noise", parents=[common], help="verdicts along a noise grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--criterion", choices=CRITERION_KINDS + ("fidelity",), required=True)
-    p.add_argument("--grid", default="0:1:11", help="start:stop:steps")
+    p.add_argument("--grid", default="0:1:11",
+                   help=f"start:stop:steps, with at most {MAX_GRID_STEPS} steps")
     p.add_argument("--noise", choices=("white", "psixy"), default="white")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--m-signed", type=int, default=None)
@@ -258,6 +264,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.form_b = (0.0, 0.0, -2.0 * args.m_signed)
     if hasattr(args, "mode"):
         cfg.oracle_mode = args.mode
+        if not 1 <= cfg.restarts <= MAX_RESTARTS:
+            raise DomainError(f"--restarts must be 1 to {MAX_RESTARTS}, got {cfg.restarts}")
     if hasattr(args, "grid"):
         cfg.grid = _parse_grid(args.grid)
     if cfg.n is not None and cfg.m is None:

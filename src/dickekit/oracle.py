@@ -5,15 +5,19 @@ through this module: dense eigensolving, alternating exact updates over
 product or biseparable pure states, and a direct single-Bloch-vector
 maximizer for translationally invariant product states.
 
-Restart randomness is drawn from counter-derived substreams
-(``default_rng([seed, restart])``) so that serial and parallel execution of
-restarts produce identical results.
+Restart r draws its start from its own counter-derived substream
+``default_rng([seed, r])``.  The alternating searches step their restarts in
+lockstep, stacked in chunks of bounded size; a restart that has converged
+freezes, so each restart gets the same start and does the same sweeps
+whatever the chunk size, as if it ran alone.  The sampler draws from
+``default_rng([seed])`` in blocks, in the order one sample at a time would.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import hypot, sqrt
 
 import numpy as np
@@ -21,11 +25,23 @@ import numpy as np
 from .config import DEFAULT_RESTARTS, DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, InvariantViolationError
 from .operators import AXES, PAULI, HermitianOperator, QuadraticForm
-from .states import Bipartition, DensityMatrix, PureState, _is_int, assemble_bipartite, product_state
+from .states import (
+    Bipartition,
+    DensityMatrix,
+    PureState,
+    _check_qubit_count,
+    _is_int,
+    assemble_bipartite,
+    product_state,
+)
 
 _BISEP_QUBIT_LIMIT = 8  # general pure-state pairs get expensive beyond this
 _RADIUS = 0.5  # Bloch-vector length of a pure qubit state
 _SECULAR_MAX_STEPS = 200  # safety cap; Newton from the left needs a handful of steps
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
+_SWEEP_CAP = 2000  # alternating sweeps per restart before it counts as unconverged
+_RESTART_CHUNK = 64  # restarts stacked at once, so memory does not grow with restarts
+_SAMPLE_BLOCK = 1 << 14  # floats in a sampler block's largest array, so memory does not grow with count
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +90,23 @@ class BiseparableArgument:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
+    """Best value found, its argument, and how the search got there.
+
+    For the alternating searches ``values`` and ``sweeps`` hold one entry per
+    restart (per split and restart, split by split, for the biseparable
+    search); ``history`` is the best restart's value after each of its sweeps,
+    and ``converged`` says whether that restart stopped on ``convergence_tol``
+    rather than on the sweep cap.
+    """
+
     value: float
     argument: object
     restarts_used: int
     seed: int
+    sweeps: tuple[int, ...] = ()
+    converged: bool = True
+    history: tuple[float, ...] = ()
+    values: tuple[float, ...] = ()
 
 
 def _as_matrix(op, n: int | None = None) -> tuple[np.ndarray, int]:
@@ -106,50 +135,130 @@ def max_eigenvalue(op) -> float:
 
 
 # ---------------------------------------------------------------------------
+# lockstep restarts (shared by the product and biseparable searches)
+# ---------------------------------------------------------------------------
+
+def _check_restarts(restarts) -> None:
+    if not _is_int(restarts) or restarts < 1:
+        raise DomainError(f"restarts must be a positive integer, got {restarts!r}")
+
+
+def _haar_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` Haar-random unit vectors in C^d, each drawn as d real then d
+    imaginary normals: the order of ``count`` one-vector draws."""
+    x = rng.normal(size=(count, 2, d))
+    v = x[:, 0] + 1j * x[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _outer_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of two stacks of vectors."""
+    return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
+
+
+def _top_eigvecs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue and its eigenvector for each matrix of a stack."""
+    vals, vecs = np.linalg.eigh(h)
+    return vals[:, -1], vecs[:, :, -1]
+
+
+def _lockstep(sweep, factors: list[np.ndarray], tol: Tolerances):
+    """Run exact alternating sweeps on a stack of restarts in lockstep.
+
+    ``factors`` hold the restarts along their first axis and are updated in
+    place; ``sweep`` updates a sub-stack and returns its objective values.  A
+    restart whose gain drops below ``convergence_tol`` freezes, so each does
+    exactly the sweeps it would do alone, up to the cap.  Returns per-restart
+    values, sweep counts, whether each stopped on the tolerance, and the value
+    of every restart after every sweep (rows).
+    """
+    count = len(factors[0])
+    values = np.full(count, -np.inf)
+    sweeps = np.zeros(count, dtype=int)
+    stopped = np.zeros(count, dtype=bool)
+    rows = []
+    active = np.arange(count)
+    for _sweep in range(_SWEEP_CAP):
+        part = [f[active] for f in factors]
+        new = sweep(part)
+        old = values[active]
+        if np.any(new < old - 1e-9 * np.maximum(1.0, np.abs(old))):
+            worst = int(np.argmin(new - old))
+            raise InvariantViolationError(
+                f"alternating update decreased the objective: {old[worst]} -> {new[worst]}"
+            )
+        for f, p in zip(factors, part):
+            f[active] = p
+        values[active] = new
+        sweeps[active] += 1
+        rows.append(values.copy())
+        done = new - old < tol.convergence_tol * np.maximum(1.0, np.abs(new))
+        stopped[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    return values, sweeps, stopped, rows
+
+
+class _Search:
+    """Runs seeded restarts in bounded chunks and keeps the first best one."""
+
+    def __init__(self, restarts: int, seed: int, tol: Tolerances):
+        self.restarts, self.seed, self.tol = restarts, seed, tol
+        self.values: list[float] = []
+        self.sweeps: list[int] = []
+        # the best restart so far: value, factors, split label, convergence, history
+        self.value = -np.inf
+        self.factors = self.label = None
+        self.converged, self.history = False, ()
+
+    def run(self, start, sweep, label=None) -> None:
+        """``start(rng)`` draws one restart's factors from its own
+        ``default_rng([seed, r])`` stream."""
+        for first in range(0, self.restarts, _RESTART_CHUNK):
+            chunk = range(first, min(self.restarts, first + _RESTART_CHUNK))
+            starts = [start(np.random.default_rng([self.seed, r])) for r in chunk]
+            factors = [np.stack(parts) for parts in zip(*starts)]
+            values, sweeps, stopped, rows = _lockstep(sweep, factors, self.tol)
+            self.values += values.tolist()
+            self.sweeps += sweeps.tolist()
+            i = int(np.argmax(values))
+            if values[i] > self.value:
+                self.value = float(values[i])
+                self.factors, self.label = [f[i] for f in factors], label
+                self.converged = bool(stopped[i])
+                self.history = tuple(float(row[i]) for row in rows[: sweeps[i]])
+
+    def result(self, argument) -> OptimizationResult:
+        return OptimizationResult(
+            self.value, argument, self.restarts, self.seed, sweeps=tuple(self.sweeps),
+            converged=self.converged, history=self.history, values=tuple(self.values),
+        )
+
+
+# ---------------------------------------------------------------------------
 # product-state maximization (alternating exact single-qubit updates)
 # ---------------------------------------------------------------------------
 
-def _haar_qubit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return v / np.linalg.norm(v)
-
-
-def _product_update_sweeps(
-    mat: np.ndarray,
-    qubits: list[np.ndarray],
-    tol: Tolerances,
-    max_sweeps: int = 200,
-    on_sweep=None,
-) -> tuple[float, list[np.ndarray]]:
-    """Cyclic exact updates: each qubit is set to the top eigenvector of its
-    2x2 effective operator with all others fixed.  Monotone by construction."""
-    n = len(qubits)
-    eye2 = np.eye(2, dtype=complex)
-    scalar = np.array([1.0], dtype=complex)
-    value = -np.inf
-    for _sweep in range(max_sweeps):
-        suffix = [scalar] * (n + 1)
-        for k in reversed(range(1, n)):
-            suffix[k] = np.kron(qubits[k], suffix[k + 1])
-        pre = scalar
-        for k in range(n):
-            basis = np.kron(np.kron(pre[:, None], eye2), suffix[k + 1][:, None])  # (2^n, 2)
-            h_eff = basis.conj().T @ (mat @ basis)
-            vals, vecs = np.linalg.eigh(h_eff)
-            qubits[k] = vecs[:, -1]
-            new_value = float(vals[-1])
-            pre = np.kron(pre, qubits[k])
-        if new_value < value - 1e-9 * max(1.0, abs(value)):
-            raise InvariantViolationError(
-                f"alternating update decreased the objective: {value} -> {new_value}"
-            )
-        gain = new_value - value
-        value = new_value
-        if on_sweep is not None:
-            on_sweep(value)
-        if gain < tol.convergence_tol * max(1.0, abs(value)):
-            break
-    return value, qubits
+def _product_sweep(mat: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """One cyclic sweep over a stack of product states ``(R, n, 2)``: each
+    qubit is set to the top eigenvector of its 2x2 effective operator
+    B^H mat B, with B = pre (x) 1 (x) suffix, all other qubits fixed.
+    Monotone by construction; returns the value after the last qubit."""
+    (qubits,) = factors
+    count, n, _ = qubits.shape
+    suffixes = [np.ones((count, 1), dtype=complex)]  # suffixes[j]: last j qubits
+    for k in range(n - 1, 0, -1):
+        suffixes.append(_outer_rows(qubits[:, k], suffixes[-1]))
+    pre = suffixes[0]
+    for k in range(n):
+        env = pre[:, :, None] * suffixes[n - 1 - k][:, None, :]  # (R, 2^k, 2^(n-k-1))
+        basis = np.zeros((env.shape[1], 2, env.shape[2], count, 2), dtype=complex)
+        basis[:, 0, :, :, 0] = basis[:, 1, :, :, 1] = env.transpose(1, 2, 0)
+        image = (mat @ basis.reshape(mat.shape[0], 2 * count)).reshape(basis.shape)
+        value, qubits[:, k] = _top_eigvecs(np.einsum("rij,isjrt->rst", env.conj(), image))
+        pre = _outer_rows(pre, qubits[:, k])
+    return value
 
 
 def maximize_over_product_states(
@@ -160,19 +269,15 @@ def maximize_over_product_states(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> OptimizationResult:
     """Best <psi_1 (x) ... (x) psi_N | op | psi_1 (x) ... (x) psi_N> found from
-    seeded Haar-random starts followed by cyclic exact single-qubit updates."""
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
+    seeded Haar-random starts followed by cyclic exact single-qubit updates,
+    all restarts stepped in lockstep."""
+    _check_restarts(restarts)
     mat, n = _as_matrix(op, n)
-    best_value, best_qubits = -np.inf, None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        qubits = [_haar_qubit(rng) for _ in range(n)]
-        value, qubits = _product_update_sweeps(mat, qubits, tol)
-        if value > best_value:
-            best_value, best_qubits = value, qubits
-    bloch = np.array([[float(np.vdot(q, PAULI[a] @ q).real) / 2.0 for a in AXES] for q in best_qubits])
-    return OptimizationResult(best_value, BlochProduct(bloch), restarts, seed)
+    search = _Search(restarts, seed, tol)
+    search.run(lambda rng: (_haar_rows(rng, n, 2),), partial(_product_sweep, mat))
+    (qubits,) = search.factors
+    bloch = np.array([[float(np.vdot(q, PAULI[a] @ q).real) / 2.0 for a in AXES] for q in qubits])
+    return search.result(BlochProduct(bloch))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +304,9 @@ def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
     if not _is_int(n) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     alpha = [n * (n - 1) * x for x in form.a]
-    beta = [n * x for x in form.b]
+    # a subnormal beta on a top axis would put the root below the normal range
+    # (the Newton slope overflows); flushing it moves the value by < 1e-307
+    beta = [n * x if abs(n * x) >= _TINY else 0.0 for x in form.b]
     gaps = [max(alpha) - x for x in alpha]  # lambda - alpha_l = gap_l + mu, mu = lambda - max(alpha)
     mu = _secular_root(gaps, beta)
     s = _secular_point(gaps, beta, mu)
@@ -265,27 +372,26 @@ def _bipartitions(n: int, permutation_invariant: bool):
                 yield Bipartition(n, (1,) + rest)
 
 
-def _bisep_update_sweeps(
-    w: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerances, max_sweeps: int = 200
-) -> tuple[float, np.ndarray, np.ndarray]:
-    value = -np.inf
-    for _sweep in range(max_sweeps):
-        h_a = np.einsum("ijkl,j,l->ik", w, b.conj(), b)
-        vals, vecs = np.linalg.eigh(h_a)
-        a = vecs[:, -1]
-        h_b = np.einsum("ijkl,i,k->jl", w, a.conj(), a)
-        vals, vecs = np.linalg.eigh(h_b)
-        b = vecs[:, -1]
-        new_value = float(vals[-1])
-        if new_value < value - 1e-9 * max(1.0, abs(value)):
-            raise InvariantViolationError(
-                f"alternating update decreased the objective: {value} -> {new_value}"
-            )
-        gain = new_value - value
-        value = new_value
-        if gain < tol.convergence_tol * max(1.0, abs(value)):
-            break
-    return value, a, b
+def _haar_pair(rng: np.random.Generator, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Haar-random factors on C^d_a and C^d_b from one draw of 2 (d_a + d_b)
+    normals: real and imaginary parts of the first, then of the second."""
+    x = rng.normal(size=2 * (d_a + d_b))
+    a = x[:d_a] + 1j * x[d_a:2 * d_a]
+    b = x[2 * d_a:2 * d_a + d_b] + 1j * x[2 * d_a + d_b:]
+    return a / np.linalg.norm(a), b / np.linalg.norm(b)
+
+
+def _bisep_sweep(w_l: np.ndarray, w_k: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """One exact update of each side for a stack of pairs ``(R, d_a)``,
+    ``(R, d_b)``.  With w[i, j, k, l] = <i j| op |k l>, ``w_l`` is w with l as
+    the column index and ``w_k`` with k; returns the value after the update."""
+    a, b = factors
+    d_a, d_b = a.shape[1], b.shape[1]
+    image = (w_l @ b.T).reshape(d_a, d_b, d_a, -1)  # sum_l w[i,j,k,l] b[r,l]
+    _value, a[:] = _top_eigvecs(np.einsum("ijkr,rj->rik", image, b.conj()))
+    image = (w_k @ a.T).reshape(d_a, d_b, d_b, -1)  # sum_k w[i,j,k,l] a[r,k]
+    value, b[:] = _top_eigvecs(np.einsum("ijlr,ri->rjl", image, a.conj()))
+    return value
 
 
 def maximize_over_biseparable(
@@ -298,12 +404,11 @@ def maximize_over_biseparable(
     """Best <phi_A (x) phi_B | op | phi_A (x) phi_B> over all bipartitions.
 
     Each side is updated to the top eigenvector of its effective operator
-    (exact alternating maximization) from seeded Haar-random starts.  When the
-    operator commutes with all qubit transpositions, only split sizes are
-    enumerated.
+    (exact alternating maximization) from seeded Haar-random starts, all
+    restarts of a split stepped in lockstep.  When the operator commutes with
+    all qubit transpositions, only split sizes are enumerated.
     """
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
+    _check_restarts(restarts)
     mat, n = _as_matrix(op, n)
     if n < 2:
         raise DomainError("biseparable maximization needs at least two qubits")
@@ -311,29 +416,68 @@ def maximize_over_biseparable(
         raise DomainError(f"n = {n} exceeds the biseparable-search limit of {_BISEP_QUBIT_LIMIT}")
 
     tensor = mat.reshape([2] * (2 * n))
-    best = (-np.inf, None, None, None)
+    search = _Search(restarts, seed, tol)
     for split in _bipartitions(n, _is_permutation_invariant(mat, n)):
         axes_a = [q - 1 for q in split.side_a]
         axes_b = [q - 1 for q in split.side_b]
         perm = axes_a + axes_b
         d_a, d_b = 2 ** len(axes_a), 2 ** len(axes_b)
         w = tensor.transpose(perm + [n + p for p in perm]).reshape(d_a, d_b, d_a, d_b)
-        for r in range(restarts):
-            rng = np.random.default_rng([seed, r])
-            a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
-            a /= np.linalg.norm(a)
-            b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
-            b /= np.linalg.norm(b)
-            value, a, b = _bisep_update_sweeps(w, a, b, tol)
-            if value > best[0]:
-                best = (value, split, a, b)
-    value, split, a, b = best
-    return OptimizationResult(value, BiseparableArgument(split, a, b), restarts, seed)
+        w_l = w.reshape(-1, d_b)
+        w_k = np.ascontiguousarray(w.transpose(0, 1, 3, 2)).reshape(-1, d_a)
+        search.run(lambda rng: _haar_pair(rng, d_a, d_b), partial(_bisep_sweep, w_l, w_k), split)
+    return search.result(BiseparableArgument(search.label, *search.factors))
 
 
 # ---------------------------------------------------------------------------
 # seeded state sampling
 # ---------------------------------------------------------------------------
+
+def _pure_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    return _haar_rows(rng, size, 2 ** n)
+
+
+def _product_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    qubits = _haar_rows(rng, size * n, 2).reshape(size, n, 2)
+    amps = qubits[:, 0]
+    for k in range(1, n):
+        amps = _outer_rows(amps, qubits[:, k])
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def _biseparable_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """Per sample one split draw, then one draw for both factors; the states
+    are then assembled split by split."""
+    dim = 2 ** n
+    pairs, rows_of = [], {}
+    for i in range(size):
+        mask = int(rng.integers(1, dim - 1))  # uniform nonempty proper subset; bit q is qubit q + 1
+        d_a = 2 ** bin(mask).count("1")
+        pairs.append(_haar_pair(rng, d_a, dim // d_a))
+        rows_of.setdefault(mask, []).append(i)
+    amps = np.empty((size, dim), dtype=complex)
+    for mask, rows in rows_of.items():
+        order = [q for q in range(n) if mask >> q & 1] + [q for q in range(n) if not mask >> q & 1]
+        pair = _outer_rows(*(np.stack([pairs[i][side] for i in rows]) for side in (0, 1)))
+        axes = [0] + [1 + order.index(q) for q in range(n)]  # back to qubit order
+        amps[rows] = pair.reshape([len(rows)] + [2] * n).transpose(axes).reshape(len(rows), dim)
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def _density_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    x = rng.normal(size=(size, 2, 2 ** n, 2 ** n))
+    g = x[:, 0] + 1j * x[:, 1]
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+_SAMPLERS = {  # kind: (block function, its largest array per sample in floats, state type)
+    "pure": (_pure_block, lambda n: 2 ** (n + 1), PureState),
+    "product": (_product_block, lambda n: max(4 * n, 2 ** (n + 1)), PureState),
+    "biseparable": (_biseparable_block, lambda n: 2 ** (n + 1), PureState),
+    "density": (_density_block, lambda n: 2 ** (2 * n + 1), DensityMatrix),
+}
+
 
 def sample_random_states(kind: str, n: int, count: int, seed: int = 0):
     """Yield ``count`` seeded random states of the requested kind.
@@ -341,35 +485,21 @@ def sample_random_states(kind: str, n: int, count: int, seed: int = 0):
     kinds: 'pure' (Haar-like normalized Gaussian vectors), 'product'
     (independent Haar single-qubit states), 'biseparable' (uniform random
     split, Haar factor on each side), 'density' (normalized Wishart).
+
+    States are built in blocks of bounded size from the draws, in the order
+    one sample at a time would take them, and each is validated as it is
+    yielded.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    if kind not in ("pure", "product", "biseparable", "density"):
+    if not _is_int(count) or count < 1:
+        raise DomainError(f"count must be a positive integer, got {count!r}")
+    if kind not in _SAMPLERS:
         raise DomainError(f"unsupported sample kind {kind!r}")
+    _check_qubit_count(n)
     if kind == "biseparable" and n < 2:
         raise DomainError("biseparable sampling needs at least two qubits")
+    build, floats, state_type = _SAMPLERS[kind]
+    block = max(1, _SAMPLE_BLOCK // floats(n))
     rng = np.random.default_rng([seed])
-    dim = 2 ** n
-
-    def haar_vector(d: int) -> np.ndarray:
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        return v / np.linalg.norm(v)
-
-    for _ in range(count):
-        if kind == "pure":
-            yield PureState(n, haar_vector(dim))
-        elif kind == "product":
-            yield product_state([haar_vector(2) for _ in range(n)])
-        elif kind == "biseparable":
-            mask = int(rng.integers(1, dim - 1))  # uniform nonempty proper subset
-            side_a = tuple(q for q in range(1, n + 1) if mask & (1 << (q - 1)))
-            split = Bipartition(n, side_a)
-            yield assemble_bipartite(
-                haar_vector(2 ** len(split.side_a)),
-                haar_vector(2 ** len(split.side_b)),
-                split,
-            )
-        else:  # density
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            rho = g @ g.conj().T
-            yield DensityMatrix(n, rho / np.trace(rho).real)
+    for first in range(0, count, block):
+        for data in build(rng, n, min(block, count - first)):
+            yield state_type(n, data)

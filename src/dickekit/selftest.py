@@ -81,6 +81,14 @@ class _Checks:
         )
 
 
+def _check_converged(checks: _Checks, label: str, results) -> None:
+    """Every search's best restart stopped on convergence_tol, not on the sweep cap."""
+    short = sum(not r.converged for r in results)
+    most = max(max(r.sweeps) for r in results)
+    checks.check(f"{label}: best restart converged in {len(results) - short}/{len(results)} "
+                 f"searches (most sweeps by any restart {most})", short == 0)
+
+
 def _finish(number: int, name: str, checks: _Checks, t0: float, budget_s: float) -> CheckResult:
     elapsed = time.perf_counter() - t0
     checks.check(f"runtime {elapsed:.2f}s < {budget_s:g}s", elapsed < budget_s)
@@ -109,11 +117,13 @@ def criterion_02_biseparable_overlap() -> CheckResult:
     t0 = time.perf_counter()
     target = dicke_state(4, 2).amplitudes
     projector = HermitianOperator(16, np.outer(target, target.conj()))
-    value = maximize_over_biseparable(projector, restarts=64, seed=0).value
+    search = maximize_over_biseparable(projector, restarts=64, seed=0)
+    value = search.value
     c.check(
         f"optimizer overlap {value:.12g} within [2/3 - 1e-3, 2/3 + 1e-9]",
         2.0 / 3.0 - 1e-3 <= value <= 2.0 / 3.0 + 1e-9,
     )
+    _check_converged(c, "biseparable overlap search", [search])
     return _finish(2, "biseparable overlap of the |2,4> projector", c, t0, 10.0)
 
 
@@ -122,8 +132,9 @@ def criterion_03_separable_sharpness_soundness() -> CheckResult:
     c = _Checks()
     t0 = time.perf_counter()
     op4 = collective_operator(4, _XY)
-    attained = maximize_over_product_states(op4, restarts=64, seed=0).value
-    c.close("product max of <Jx^2 + Jy^2> at n=4", attained, 5.0, 1e-6)
+    attained = maximize_over_product_states(op4, restarts=64, seed=0)
+    c.close("product max of <Jx^2 + Jy^2> at n=4", attained.value, 5.0, 1e-6)
+    _check_converged(c, "product max at n=4", [attained])
     for n in range(2, 9):
         bound = theorem2_bound(n)
         op = collective_operator(n, _XY)
@@ -143,10 +154,10 @@ def criterion_04_genuine_multipartite_bounds() -> CheckResult:
     t0 = time.perf_counter()
     op3 = collective_operator(3, _XY)
     op4 = collective_operator(4, _XY)
-    c.close("biseparable max n=3", maximize_over_biseparable(op3, restarts=64, seed=0).value,
-            GENUINE3_BOUND, 1e-6)
-    c.close("biseparable max n=4", maximize_over_biseparable(op4, restarts=64, seed=0).value,
-            GENUINE4_BOUND, 1e-6)
+    searches = [maximize_over_biseparable(op, restarts=64, seed=0) for op in (op3, op4)]
+    c.close("biseparable max n=3", searches[0].value, GENUINE3_BOUND, 1e-6)
+    c.close("biseparable max n=4", searches[1].value, GENUINE4_BOUND, 1e-6)
+    _check_converged(c, "biseparable maxima at n=3, 4", searches)
     # Attainment.  Jx^2 + Jy^2 = J^2 - Jz^2, and for odd N every state has
     # <Jz^2> >= 1/4, so the three-qubit spectrum tops out at
     # (3/2)(5/2) - 1/4 = 7/2, reached by |1,3> and |2,3>.  Dense
@@ -285,10 +296,12 @@ def criterion_09_separable_reduction() -> CheckResult:
         forms.append(QuadraticForm(a=a, b=b))
     worst_gap = 0.0
     worst_excess = -np.inf
+    searches = []
     for n in range(2, 7):
         for form in forms:
             op = collective_operator(n, form)
-            prod = maximize_over_product_states(op, restarts=64, seed=0).value
+            searches.append(maximize_over_product_states(op, restarts=64, seed=0))
+            prod = searches[-1].value
             ti = maximize_over_ti_product(form, n).value
             worst_gap = max(worst_gap, abs(prod - ti))
             if form.is_linear_free:
@@ -306,6 +319,7 @@ def criterion_09_separable_reduction() -> CheckResult:
     neg = HermitianOperator(4, -j2.matrix)
     res = maximize_over_product_states(neg, restarts=64, seed=0)
     min_product = -res.value
+    _check_converged(c, "product maxima of the 100 forms and of -J^2", searches + [res])
     thetas = np.linspace(0, np.pi, 181)
     phis = np.linspace(0, 2 * np.pi, 181)
     ti_min = min(

@@ -97,8 +97,9 @@ class DensityMatrix:
             raise DomainError("DensityMatrix has non-finite entries")
         if asymmetry > tol.hermitian_atol:
             raise DomainError("DensityMatrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > tol.trace_atol or abs(np.trace(mat).imag) > tol.trace_atol:
-            raise DomainError(f"DensityMatrix trace is {np.trace(mat):.15g}, expected 1")
+        trace = np.trace(mat)
+        if abs(trace.real - 1.0) > tol.trace_atol or abs(trace.imag) > tol.trace_atol:
+            raise DomainError(f"DensityMatrix trace is {trace:.15g}, expected 1")
         min_eig = np.linalg.eigvalsh(mat)[0]
         if min_eig < -tol.psd_atol:
             raise DomainError(f"DensityMatrix has negative eigenvalue {min_eig:.3e}")
@@ -280,6 +281,9 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
         v = np.asarray(q, dtype=complex)
         if v.shape != (2,):
             raise DomainError(f"single-qubit state must have shape (2,), got {v.shape}")
+        norm = np.linalg.norm(v)  # checked before any arithmetic on v can warn
+        if not isfinite(norm) or norm == 0.0:
+            raise DomainError(f"single-qubit state {v} is zero or has non-finite amplitudes")
         amps = np.kron(amps, v)
     amps = amps / np.linalg.norm(amps)
     return PureState(len(qubit_states), amps)
@@ -295,6 +299,8 @@ def psixy_state(n: int, phi: float = 0.0) -> PureState:
 def psixy_symmetric(n: int, phi: float = 0.0) -> SymmetricState:
     """Symmetric-sector amplitudes of psixy_state: a_m = sqrt(C(N,m)) 2^{-N/2} e^{i m phi}."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
+    if not np.isfinite(phi):
+        raise DomainError(f"psixy phase must be finite, got {phi}")
     m = np.arange(n + 1)
     # log C(N,k) = sum_{j<k} log((N-j)/(j+1)): log-domain binomials keep this
     # stable far beyond the dense limit

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dickekit import selftest
+from dickekit import cli, selftest
 from dickekit.cli import main
 
 
@@ -184,7 +184,7 @@ def test_psixy_noise_needs_half_excitation(capsys):
     assert json.loads(out)["value"] == pytest.approx(0.5 + 0.5 * 6 / 16)  # |<2,4|psixy>|^2 = 6/16
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN phase in the state arithmetic
+@pytest.mark.filterwarnings("error")  # refused before any arithmetic can warn
 def test_non_finite_numbers_exit_2_without_a_document(capsys):
     status, out, err = run_cli(capsys, "bound", "--n", "4", "--a", "nan,1,0")
     assert status == 2 and out == "" and "error" in err
@@ -236,3 +236,29 @@ def test_selftest_reports_the_known_red_criterion(capsys, monkeypatch):
     assert "criterion 01  FAIL" in out
     assert "FAIL stub sub-check" in out
     assert "0/1 criteria passed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "product-max", "--n", "3", "--restarts", str(cli.MAX_RESTARTS + 1)),
+    ("oracle", "bisep-max", "--n", "3", "--restarts", "0"),
+    ("sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", f"0:1:{cli.MAX_GRID_STEPS + 1}"),
+])
+def test_sizes_past_their_caps_exit_2_before_any_work(capsys, monkeypatch, argv):
+    def refuse(_config):
+        raise AssertionError("a capped size reached the command")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert "--restarts must be 1 to" in err or "grid needs 2 to" in err
+
+
+def test_sizes_at_their_caps_parse():
+    # parsing only: a capped size is never run
+    parser = cli.build_parser()
+    cfg = cli._config_from_args(parser.parse_args(
+        ["oracle", "product-max", "--n", "3", "--restarts", str(cli.MAX_RESTARTS)]))
+    assert cfg.restarts == cli.MAX_RESTARTS
+    cfg = cli._config_from_args(parser.parse_args(
+        ["sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", f"0:1:{cli.MAX_GRID_STEPS}"]))
+    assert cfg.grid == (0.0, 1.0, cli.MAX_GRID_STEPS)

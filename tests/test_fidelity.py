@@ -88,7 +88,7 @@ def test_verdict_on_noisy_target():
     assert verdict.detected == dk.DETECTED_GENUINE
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN phase in the state arithmetic
+@pytest.mark.filterwarnings("error")  # refused before any arithmetic can warn
 def test_verdict_refuses_a_nan_noise_phase():
     with pytest.raises(dk.DomainError):
         dk.fidelity_witness_verdict(dk.psixy_noise_mix(4, 0.5, float("nan")), 4, 2)

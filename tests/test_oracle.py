@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dickekit as dk
-from dickekit.oracle import _product_update_sweeps, ti_objective
+from dickekit import oracle
+from dickekit.oracle import ti_objective
 
 
 def test_max_eigenvalue_examples():
@@ -50,22 +52,138 @@ def test_product_max_value_matches_its_argument():
 
 def test_alternating_updates_are_monotone():
     op = dk.collective_operator(4, dk.QuadraticForm(a=(1, 1, 0)))
-    rng = np.random.default_rng(5)
+    result = dk.maximize_over_product_states(op, restarts=8, seed=5)
+    history = result.history
+    assert len(history) in result.sweeps and len(history) >= 2
+    assert history[-1] == result.value
+    assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
+
+
+def _serial_product_max(mat, n, seed, r, tol):
+    """One restart run alone: each qubit in turn set to the top eigenvector of
+    its 2x2 effective operator, built from an explicit Kronecker basis."""
+    rng = np.random.default_rng([seed, r])
     qubits = []
-    for _ in range(4):
+    for _ in range(n):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         qubits.append(v / np.linalg.norm(v))
-    history = []
-    _product_update_sweeps(op.matrix, qubits, dk.DEFAULT_TOLERANCES, on_sweep=history.append)
-    assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
+    value = -np.inf
+    for _sweep in range(2000):
+        for k in range(n):
+            left = np.array([1.0 + 0j])
+            for q in qubits[:k]:
+                left = np.kron(left, q)
+            right = np.array([1.0 + 0j])
+            for q in qubits[k + 1:]:
+                right = np.kron(right, q)
+            basis = np.kron(np.kron(left[:, None], np.eye(2)), right[:, None])
+            vals, vecs = np.linalg.eigh(basis.conj().T @ mat @ basis)
+            qubits[k] = vecs[:, -1]
+        gain, value = vals[-1] - value, vals[-1]
+        if gain < tol.convergence_tol * max(1.0, abs(value)):
+            return value, _sweep + 1
+    return value, None
+
+
+def _serial_bisep_max(w, seed, r, tol):
+    """One restart on one split run alone: alternate exact updates of the two sides."""
+    d_a, d_b = w.shape[:2]
+    rng = np.random.default_rng([seed, r])
+    a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
+    b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    value = -np.inf
+    for sweep in range(2000):
+        a = np.linalg.eigh(np.einsum("ijkl,j,l->ik", w, b.conj(), b))[1][:, -1]
+        vals, vecs = np.linalg.eigh(np.einsum("ijkl,i,k->jl", w, a.conj(), a))
+        b = vecs[:, -1]
+        gain, value = vals[-1] - value, vals[-1]
+        if gain < tol.convergence_tol * max(1.0, abs(value)):
+            return value, sweep + 1
+    return value, None
+
+
+_FORMS = [dk.QuadraticForm(a=(1, 1, 0)), dk.QuadraticForm(a=(0.7, 1.3, 0.2), b=(0.1, 0, -0.4))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("form", _FORMS)
+def test_lockstep_product_restarts_match_serial_runs(n, form):
+    tol = dk.DEFAULT_TOLERANCES
+    op = dk.collective_operator(n, form)
+    result = dk.maximize_over_product_states(op, restarts=6, seed=13)
+    assert len(result.values) == len(result.sweeps) == 6
+    for r in range(6):
+        value, sweeps = _serial_product_max(op.matrix, n, 13, r, tol)
+        assert abs(result.values[r] - value) <= tol.convergence_tol * max(1.0, abs(value))
+        assert result.sweeps[r] == sweeps
+    assert result.value == max(result.values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("form", _FORMS)
+def test_lockstep_biseparable_restarts_match_serial_runs(n, form):
+    tol = dk.DEFAULT_TOLERANCES
+    op = dk.collective_operator(n, form)
+    result = dk.maximize_over_biseparable(op, restarts=4, seed=8)
+    # both forms commute with qubit swaps, so the splits are 1|n-1, 2|n-2, ...
+    tensor = op.matrix.reshape([2] * (2 * n))
+    expected = []
+    for size in range(1, n // 2 + 1):
+        d_a, d_b = 2 ** size, 2 ** (n - size)
+        w = tensor.reshape(d_a, d_b, d_a, d_b)
+        expected += [_serial_bisep_max(w, 8, r, tol) for r in range(4)]
+    assert len(result.values) == len(expected)
+    for got, sweeps, (value, serial_sweeps) in zip(result.values, result.sweeps, expected):
+        assert abs(got - value) <= tol.convergence_tol * max(1.0, abs(value))
+        assert sweeps == serial_sweeps
+    assert result.converged
+
+
+def test_restarts_run_in_bounded_chunks(monkeypatch):
+    # stacking fewer restarts at once changes nothing beyond BLAS roundoff
+    op = dk.collective_operator(3, dk.QuadraticForm(a=(0.7, 1.3, 0.2), b=(0.1, 0, -0.4)))
+    atol = dk.DEFAULT_TOLERANCES.convergence_tol * 10
+    for search in (dk.maximize_over_product_states, dk.maximize_over_biseparable):
+        monkeypatch.setattr(oracle, "_RESTART_CHUNK", 64)
+        whole = search(op, restarts=7, seed=2)
+        monkeypatch.setattr(oracle, "_RESTART_CHUNK", 3)
+        chunked = search(op, restarts=7, seed=2)
+        assert len(chunked.values) == len(whole.values)
+        assert np.allclose(chunked.values, whole.values, rtol=0, atol=atol)
+        assert chunked.value == pytest.approx(whole.value, abs=atol)
+
+
+def test_near_tied_form_reaches_the_lemma1_value():
+    # the two largest coefficients differ by 0.003, so the alternating updates
+    # converge slowly: the restarts need about 1 000 to 1 400 sweeps
+    form = dk.QuadraticForm(a=(0.708, 0.277, 0.705))
+    result = dk.maximize_over_product_states(dk.collective_operator(6, form), restarts=4, seed=21)
+    bound = dk.lemma1_bound(form, 6)
+    assert result.converged
+    assert abs(result.value - bound) <= dk.DEFAULT_TOLERANCES.attainment_tol
+    assert result.value <= bound + dk.DEFAULT_TOLERANCES.soundness_tol
+
+
+@pytest.mark.parametrize("search", [dk.maximize_over_product_states, dk.maximize_over_biseparable])
+def test_sweep_cap_is_reported_as_not_converged(search):
+    # a negative tolerance never stops a monotone run, so every restart meets the cap
+    tol = replace(dk.DEFAULT_TOLERANCES, convergence_tol=-1.0)
+    result = search(dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 0))), restarts=2, tol=tol)
+    assert not result.converged
+    assert result.sweeps == (oracle._SWEEP_CAP,) * 2
+    assert len(result.history) == oracle._SWEEP_CAP
 
 
 def test_product_max_validations():
     op = dk.collective_operator(2, "z")
     with pytest.raises(dk.DomainError):
         dk.maximize_over_product_states(op, n=3)
-    with pytest.raises(dk.DomainError):
-        dk.maximize_over_product_states(op, restarts=0)
+    for restarts in (0, True, 2.0):
+        with pytest.raises(dk.DomainError):
+            dk.maximize_over_product_states(op, restarts=restarts)
+        with pytest.raises(dk.DomainError):
+            dk.maximize_over_biseparable(op, restarts=restarts)
 
 
 def test_ti_product_examples():
@@ -145,6 +263,16 @@ def test_ti_product_without_linear_part_and_on_one_qubit():
     result = dk.maximize_over_ti_product(dk.QuadraticForm(), 1)
     assert np.linalg.norm(result.argument.vectors[0]) == pytest.approx(0.5, abs=1e-15)
     assert result.value == 0.0
+
+
+@pytest.mark.parametrize("tiny", [2.225073858507e-311, -5e-324, 1e-200, 2e-308])
+def test_ti_product_with_a_vanishing_top_linear_term(tiny):
+    # beta on the top axis z is tiny but not 0, so the secular root sits near
+    # |tiny|; below the normal range it is treated as the hard case
+    form = dk.QuadraticForm(a=(0.0, 0.0, 2.0), b=(0.0, 1.0, tiny))
+    result = dk.maximize_over_ti_product(form, 2)
+    assert result.value == pytest.approx(2.25, rel=1e-15)
+    assert np.allclose(result.argument.vectors[0], [0, 0.25, sqrt(3) / 4], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [4, 1000, 10_000])
@@ -266,3 +394,61 @@ def test_total_spin_minimization_is_not_a_tensor_power_problem():
     assert minimum == pytest.approx(1.0, abs=1e-6)
     s1, s2 = result.argument.vectors
     assert np.linalg.norm(s1 + s2) < 1e-4
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _reference_samples(kind, n, count, seed):
+    """The samplers' streams drawn one sample (one factor, one qubit) at a time."""
+    rng = np.random.default_rng([seed])
+    dim = 2 ** n
+    for _ in range(count):
+        if kind == "pure":
+            yield _unit(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        elif kind == "product":
+            amps = np.array([1.0 + 0j])
+            for _q in range(n):
+                qubit = _unit(rng.normal(size=2) + 1j * rng.normal(size=2))
+                amps = (amps[:, None] * qubit[None, :]).ravel()  # np.kron(amps, qubit)
+            yield _unit(amps)
+        elif kind == "biseparable":
+            mask = int(rng.integers(1, dim - 1))
+            split = dk.Bipartition(n, tuple(q for q in range(1, n + 1) if mask & (1 << (q - 1))))
+            a, b = (rng.normal(size=2 ** len(side)) + 1j * rng.normal(size=2 ** len(side))
+                    for side in (split.side_a, split.side_b))
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            order = list(split.side_a) + list(split.side_b)
+            tensor = np.outer(a, b).reshape([2] * n)  # axes in the order of `order`
+            yield _unit(tensor.transpose([order.index(q) for q in range(1, n + 1)]).reshape(-1))
+        else:
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = g @ g.conj().T
+            yield rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("kind,n,block", [
+    ("pure", 3, 64), ("product", 2, 64), ("product", 6, 64), ("density", 1, 64),
+    ("density", 2, 64), ("biseparable", 2, 64), ("biseparable", 4, 256),
+    ("pure", 5, None), ("product", 8, None), ("biseparable", 5, None), ("density", 2, None),
+])
+def test_batched_samples_replay_the_per_sample_stream(kind, n, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", block)
+    per_sample = {"pure": 2 ** (n + 1), "product": 4 * n, "biseparable": 2 ** (n + 1),
+                  "density": 2 * 4 ** n}[kind]
+    # just past a block boundary at the default size; two full blocks and a
+    # partial one at the small size
+    if block is None:
+        count = oracle._SAMPLE_BLOCK // per_sample + 2
+    else:
+        count = 2 * max(1, block // per_sample) + 1
+    batched = dk.sample_random_states(kind, n, count, seed=17)
+    reference = _reference_samples(kind, n, count, seed=17)
+    seen = 0
+    for state, want in zip(batched, reference):
+        got = state.matrix if kind == "density" else state.amplitudes
+        assert np.array_equal(got, want), seen
+        seen += 1
+    assert seen == count

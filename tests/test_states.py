@@ -349,3 +349,12 @@ def test_assemble_bipartite_interleaves_qubits():
     split = dk.Bipartition(3, (2,))
     state = dk.assemble_bipartite(np.array([0, 1.0]), np.array([1.0, 0, 0, 0]), split)
     assert state.amplitudes[0b010] == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("error")  # a bad qubit is refused before any arithmetic can warn
+@pytest.mark.parametrize("bad", [[float("nan"), 1.0], [float("inf"), 0.0], [0.0, 0.0]])
+def test_product_state_validates_before_normalizing(bad):
+    with pytest.raises(dk.DomainError, match="zero or has non-finite"):
+        dk.product_state([[1.0, 0.0], bad])
+    with pytest.raises(dk.DomainError, match="zero or has non-finite"):
+        dk.psixy_state(3, float("nan"))
