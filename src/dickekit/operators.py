@@ -14,13 +14,21 @@ all collective entanglement criteria in this library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, InvariantViolationError
-from .states import DensityMatrix, Mixture, PureState, SymmetricState, _check_qubit_count
+from .states import (
+    DensityMatrix,
+    Mixture,
+    PureState,
+    SymmetricState,
+    _check_hermitian,
+    _check_qubit_count,
+    _excitation_counts,
+    _is_int,
+)
 
 SIGMA_X = np.array([[0, -1], [-1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -41,13 +49,12 @@ class HermitianOperator:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.dimension, self.dimension):
+        if not _is_int(self.dimension) or mat.shape != (self.dimension, self.dimension):
             raise DomainError(
-                f"HermitianOperator: expected shape ({self.dimension},{self.dimension}), "
-                f"got {mat.shape}"
+                f"HermitianOperator: expected an integer dimension d and shape (d, d), "
+                f"got d = {self.dimension!r} and shape {mat.shape}"
             )
-        if np.abs(mat - mat.conj().T).max() > DEFAULT_TOLERANCES.hermitian_atol:
-            raise DomainError("HermitianOperator matrix is not Hermitian within tolerance")
+        _check_hermitian(mat, "HermitianOperator matrix")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -84,44 +91,69 @@ def single_site(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return reduce(np.kron, [op if k == qubit else np.eye(2, dtype=complex) for k in range(1, n + 1)])
 
 
-@lru_cache(maxsize=64)
-def _axis_matrix(n: int, axis: str) -> np.ndarray:
-    dim = 2 ** n
-    out = np.zeros((dim, dim), dtype=complex)
-    for qubit in range(1, n + 1):
-        out += single_site(PAULI[axis], qubit, n)
-    out *= 0.5
-    out.setflags(write=False)
-    return out
+def _spin_rows(n: int, axis: str, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Row table of J_axis^power on N qubits: (J^power x)_i = sum_r vals[r, i] x[cols[r, i]].
+
+    Row i of sigma_x or sigma_y on the qubit at bit k has its one entry in
+    column i ^ 2^k: -1 for sigma_x, and +i or -i for sigma_y as that qubit is
+    excited or not.  J_z is diagonal.  J^2 composes the table with itself, so
+    a table has at most N^2 rows of 2^N entries and no 4^N matrix is built.
+    """
+    labels = np.arange(2 ** n)
+    if axis == "z":  # (number of excited qubits) - N/2
+        cols, vals = labels[None, :], _excitation_counts(n)[None, :] - 0.5 * n
+    else:
+        flips = 1 << np.arange(n)[:, None]
+        cols = labels ^ flips
+        vals = np.full(cols.shape, -0.5) if axis == "x" else np.where(labels & flips, 0.5j, -0.5j)
+    if power == 2:  # (J^2 x)_i = sum_r vals[r, i] sum_s vals[s, c] x[cols[s, c]], c = cols[r, i]
+        flat = cols.ravel()
+        cols, vals = np.take(cols, flat, axis=1), np.take(vals, flat, axis=1) * vals.ravel()
+        cols, vals = cols.reshape(-1, labels.size), vals.reshape(-1, labels.size)
+    return cols, vals
 
 
-@lru_cache(maxsize=64)
-def _axis_squared(n: int, axis: str) -> np.ndarray:
-    j = _axis_matrix(n, axis)
-    out = j @ j
-    out.setflags(write=False)
-    return out
+def _dense_apply(axis: str, amps: np.ndarray, n: int) -> np.ndarray:
+    """Apply J_axis to 2^N dense amplitudes along its row table (O(N 2^N))."""
+    cols, vals = _spin_rows(n, axis)
+    return (vals * amps[cols]).sum(axis=0)
 
 
-def collective_operator(n: int, which: "QuadraticForm | str") -> HermitianOperator:
-    """Dense J_axis for an axis tag, or sum_l a_l J_l^2 + b_l J_l for a form."""
-    _check_qubit_count(n)
+def _form_sum(term, which: "QuadraticForm | str"):
+    """sum_l a_l term(l, 2) + b_l term(l, 1) for a form, or term(axis, 1) for
+    an axis tag: the one reading of a form, whether ``term(axis, power)``
+    gives <J_axis^power> or the matrix J_axis^power."""
     if isinstance(which, str):
         if which not in AXES:
             raise DomainError(f"axis must be one of {AXES}, got {which!r}")
-        mat = _axis_matrix(n, which)
-    elif isinstance(which, QuadraticForm):
-        mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for coeff, axis in zip(which.a, AXES):
-            if coeff != 0.0:
-                mat += coeff * _axis_squared(n, axis)
-        for coeff, axis in zip(which.b, AXES):
-            if coeff != 0.0:
-                mat += coeff * _axis_matrix(n, axis)
-    else:
-        raise DomainError(f"cannot build a collective operator from {type(which).__name__}")
+        return term(which, 1)
+    if not isinstance(which, QuadraticForm):
+        raise DomainError(f"expected a QuadraticForm or an axis tag, got {type(which).__name__}")
+    total = 0.0
+    for coeff, axis in zip(which.a, AXES):
+        if coeff != 0.0:
+            total = total + coeff * term(axis, 2)  # not in place: a real J_x^2 may meet a complex J_y
+    for coeff, axis in zip(which.b, AXES):
+        if coeff != 0.0:
+            total = total + coeff * term(axis, 1)
+    return total
+
+
+def collective_operator(n: int, which: "QuadraticForm | str") -> HermitianOperator:
+    """Dense J_axis for an axis tag, or sum_l a_l J_l^2 + b_l J_l for a form,
+    written from the row tables; expectations never need this matrix."""
+    _check_qubit_count(n)
+    dim = 2 ** n
+
+    def matrix(axis: str, power: int) -> np.ndarray:
+        cols, vals = _spin_rows(n, axis, power)
+        out = np.zeros(dim * dim, dtype=vals.dtype)  # J_x and J_z rows are real
+        np.add.at(out, (cols + dim * np.arange(dim)).ravel(), vals.ravel())  # exact: sums of +-1/4
+        return out.reshape(dim, dim)
+
+    mat = np.zeros((dim, dim), dtype=complex) + _form_sum(matrix, which)
     try:
-        return HermitianOperator(2 ** n, mat)
+        return HermitianOperator(dim, mat)
     except DomainError as exc:  # assembly of Hermitian pieces can only fail via a bug
         raise InvariantViolationError(f"collective operator assembly is not Hermitian: {exc}") from exc
 
@@ -140,34 +172,10 @@ def _sector_apply(axis: str, amps: np.ndarray, n: int) -> np.ndarray:
     if axis == "x":
         out[1:] -= 0.5 * c * amps[:-1]
         out[:-1] -= 0.5 * c * amps[1:]
-    elif axis == "y":
+    else:  # y; callers have checked the axis tag
         out[1:] += 0.5j * c * amps[:-1]
         out[:-1] -= 0.5j * c * amps[1:]
-    else:
-        raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
     return out
-
-
-def _form_expectation(moment, which: "QuadraticForm | str") -> float:
-    """<sum_l a_l J_l^2 + b_l J_l> as sum_l a_l <J_l^2> + b_l <J_l>.
-
-    ``moment(axis, power)`` returns <J_axis^power> for power 1 or 2; an axis
-    tag ``which`` means the bare J_axis.
-    """
-    if isinstance(which, str):
-        if which not in AXES:
-            raise DomainError(f"axis must be one of {AXES}, got {which!r}")
-        return moment(which, 1)
-    if not isinstance(which, QuadraticForm):
-        raise DomainError(f"cannot take an expectation of {type(which).__name__}")
-    total = 0.0
-    for coeff, axis in zip(which.a, AXES):
-        if coeff != 0.0:
-            total += coeff * moment(axis, 2)
-    for coeff, axis in zip(which.b, AXES):
-        if coeff != 0.0:
-            total += coeff * moment(axis, 1)
-    return total
 
 
 def _pure_moments(apply, amps: np.ndarray):
@@ -180,11 +188,11 @@ def _pure_moments(apply, amps: np.ndarray):
 
 
 def _density_moments(rho: np.ndarray, n: int):
-    """Moments of a dense density matrix, Tr(rho J^2) and Tr(rho J), read off
-    the cached axis matrices without assembling a collective operator."""
+    """Moments of a dense density matrix, Tr(rho J^p) = sum_i (J^p rho)_ii,
+    gathered from rho along the row table of J^p with no operator built."""
     def moment(axis: str, power: int) -> float:
-        mat = _axis_squared(n, axis) if power == 2 else _axis_matrix(n, axis)
-        return float(np.einsum("ij,ji->", rho, mat).real)
+        cols, vals = _spin_rows(n, axis, power)
+        return float(np.sum(vals * rho[cols, np.arange(2 ** n)]).real)
     return moment
 
 
@@ -209,45 +217,31 @@ def expectation(state, op) -> float:
             raise DomainError("SymmetricState supports only collective forms and axis tags")
         n = state.n_qubits
         moment = _pure_moments(lambda axis, v: _sector_apply(axis, v, n), state.sector_amplitudes)
-        return _form_expectation(moment, op)
+        return _form_sum(moment, op)
 
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise DomainError(f"unsupported state type {type(state).__name__}")
+    n = state.n_qubits
     if isinstance(op, (QuadraticForm, str)):
-        n = _qubits_of(state)
-        _check_qubit_count(n)
         if isinstance(state, PureState):
-            moment = _pure_moments(lambda axis, v: _axis_matrix(n, axis) @ v, state.amplitudes)
+            moment = _pure_moments(lambda axis, v: _dense_apply(axis, v, n), state.amplitudes)
         else:
             moment = _density_moments(state.matrix, n)
-        return _form_expectation(moment, op)
+        return _form_sum(moment, op)
     if not isinstance(op, HermitianOperator):
         raise DomainError(f"cannot take an expectation of {type(op).__name__}")
-
+    if state.dimension != op.dimension:
+        raise DomainError(f"dimension mismatch: state dim {state.dimension}, operator dim {op.dimension}")
     if isinstance(state, PureState):
-        if state.dimension != op.dimension:
-            raise DomainError(
-                f"dimension mismatch: state dim {state.dimension}, operator dim {op.dimension}"
-            )
         return float(np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real)
-    if isinstance(state, DensityMatrix):
-        if state.dimension != op.dimension:
-            raise DomainError(
-                f"dimension mismatch: state dim {state.dimension}, operator dim {op.dimension}"
-            )
-        return float(np.einsum("ij,ji->", state.matrix, op.matrix).real)
-    raise DomainError(f"unsupported state type {type(state).__name__}")
+    return float(np.einsum("ij,ji->", state.matrix, op.matrix).real)
 
 
 def _identity_expectation(n: int, op) -> float:
     """Tr(op)/2^N, the value of ``op`` on the maximally mixed state."""
     if isinstance(op, HermitianOperator):
         return float(np.trace(op.matrix).real) / op.dimension
-    return _form_expectation(lambda _axis, power: n / 4.0 if power == 2 else 0.0, op)
-
-
-def _qubits_of(state) -> int:
-    if isinstance(state, (PureState, DensityMatrix)):
-        return state.n_qubits
-    raise DomainError(f"unsupported state type {type(state).__name__}")
+    return _form_sum(lambda _axis, power: n / 4.0 if power == 2 else 0.0, op)
 
 
 def variance(state, axis: str) -> float:

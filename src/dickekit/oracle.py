@@ -110,22 +110,18 @@ class OptimizationResult:
 
 
 def _as_matrix(op, n: int | None = None) -> tuple[np.ndarray, int]:
-    """Validate a Hermitian input and return (matrix, n_qubits)."""
-    if isinstance(op, HermitianOperator):
-        mat = op.matrix
-    else:
+    """Validate a Hermitian input and return (matrix, n_qubits); a raw array
+    goes through the ``HermitianOperator`` checks."""
+    if not isinstance(op, HermitianOperator):
         mat = np.asarray(op, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DomainError(f"operator must be a square matrix, got shape {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > DEFAULT_TOLERANCES.hermitian_atol:
-            raise DomainError("operator is not Hermitian within tolerance")
-    dim = mat.shape[0]
+        op = HermitianOperator(len(mat) if mat.ndim else 0, mat)
+    dim = op.matrix.shape[0]
     inferred = dim.bit_length() - 1
     if 2 ** inferred != dim:
         raise DomainError(f"operator dimension {dim} is not a power of two")
     if n is not None and n != inferred:
         raise DomainError(f"operator dimension {dim} does not match n = {n}")
-    return mat, inferred
+    return op.matrix, inferred
 
 
 def max_eigenvalue(op) -> float:

@@ -17,7 +17,6 @@ identity, never a dense density matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, isfinite, sqrt
 from typing import Iterable, Sequence
@@ -41,6 +40,23 @@ def _as_unit_vector(values, length: int, kind: str) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _check_hermitian(mat: np.ndarray, kind: str) -> None:
+    """Refuse ``mat`` unless it is Hermitian within ``hermitian_atol``.
+
+    A NaN or inf entry makes the residual NaN or inf, which fails the same
+    test, so finiteness costs no extra pass over the data."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+        residual = np.abs(mat - mat.conj().T).max(initial=0.0)
+    if not residual <= DEFAULT_TOLERANCES.hermitian_atol:
+        problem = "is not Hermitian within tolerance" if isfinite(residual) else "has non-finite entries"
+        raise DomainError(f"{kind} {problem}")
+
+
+def _excitation_counts(n: int) -> np.ndarray:
+    """Number of excited qubits (set bits) in each of the 2^N basis labels."""
+    return ((np.arange(2 ** n) >> np.arange(n)[:, None]) & 1).sum(axis=0)
 
 
 def _is_int(x) -> bool:  # bool is an int subclass but never a count
@@ -91,12 +107,8 @@ class DensityMatrix:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        _check_hermitian(mat, "DensityMatrix")
         tol = DEFAULT_TOLERANCES
-        asymmetry = np.abs(mat - mat.conj().T).max()
-        if not isfinite(asymmetry):  # any NaN or inf entry makes this NaN or inf
-            raise DomainError("DensityMatrix has non-finite entries")
-        if asymmetry > tol.hermitian_atol:
-            raise DomainError("DensityMatrix is not Hermitian within tolerance")
         trace = np.trace(mat)
         if abs(trace.real - 1.0) > tol.trace_atol or abs(trace.imag) > tol.trace_atol:
             raise DomainError(f"DensityMatrix trace is {trace:.15g}, expected 1")
@@ -245,9 +257,7 @@ def dicke_state(n: int, m: int) -> PureState:
     if not _is_int(m) or m < 0 or m > n:
         raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
     amps = np.zeros(2 ** n, dtype=complex)
-    weight = 1.0 / sqrt(comb(n, m))
-    for positions in itertools.combinations(range(n), m):
-        amps[sum(1 << p for p in positions)] = weight
+    amps[_excitation_counts(n) == m] = 1.0 / sqrt(comb(n, m))
     return PureState(n, amps)
 
 
@@ -265,11 +275,8 @@ def symmetric_to_dense(state: SymmetricState) -> PureState:
     """Embed a symmetric-sector state into the full 2^N-dimensional space."""
     n = state.n_qubits
     _check_qubit_count(n)  # dense limit applies here
-    amps = np.zeros(2 ** n, dtype=complex)
-    for m, a in enumerate(state.sector_amplitudes):
-        if a != 0:
-            amps += a * dicke_state(n, m).amplitudes
-    return PureState(n, amps)
+    dicke_amplitudes = np.array([1.0 / sqrt(comb(n, m)) for m in range(n + 1)])
+    return PureState(n, (state.sector_amplitudes * dicke_amplitudes)[_excitation_counts(n)])
 
 
 def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
@@ -292,7 +299,8 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
 def psixy_state(n: int, phi: float = 0.0) -> PureState:
     """Tensor power of (|0> + e^{i phi} |1>)/sqrt(2): the equatorial product
     state that saturates the separable bound on <Jx^2> + <Jy^2>."""
-    q = np.array([1.0, np.exp(1j * phi)], dtype=complex) / sqrt(2.0)
+    with np.errstate(invalid="ignore"):  # an inf phase gives NaN, which product_state refuses
+        q = np.array([1.0, np.exp(1j * phi)], dtype=complex) / sqrt(2.0)
     return product_state([q] * n)
 
 

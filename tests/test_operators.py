@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,7 +79,7 @@ def test_quadratic_form_requires_finite_coefficients(bad):
         dk.QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, bad, 0.0))
 
 
-def test_density_expectation_uses_cached_axis_matrices(monkeypatch):
+def test_density_expectation_builds_no_collective_operator(monkeypatch):
     rho = next(dk.sample_random_states("density", 3, 1, seed=4))
     form = dk.QuadraticForm(a=(0.3, 1.1, 0.7), b=(0.2, -0.4, 0.9))
     assembled = [dk.expectation(rho, dk.collective_operator(3, op)) for op in (form, "x", "y", "z")]
@@ -90,11 +92,76 @@ def test_density_expectation_uses_cached_axis_matrices(monkeypatch):
     assert direct == pytest.approx(assembled, abs=1e-12)
 
 
+_GENERIC = dk.QuadraticForm(a=(0.3, 1.1, 0.7), b=(0.2, -0.4, 0.9))
+
+
+def _kron_reference(n, which):
+    """J_l as sums of single-site kron chains, independent of the row tables."""
+    pauli = {"x": dk.SIGMA_X, "y": dk.SIGMA_Y, "z": dk.SIGMA_Z}
+    j = {axis: 0.5 * sum(dk.single_site(pauli[axis], q, n) for q in range(1, n + 1)) for axis in "xyz"}
+    if isinstance(which, str):
+        return j[which]
+    return sum(a * j[axis] @ j[axis] + b * j[axis] for a, b, axis in zip(which.a, which.b, "xyz"))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_collective_operator_matches_kron_chains(n):
+    for which in ("x", "y", "z", _GENERIC):
+        built = dk.collective_operator(n, which).matrix
+        assert np.abs(built - _kron_reference(n, which)).max() < 1e-13, which
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_density_moments_match_the_trace_against_kron_chains(n):
+    for rho in dk.sample_random_states("density", n, 3, seed=n):
+        for which in ("x", "y", "z", dk.QuadraticForm(a=(1, 1, 0)), _GENERIC):
+            reference = np.trace(rho.matrix @ _kron_reference(n, which)).real
+            assert dk.expectation(rho, which) == pytest.approx(reference, abs=1e-12), which
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_twelve_qubit_expectations_build_no_dense_operator():
+    # one 4096 x 4096 complex matrix alone is 268 MB
+    xy = dk.QuadraticForm(a=(1, 1, 0))
+    assert _peak_bytes(lambda: dk.expectation(dk.dicke_state(12, 6), xy)) < 16e6
+    noisy = lambda: dk.expectation(dk.white_noise_mix(dk.dicke_state(12, 6), 0.3), xy)  # noqa: E731
+    assert _peak_bytes(noisy) < 16e6
+
+
+def test_density_expectation_allocates_less_than_one_dense_matrix():
+    rho = dk.white_noise_mix(dk.dicke_state(9, 4), 0.3).to_density()
+    assert _peak_bytes(lambda: dk.expectation(rho, _GENERIC)) < rho.matrix.nbytes  # 4.2 MB
+
+
 def test_hermitian_operator_validation():
     with pytest.raises(dk.DomainError):
         dk.HermitianOperator(2, [[0, 1], [0, 0]])
     with pytest.raises(dk.DomainError):
         dk.HermitianOperator(3, np.eye(2))
+    for dimension in (True, 4.0):  # not an int, though it compares equal to the shape
+        with pytest.raises(dk.DomainError):
+            dk.HermitianOperator(dimension, np.eye(int(dimension)))
+
+
+@pytest.mark.filterwarnings("error")  # the residual must not warn on inf - inf
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_hermitian_operator_rejects_non_finite_entries(bad):
+    diagonal = np.eye(4, dtype=complex)
+    diagonal[0, 0] = bad
+    with pytest.raises(dk.DomainError, match="non-finite"):
+        dk.HermitianOperator(4, diagonal)
+    paired = np.zeros((4, 4), dtype=complex)
+    paired[0, 1], paired[1, 0] = bad, np.conj(bad)
+    with pytest.raises(dk.DomainError, match="non-finite"):
+        dk.HermitianOperator(4, paired)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 200, 2000])

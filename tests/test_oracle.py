@@ -26,6 +26,28 @@ def test_max_eigenvalue_rejects_non_hermitian():
         dk.max_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_raw_arrays_take_the_hermitian_operator_checks():
+    op = dk.collective_operator(3, dk.QuadraticForm(a=(1, 1, 0)))
+    raw = np.array(op.matrix)
+    assert dk.max_eigenvalue(raw) == dk.max_eigenvalue(op)
+    assert dk.maximize_over_product_states(raw, seed=2).value == dk.maximize_over_product_states(op, seed=2).value
+    for bad in ([1.0, 0.0], 1.0, np.eye(3), np.zeros((0, 0))):
+        with pytest.raises(dk.DomainError):
+            dk.max_eigenvalue(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_oracles_refuse_non_finite_raw_arrays(bad):
+    # a NaN or inf on the diagonal once passed the Hermiticity test and gave 1.0
+    mat = np.eye(4, dtype=complex)
+    mat[0, 0] = bad
+    with pytest.raises(dk.DomainError, match="non-finite"):
+        dk.max_eigenvalue(mat)
+    with pytest.raises(dk.DomainError, match="non-finite"):
+        dk.maximize_over_product_states(mat, restarts=2)
+
+
 def test_product_max_attains_separable_bounds():
     op = dk.collective_operator(4, dk.QuadraticForm(a=(1, 1, 0)))
     assert dk.maximize_over_product_states(op, seed=0).value == pytest.approx(5.0, abs=1e-6)

@@ -1,3 +1,6 @@
+import itertools
+from math import comb, sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,15 @@ def test_dicke_half_excited_four_qubits():
     nonzero = state.amplitudes[state.amplitudes != 0]
     assert len(nonzero) == 6
     assert np.allclose(nonzero, 6 ** -0.5)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dicke_state_matches_a_combinations_reference(n):
+    for m in range(n + 1):
+        reference = np.zeros(2 ** n, dtype=complex)
+        for positions in itertools.combinations(range(n), m):
+            reference[sum(1 << p for p in positions)] = 1.0 / sqrt(comb(n, m))
+        assert np.array_equal(dk.dicke_state(n, m).amplitudes, reference), m
 
 
 @pytest.mark.parametrize("n,m", [(3, -1), (3, 4), (0, 0), (13, 2), (4, True), (True, 0), (4, np.bool_(True))])
@@ -65,7 +77,6 @@ def test_dicke_permutation_invariance(data):
     assert np.allclose(permuted, state.amplitudes, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite phases in the state arithmetic
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
 def test_states_reject_non_finite_entries(bad):
     with pytest.raises(dk.DomainError, match="non-finite"):
