@@ -11,6 +11,7 @@ import dickekit as dk
 
 half = dk.dicke_state(4, 2)
 equatorial = dk.psixy_state(4, 0.0)
+STRICT = dk.Tolerances(detection_tolerance=1e-12)  # roundoff above a bound is no detection
 
 print("=" * 72)
 print("Separable-bound criteria on reference 4-qubit states")
@@ -19,7 +20,7 @@ for label, state in (("|2,4> (half-excited Dicke)", half),
                      ("equatorial product state", equatorial),
                      ("maximally mixed", dk.maximally_mixed(4))):
     for kind in ("theorem2", "variance"):
-        v = dk.criterion_verdict(state, kind, detection_tolerance=1e-12)
+        v = dk.criterion_verdict(state, kind, tol=STRICT)
         print(f"  {label:<28} {kind:<10} value = {v.value:8.4f}  bound = {v.bound:6.3f}"
               f"  -> {v.detected}")
 
@@ -47,7 +48,7 @@ for label, state, kind in (("|1,3>", dk.dicke_state(3, 1), "genuine3"),
                            ("|2,3>", dk.dicke_state(3, 2), "genuine3"),
                            ("|2,4>", dk.dicke_state(4, 2), "genuine4"),
                            ("equatorial product", equatorial, "genuine4")):
-    v = dk.criterion_verdict(state, kind, detection_tolerance=1e-12)
+    v = dk.criterion_verdict(state, kind, tol=STRICT)
     print(f"  {label:<20} {kind}: value = {v.value:7.4f} vs bound {v.bound:7.4f}"
           f"  -> {v.detected}")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .collective import (
     lemma1_bound,
     superradiance_intensity,
 )
-from .config import DEFAULT_RESTARTS, DEFAULT_TOLERANCES, Tolerances, with_overrides
+from .config import DEFAULT_RESTARTS, DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, InvariantViolationError
 from .fidelity import fidelity_witness_verdict, verify_appendix_inequality
 from .operators import QuadraticForm, collective_operator
@@ -53,18 +53,13 @@ class RunConfig:
     seed: int = 0
     restarts: int = DEFAULT_RESTARTS
     output_format: str = "json"
-    state: str = "dicke"
     form_a: tuple[float, float, float] = (1.0, 1.0, 0.0)
     form_b: tuple[float, float, float] = (0.0, 0.0, 0.0)
     i0: float = 1.0
     oracle_mode: str | None = None
     only: int | None = None
     verbose: bool = False
-    tolerance_overrides: dict = field(default_factory=dict)
-
-    @property
-    def tolerances(self) -> Tolerances:
-        return with_overrides(DEFAULT_TOLERANCES, self.tolerance_overrides)
+    tolerances: Tolerances = DEFAULT_TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -158,18 +153,18 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return start, stop, steps
 
 
-def _parse_tolerances(pairs: list[str]) -> dict:
+def _parse_tolerances(pairs: list[str]) -> Tolerances:
     overrides = {}
-    valid = set(Tolerances.__dataclass_fields__)
+    valid = [f.name for f in fields(Tolerances)]
     for pair in pairs:
         name, _sep, value = pair.partition("=")
         if name not in valid:
-            raise DomainError(f"unknown tolerance {name!r}; valid names: {sorted(valid)}")
+            raise DomainError(f"unknown tolerance {name!r}; valid names: {valid}")
         try:
             overrides[name] = float(value)
         except ValueError as exc:
             raise DomainError(f"tolerance {name}: {exc}") from exc
-    return overrides
+    return Tolerances(**overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,11 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dicke states, entanglement witnesses, collective-spin criteria.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     common.add_argument("--format", choices=("json", "csv"), default=None, dest="output_format")
-    common.add_argument(
+    # only the commands that pass a Tolerances on to the library take --tolerance
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument(
         "--tolerance", action="append", default=[], metavar="NAME=VALUE",
-        help="override a named tolerance (repeatable)",
+        help=f"set a tolerance, one of {[f.name for f in fields(Tolerances)]} (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -190,15 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="excitations (default n//2)")
 
-    p = sub.add_parser("witness", parents=[common], help="fidelity witness verdict")
+    p = sub.add_parser("witness", parents=[tolerant], help="fidelity witness verdict")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--state", choices=("dicke",), default="dicke")
     p.add_argument("--p", type=float, default=0.0, help="noise ratio mixed into the state")
     p.add_argument("--noise", choices=("white", "psixy"), default="white")
     p.add_argument("--phi", type=float, default=0.0)
 
-    p = sub.add_parser("criterion", parents=[common], help="collective criterion verdict")
+    p = sub.add_parser("criterion", parents=[tolerant], help="collective criterion verdict")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--criterion", choices=CRITERION_KINDS, required=True)
     p.add_argument("--m", type=int, default=None, help="Dicke excitations (default n//2)")
@@ -213,15 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="0,0,0", help="linear coefficients bx,by,bz")
     p.add_argument("--m-signed", type=int, default=None, help="use b = (0,0,-2m)")
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force maximizations")
+    p = sub.add_parser("oracle", parents=[tolerant], help="brute-force maximizations")
     p.add_argument("mode", choices=("product-max", "bisep-max", "eigmax"))
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the restarts' random starts")
     p.add_argument("--a", default="1,1,0")
     p.add_argument("--b", default="0,0,0")
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
                    help=f"seeded restarts per search (at most {MAX_RESTARTS})")
 
-    p = sub.add_parser("sweep-noise", parents=[common], help="verdicts along a noise grid")
+    p = sub.add_parser("sweep-noise", parents=[tolerant], help="verdicts along a noise grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--criterion", choices=CRITERION_KINDS + ("fidelity",), required=True)
     p.add_argument("--grid", default="0:1:11",
@@ -249,11 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.tolerance_overrides = _parse_tolerances(getattr(args, "tolerance", []))
+    cfg.tolerances = _parse_tolerances(getattr(args, "tolerance", []))
     fmt = getattr(args, "output_format", None)
     cfg.output_format = fmt if fmt else ("csv" if args.command == "sweep-noise" else "json")
-    for name in ("n", "m", "criterion", "m_signed", "phi", "p", "noise", "state",
+    for name in ("n", "m", "criterion", "m_signed", "phi", "p", "noise", "seed",
                  "restarts", "i0", "only", "verbose"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
@@ -315,7 +310,7 @@ def _cmd_criterion(cfg: RunConfig) -> str:
 
 def _cmd_bound(cfg: RunConfig) -> str:
     form = QuadraticForm(a=cfg.form_a, b=cfg.form_b)
-    value = lemma1_bound(form, cfg.n, tol=cfg.tolerances)
+    value = lemma1_bound(form, cfg.n)
     if cfg.output_format == "csv":
         return _csv(
             ["n", "ax", "ay", "az", "bx", "by", "bz", "bound"],
@@ -339,10 +334,9 @@ def _cmd_oracle(cfg: RunConfig) -> str:
                                            tol=cfg.tolerances)
         doc.update(value=result.value, restarts_used=result.restarts_used, seed=result.seed,
                    split=list(result.argument.split.side_a))
-    if cfg.output_format == "csv":
-        return _csv(list(doc.keys()), [[v if isinstance(v, str) else
-                                        (",".join(map(_fmt, v)) if isinstance(v, list) else v)
-                                       for v in doc.values()]])
+    if cfg.output_format == "csv":  # a list is one quoted cell of comma-joined numbers
+        return _csv(list(doc), [['"' + ",".join(map(_fmt, v)) + '"' if isinstance(v, list) else v
+                                 for v in doc.values()]])
     return _to_json(doc)
 
 

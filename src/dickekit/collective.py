@@ -59,7 +59,7 @@ def theorem2_bound(n: int) -> float:
     return (n / 2.0) * (n / 2.0 + 0.5)
 
 
-def lemma1_bound(form: QuadraticForm, n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def lemma1_bound(form: QuadraticForm, n: int) -> float:
     """Separable-state maximum of the quadratic collective form.
 
     With no linear part the closed form applies; otherwise the maximum over
@@ -80,14 +80,13 @@ def criterion_verdict(
     state,
     kind: str,
     m: int | None = None,
-    detection_tolerance: float | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> WitnessVerdict:
     """Evaluate one collective criterion on a pure, mixed, or symmetric state."""
     if kind not in CRITERION_KINDS:
         raise DomainError(f"criterion kind must be one of {CRITERION_KINDS}, got {kind!r}")
     n = state.n_qubits
-    dt = tol.detection_tolerance if detection_tolerance is None else detection_tolerance
+    dt = tol.detection_tolerance
 
     if kind == "theorem2":
         value = expectation(state, _XY_FORM)
@@ -256,9 +255,7 @@ def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float
     raise DomainError(f"noise family must be 'white' or 'psixy', got {noise!r}")
 
 
-def collective_threshold_numeric(
-    n: int, kind: str, noise: str = "white", tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> float:
     """Noise threshold found by root-finding the verdict margin over p in [0,1].
 
     Like ``fidelity_threshold_numeric``, it builds the noisy state and judges
@@ -277,4 +274,4 @@ def collective_threshold_numeric(
             raise DomainError(f"noise family must be 'white' or 'psixy', got {noise!r}")
         return criterion_verdict(rho, kind).margin
 
-    return _margin_crossing(margin, tol)
+    return _margin_crossing(margin)

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import BISECTION_XTOL, DEFAULT_TOLERANCES, SOUNDNESS_TOL, Tolerances
 from .errors import DomainError, InvariantViolationError
 from .states import (
     Bipartition,
@@ -67,7 +67,6 @@ def fidelity_witness_verdict(
     state: "PureState | SymmetricState | Mixture | DensityMatrix",
     n: int,
     m: int,
-    detection_tolerance: float | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> WitnessVerdict:
     """Compare <m,N| rho |m,N> against the biseparable overlap bound."""
@@ -81,8 +80,7 @@ def fidelity_witness_verdict(
         value = float(np.vdot(target, state.matrix @ target).real)
     else:
         value = _dicke_fidelity(state, m)
-    dt = tol.detection_tolerance if detection_tolerance is None else detection_tolerance
-    return make_verdict("fidelity", value, bound, DETECTED_GENUINE, dt)
+    return make_verdict("fidelity", value, bound, DETECTED_GENUINE, tol.detection_tolerance)
 
 
 def _dicke_fidelity(state: "PureState | SymmetricState | Mixture", m: int) -> float:
@@ -104,7 +102,7 @@ def fidelity_noise_threshold(n: int) -> float:
     return 0.5 * (n - 2) / ((n - 1) * (1.0 - 2.0 ** (-n)))
 
 
-def fidelity_threshold_numeric(n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def fidelity_threshold_numeric(n: int) -> float:
     """Noise threshold found by root-finding the witness margin over p in [0,1].
 
     Independent of the closed formula: evaluates the full state-construction
@@ -117,21 +115,21 @@ def fidelity_threshold_numeric(n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     def margin(p: float) -> float:
         return fidelity_witness_verdict(white_noise_mix(target, p), n, n // 2).margin
 
-    return _margin_crossing(margin, tol)
+    return _margin_crossing(margin)
 
 
-def _margin_crossing(margin, tol: Tolerances) -> float:
+def _margin_crossing(margin) -> float:
     """Root of a margin function on [0, 1] that is positive at p = 0."""
     lo, hi = margin(0.0), margin(1.0)
     if lo <= 0:
         raise DomainError("criterion does not detect the noiseless state; no threshold")
-    if hi > tol.soundness_tol:
+    if hi > SOUNDNESS_TOL:
         raise DomainError("margin stays positive on [0, 1]; no threshold to find")
     if hi > 0:
         return 1.0  # crossing sits at the endpoint within roundoff
     from scipy.optimize import brentq
 
-    return float(brentq(margin, 0.0, 1.0, xtol=tol.bisection_xtol))
+    return float(brentq(margin, 0.0, 1.0, xtol=BISECTION_XTOL))
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ class QuadraticForm:
 
 def single_site(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator on 1-based ``qubit`` into N qubits."""
-    if not 1 <= qubit <= n:
-        raise DomainError(f"qubit label {qubit} not within 1..{n}")
+    if not _is_int(qubit) or not _is_int(n) or not 1 <= qubit <= n:
+        raise DomainError(f"qubit label {qubit!r} not an integer within 1..{n!r}")
     return reduce(np.kron, [op if k == qubit else np.eye(2, dtype=complex) for k in range(1, n + 1)])
 
 
@@ -119,14 +119,18 @@ def _dense_apply(axis: str, amps: np.ndarray, n: int) -> np.ndarray:
     return (vals * amps[cols]).sum(axis=0)
 
 
+def _check_axis(axis) -> str:
+    if axis not in AXES:
+        raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
+    return axis
+
+
 def _form_sum(term, which: "QuadraticForm | str"):
     """sum_l a_l term(l, 2) + b_l term(l, 1) for a form, or term(axis, 1) for
     an axis tag: the one reading of a form, whether ``term(axis, power)``
     gives <J_axis^power> or the matrix J_axis^power."""
     if isinstance(which, str):
-        if which not in AXES:
-            raise DomainError(f"axis must be one of {AXES}, got {which!r}")
-        return term(which, 1)
+        return term(_check_axis(which), 1)
     if not isinstance(which, QuadraticForm):
         raise DomainError(f"expected a QuadraticForm or an axis tag, got {type(which).__name__}")
     total = 0.0
@@ -246,7 +250,8 @@ def _identity_expectation(n: int, op) -> float:
 
 def variance(state, axis: str) -> float:
     """Var(J_axis) = <J_axis^2> - <J_axis>^2."""
-    a = {"x": (1.0, 0, 0), "y": (0, 1.0, 0), "z": (0, 0, 1.0)}[axis]
+    _check_axis(axis)
+    a = tuple(float(ax == axis) for ax in AXES)
     second = expectation(state, QuadraticForm(a=a))
     first = expectation(state, axis)
     return second - first ** 2

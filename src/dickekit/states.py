@@ -23,7 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, DENSE_QUBIT_LIMIT, SYMMETRIC_QUBIT_LIMIT
+from .config import DENSE_QUBIT_LIMIT, SYMMETRIC_QUBIT_LIMIT
+from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, SCHMIDT_ATOL, TRACE_ATOL
 from .errors import DomainError
 
 
@@ -35,7 +36,7 @@ def _as_unit_vector(values, length: int, kind: str) -> np.ndarray:
     norm = np.linalg.norm(arr)
     if not isfinite(norm):  # any NaN or inf amplitude makes the norm NaN or inf
         raise DomainError(f"{kind} amplitudes contain non-finite values")
-    if abs(norm - 1.0) > DEFAULT_TOLERANCES.norm_atol:
+    if abs(norm - 1.0) > NORM_ATOL:
         raise DomainError(f"{kind} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -43,13 +44,13 @@ def _as_unit_vector(values, length: int, kind: str) -> np.ndarray:
 
 
 def _check_hermitian(mat: np.ndarray, kind: str) -> None:
-    """Refuse ``mat`` unless it is Hermitian within ``hermitian_atol``.
+    """Refuse ``mat`` unless it is Hermitian within ``HERMITIAN_ATOL``.
 
     A NaN or inf entry makes the residual NaN or inf, which fails the same
     test, so finiteness costs no extra pass over the data."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
         residual = np.abs(mat - mat.conj().T).max(initial=0.0)
-    if not residual <= DEFAULT_TOLERANCES.hermitian_atol:
+    if not residual <= HERMITIAN_ATOL:
         problem = "is not Hermitian within tolerance" if isfinite(residual) else "has non-finite entries"
         raise DomainError(f"{kind} {problem}")
 
@@ -108,12 +109,11 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         _check_hermitian(mat, "DensityMatrix")
-        tol = DEFAULT_TOLERANCES
         trace = np.trace(mat)
-        if abs(trace.real - 1.0) > tol.trace_atol or abs(trace.imag) > tol.trace_atol:
+        if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
             raise DomainError(f"DensityMatrix trace is {trace:.15g}, expected 1")
         min_eig = np.linalg.eigvalsh(mat)[0]
-        if min_eig < -tol.psd_atol:
+        if min_eig < -PSD_ATOL:
             raise DomainError(f"DensityMatrix has negative eigenvalue {min_eig:.3e}")
 
     @property
@@ -168,7 +168,7 @@ class Mixture:
             raise DomainError(f"Mixture has {len(components)} components but {len(weights)} weights")
         identity_weight = _check_weight(self.identity_weight)
         total = sum(weights) + identity_weight
-        if abs(total - 1.0) > DEFAULT_TOLERANCES.trace_atol:
+        if abs(total - 1.0) > TRACE_ATOL:
             raise DomainError(f"Mixture weights sum to {total:.15g}, expected 1")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "weights", weights)
@@ -208,6 +208,8 @@ class Bipartition:
 
     def __post_init__(self):
         _check_qubit_count(self.n_qubits, limit=SYMMETRIC_QUBIT_LIMIT)
+        if not all(_is_int(q) for q in self.side_a):
+            raise DomainError(f"Bipartition qubit labels must be integers, got {self.side_a!r}")
         side = tuple(sorted(int(q) for q in self.side_a))
         object.__setattr__(self, "side_a", side)
         if len(set(side)) != len(side):
@@ -238,7 +240,7 @@ class SchmidtSpectrum:
             raise DomainError("SchmidtSpectrum needs a nonempty 1-d coefficient list")
         if np.any(vals < -1e-15) or np.any(np.diff(vals) > 1e-15):
             raise DomainError("Schmidt coefficients must be nonnegative and descending")
-        if abs(vals.sum() - 1.0) > DEFAULT_TOLERANCES.schmidt_atol:
+        if abs(vals.sum() - 1.0) > SCHMIDT_ATOL:
             raise DomainError(f"Schmidt coefficients sum to {vals.sum():.15g}, expected 1")
 
     @property
@@ -388,10 +390,10 @@ def schmidt_spectrum(state: PureState, split: Bipartition) -> SchmidtSpectrum:
 def dicke_schmidt_squared(n: int, m: int, n1: int) -> np.ndarray:
     """Closed-form squared Schmidt coefficients of |m,N> for a split with N1
     qubits on one side: C(N1,k) C(N-N1,m-k) / C(N,m) over valid k, descending."""
-    if not 1 <= n1 <= n - 1:
-        raise DomainError(f"split size n1 = {n1} must satisfy 1 <= n1 <= {n - 1}")
-    if not 0 <= m <= n:
-        raise DomainError(f"excitation count m = {m} must satisfy 0 <= m <= {n}")
+    if not _is_int(n) or not _is_int(n1) or not 1 <= n1 <= n - 1:
+        raise DomainError(f"split size n1 = {n1!r} must satisfy 1 <= n1 <= n - 1 for n = {n!r}")
+    if not _is_int(m) or not 0 <= m <= n:
+        raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
     total = comb(n, m)
     k_lo = max(0, m - (n - n1))
     k_hi = min(n1, m)

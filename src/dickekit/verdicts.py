@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 DETECTED_NONE = "none"
 DETECTED_ENTANGLED = "entangled"
 DETECTED_GENUINE = "genuine_multipartite"
@@ -33,7 +35,7 @@ def make_verdict(
     detection_tolerance: float = 0.0,
 ) -> WitnessVerdict:
     if detection_class not in (DETECTED_ENTANGLED, DETECTED_GENUINE):
-        raise ValueError(f"detection_class must be a positive class, got {detection_class!r}")
+        raise DomainError(f"detection_class must be a positive class, got {detection_class!r}")
     margin = value - bound
     detected = detection_class if margin > detection_tolerance else DETECTED_NONE
     return WitnessVerdict(criterion_id, float(value), float(bound), float(margin), detected)

@@ -1,6 +1,10 @@
+import csv
 import json
+from dataclasses import fields
 
 import pytest
+
+import dickekit as dk
 
 from dickekit import cli, selftest
 from dickekit.cli import main
@@ -13,7 +17,7 @@ def run_cli(capsys, *argv):
 
 
 def test_witness_subcommand_json(capsys):
-    status, out, _err = run_cli(capsys, "witness", "--n", "4", "--m", "2", "--state", "dicke")
+    status, out, _err = run_cli(capsys, "witness", "--n", "4", "--m", "2")
     assert status == 0
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(1.0)
@@ -208,8 +212,74 @@ def test_tolerance_override(capsys):
     )
     assert status == 0
     assert json.loads(out)["detected"] == "none"
-    status, _out, err = run_cli(capsys, "witness", "--n", "4", "--tolerance", "bogus=1")
-    assert status == 2
+    for name in ("bogus", "psd_atol", "norm_atol"):  # the fixed validation tolerances are no names
+        status, out, err = run_cli(capsys, "criterion", "--n", "4", "--criterion", "theorem2",
+                                   "--tolerance", f"{name}=1e-3")
+        assert status == 2 and out == "" and "unknown tolerance" in err
+
+
+@pytest.mark.parametrize("override", [
+    "detection_tolerance=nan", "convergence_tol=nan", "symmetry_atol=inf", "detection_tolerance=-1",
+])
+def test_bad_tolerance_values_exit_2_before_any_work(capsys, monkeypatch, override):
+    def refuse(_config):
+        raise AssertionError("a bad tolerance reached the command")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    status, out, err = run_cli(capsys, "oracle", "product-max", "--n", "3", "--tolerance", override)
+    assert status == 2 and out == "" and "finite and nonnegative" in err
+
+
+# for every name --tolerance accepts: a command and a value of it that changes
+# the command's document or exit status
+_TOLERANCE_PROBES = {
+    "detection_tolerance": (("witness", "--n", "4"), "10"),
+    "symmetry_atol": (("criterion", "--n", "4", "--criterion", "symmetric_jz", "--p", "0.5"), "1e9"),
+    "convergence_tol": (("oracle", "product-max", "--n", "3", "--restarts", "2"), "1"),
+}
+
+
+def test_every_tolerance_name_changes_some_command(capsys):
+    assert set(_TOLERANCE_PROBES) == {f.name for f in fields(dk.Tolerances)}
+    for name, (argv, value) in _TOLERANCE_PROBES.items():
+        default = run_cli(capsys, *argv)[:2]
+        changed = run_cli(capsys, *argv, "--tolerance", f"{name}={value}")[:2]
+        assert changed != default, name
+
+
+@pytest.mark.parametrize("argv", [
+    (command, *args, flag, value)
+    for command, *args in (("dicke", "--n", "2"), ("bound", "--n", "4"), ("intensity", "--n", "4"),
+                           ("verify-appendix", "--n", "4"), ("selftest", "--only", "7"))
+    for flag, value in (("--seed", "4"), ("--tolerance", "detection_tolerance=3"))
+] + [
+    (command, "--n", "4", *args, "--seed", "4")
+    for command, *args in (("witness",), ("criterion", "--criterion", "theorem2"),
+                           ("sweep-noise", "--criterion", "theorem2"))
+] + [("witness", "--n", "4", "--state", "dicke")])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode", ["eigmax", "product-max", "bisep-max"])
+def test_oracle_csv_rows_parse_to_the_header(capsys, mode):
+    argv = ("oracle", mode, "--n", "4", "--restarts", "2", "--a", "1,0.5,0.2", "--b", "0,0,0.3")
+    _status, out, _err = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    status, out, _err = run_cli(capsys, *argv, "--format", "csv")
+    assert status == 0
+    header, *rows = list(csv.reader(out.splitlines()))
+    assert header == list(doc) and len(rows) == 1 and len(rows[0]) == len(header)
+    for key, cell in zip(header, rows[0]):
+        if isinstance(doc[key], list):
+            assert [float(x) for x in cell.split(",")] == doc[key]
+        elif isinstance(doc[key], str):
+            assert cell == doc[key]
+        else:
+            assert float(cell) == doc[key]
 
 
 def test_json_numbers_use_17_significant_digits(capsys):

@@ -51,15 +51,24 @@ def test_theorem2_on_half_excited_dicke():
     assert verdict.detected == dk.DETECTED_ENTANGLED
 
 
+_STRICT = dk.Tolerances(detection_tolerance=1e-12)
+
+
 def test_theorem2_at_exact_threshold_noise():
     rho = dk.white_noise_mix(dk.dicke_state(4, 2), 0.25)
-    verdict = dk.criterion_verdict(rho, "theorem2", detection_tolerance=1e-12)
+    verdict = dk.criterion_verdict(rho, "theorem2", tol=_STRICT)
     assert verdict.value == pytest.approx(5.0, abs=1e-10)
     assert verdict.detected == dk.DETECTED_NONE
 
 
+def test_make_verdict_refuses_a_non_detection_class():
+    for cls in (dk.DETECTED_NONE, "bogus"):
+        with pytest.raises(dk.DomainError):
+            dk.make_verdict("x", 1.0, 0.0, cls)
+
+
 def test_theorem2_saturated_by_equatorial_product():
-    verdict = dk.criterion_verdict(dk.psixy_state(4, 0.7), "theorem2", detection_tolerance=1e-12)
+    verdict = dk.criterion_verdict(dk.psixy_state(4, 0.7), "theorem2", tol=_STRICT)
     assert verdict.value == pytest.approx(5.0, abs=1e-10)
     assert verdict.detected == dk.DETECTED_NONE
 

@@ -197,6 +197,17 @@ def test_backend_agreement_on_coherent_states():
             )
 
 
+@pytest.mark.parametrize("qubit, n", [(1.5, 2), (True, 2), (1, 2.0), (0, 2), (3, 2)])
+def test_single_site_refuses_bad_labels(qubit, n):
+    with pytest.raises(dk.DomainError):
+        dk.single_site(dk.SIGMA_X, qubit, n)
+
+
+def test_variance_refuses_a_bad_axis():
+    with pytest.raises(dk.DomainError, match="axis must be one of"):
+        dk.variance(dk.dicke_state(2, 1), "w")
+
+
 def test_variance_on_reference_states():
     assert dk.variance(dk.dicke_state(4, 2), "z") == pytest.approx(0.0, abs=1e-12)
     assert dk.variance(dk.psixy_state(4, 0.0), "z") == pytest.approx(1.0, abs=1e-12)  # N/4

@@ -1,6 +1,5 @@
 import subprocess
 import sys
-from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dickekit as dk
-from dickekit import oracle
+from dickekit import config, oracle
 from dickekit.oracle import ti_objective
 
 
@@ -183,15 +182,16 @@ def test_near_tied_form_reaches_the_lemma1_value():
     result = dk.maximize_over_product_states(dk.collective_operator(6, form), restarts=4, seed=21)
     bound = dk.lemma1_bound(form, 6)
     assert result.converged
-    assert abs(result.value - bound) <= dk.DEFAULT_TOLERANCES.attainment_tol
-    assert result.value <= bound + dk.DEFAULT_TOLERANCES.soundness_tol
+    assert abs(result.value - bound) <= 1e-6
+    assert result.value <= bound + config.SOUNDNESS_TOL
 
 
 @pytest.mark.parametrize("search", [dk.maximize_over_product_states, dk.maximize_over_biseparable])
-def test_sweep_cap_is_reported_as_not_converged(search):
-    # a negative tolerance never stops a monotone run, so every restart meets the cap
-    tol = replace(dk.DEFAULT_TOLERANCES, convergence_tol=-1.0)
-    result = search(dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 0))), restarts=2, tol=tol)
+def test_sweep_cap_is_reported_as_not_converged(search, monkeypatch):
+    # the first sweep gains an infinite amount over its -inf start, so it
+    # never stops a restart: a cap of one sweep leaves every restart at the cap
+    monkeypatch.setattr(oracle, "_SWEEP_CAP", 1)
+    result = search(dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 0))), restarts=2)
     assert not result.converged
     assert result.sweeps == (oracle._SWEEP_CAP,) * 2
     assert len(result.history) == oracle._SWEEP_CAP

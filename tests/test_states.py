@@ -300,10 +300,16 @@ def test_symmetric_norm_enforced():
         dk.SymmetricState(2, [1.0, 1.0, 0.0])
 
 
-@pytest.mark.parametrize("side", [(), (1, 2, 3), (0,), (4,), (1, 1)])
+@pytest.mark.parametrize("side", [(), (1, 2, 3), (0,), (4,), (1, 1), (1.5,), (True,), (np.bool_(True),)])
 def test_bipartition_validation(side):
     with pytest.raises(dk.DomainError):
         dk.Bipartition(3, side)
+
+
+@pytest.mark.parametrize("args", [(4, True, 1), (4, 2.0, 1), (4, 2, 1.0), (4.0, 2, 1), (4, 2, True)])
+def test_dicke_schmidt_squared_refuses_non_integer_labels(args):
+    with pytest.raises(dk.DomainError):
+        dk.dicke_schmidt_squared(*args)
 
 
 def test_schmidt_examples():
