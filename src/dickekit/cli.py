@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -24,51 +24,17 @@ from .collective import (
     lemma1_bound,
     superradiance_intensity,
 )
-from .config import DEFAULT_RESTARTS, DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_RESTARTS, Tolerances
 from .errors import DomainError, InvariantViolationError
 from .fidelity import fidelity_witness_verdict, verify_appendix_inequality
 from .operators import QuadraticForm, collective_operator
-from .oracle import max_eigenvalue, maximize_over_biseparable, maximize_over_product_states
+from .oracle import _check_count, max_eigenvalue, maximize_over_biseparable, maximize_over_product_states
 from .states import dicke_state, dicke_symmetric, psixy_noise_mix, white_noise_mix
 from .verdicts import WitnessVerdict
 
 # Caps on sizes taken from the command line, checked before any work starts.
 MAX_RESTARTS = 10_000
 MAX_GRID_STEPS = 10_000
-
-
-@dataclass
-class RunConfig:
-    """Validated arguments of one CLI invocation."""
-
-    command: str
-    n: int | None = None
-    m: int | None = None
-    criterion: str | None = None
-    m_signed: int | None = None
-    phi: float = 0.0
-    p: float = 0.0
-    grid: tuple[float, float, int] | None = None
-    noise: str = "white"
-    seed: int = 0
-    restarts: int = DEFAULT_RESTARTS
-    output_format: str = "json"
-    form_a: tuple[float, float, float] = (1.0, 1.0, 0.0)
-    form_b: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    i0: float = 1.0
-    oracle_mode: str | None = None
-    only: int | None = None
-    verbose: bool = False
-    tolerances: Tolerances = DEFAULT_TOLERANCES
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    p: float
-    value: float
-    bound: float
-    margin: float
-    detected: str
 
 
 # ---------------------------------------------------------------------------
@@ -100,32 +66,27 @@ def _to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return "\n".join(lines)
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, list):  # one quoted cell of comma-joined numbers
+        return '"' + ",".join(map(_fmt, x)) + '"'
+    return _fmt(x)
 
 
-def _verdict_doc(verdict: WitnessVerdict, output_format: str) -> str:
-    if output_format == "csv":
-        return _csv(
-            ["criterion_id", "value", "bound", "margin", "detected"],
-            [[verdict.criterion_id, verdict.value, verdict.bound, verdict.margin, verdict.detected]],
-        )
-    return _to_json(
-        {
-            "criterion_id": verdict.criterion_id,
-            "value": verdict.value,
-            "bound": verdict.bound,
-            "margin": verdict.margin,
-            "detected": verdict.detected,
-        }
-    )
+def _csv(header, rows) -> str:
+    return "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows])
+
+
+def _document(args: argparse.Namespace, doc: dict) -> str:
+    """One result: a JSON object, or a one-row CSV whose header is its keys."""
+    if args.output_format == "csv":
+        return _csv(doc, [doc.values()])
+    return _to_json(doc)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and validation
 # ---------------------------------------------------------------------------
 
 def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
@@ -150,6 +111,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise DomainError(f"grid needs 2 to {MAX_GRID_STEPS} steps, got {steps}")
     if start > stop:
         raise DomainError(f"grid start {start} must not exceed stop {stop}")
+    if start < 0.0 or stop > 1.0:
+        raise DomainError(f"noise grid must lie within [0, 1], got {start}:{stop}")
     return start, stop, steps
 
 
@@ -177,16 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     # only the commands that pass a Tolerances on to the library take --tolerance
     tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
     tolerant.add_argument(
-        "--tolerance", action="append", default=[], metavar="NAME=VALUE",
+        "--tolerance", action="append", default=[], metavar="NAME=VALUE", dest="tol",
         help=f"set a tolerance, one of {[f.name for f in fields(Tolerances)]} (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dicke", parents=[common], help="print a Dicke state")
+    p.set_defaults(handler=_cmd_dicke)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="excitations (default n//2)")
 
     p = sub.add_parser("witness", parents=[tolerant], help="fidelity witness verdict")
+    p.set_defaults(handler=_cmd_verdict, criterion="fidelity")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--p", type=float, default=0.0, help="noise ratio mixed into the state")
@@ -194,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
 
     p = sub.add_parser("criterion", parents=[tolerant], help="collective criterion verdict")
+    p.set_defaults(handler=_cmd_verdict)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--criterion", choices=CRITERION_KINDS, required=True)
     p.add_argument("--m", type=int, default=None, help="Dicke excitations (default n//2)")
@@ -203,12 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
 
     p = sub.add_parser("bound", parents=[common], help="separable bound of a quadratic form")
+    p.set_defaults(handler=_cmd_bound)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", default="1,1,0", help="quadratic coefficients ax,ay,az")
     p.add_argument("--b", default="0,0,0", help="linear coefficients bx,by,bz")
     p.add_argument("--m-signed", type=int, default=None, help="use b = (0,0,-2m)")
 
     p = sub.add_parser("oracle", parents=[tolerant], help="brute-force maximizations")
+    p.set_defaults(handler=_cmd_oracle)
     p.add_argument("mode", choices=("product-max", "bisep-max", "eigmax"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed of the restarts' random starts")
@@ -218,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"seeded restarts per search (at most {MAX_RESTARTS})")
 
     p = sub.add_parser("sweep-noise", parents=[tolerant], help="verdicts along a noise grid")
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--criterion", choices=CRITERION_KINDS + ("fidelity",), required=True)
     p.add_argument("--grid", default="0:1:11",
@@ -228,213 +197,146 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
 
     p = sub.add_parser("intensity", parents=[common], help="superradiance intensity of |m,N>")
+    p.set_defaults(handler=_cmd_intensity)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--i0", type=float, default=1.0, help="single-atom radiation rate")
     p.add_argument("--p", type=float, default=0.0, help="white-noise ratio")
 
     p = sub.add_parser("verify-appendix", parents=[common], help="exhaustive overlap-bound check")
+    p.set_defaults(handler=_cmd_verify_appendix)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
+    p.set_defaults(handler=_cmd_selftest)
     p.add_argument("--only", type=int, default=None, help="run a single criterion (1..10)")
     p.add_argument("--verbose", action="store_true", help="print every sub-check")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.tolerances = _parse_tolerances(getattr(args, "tolerance", []))
-    fmt = getattr(args, "output_format", None)
-    cfg.output_format = fmt if fmt else ("csv" if args.command == "sweep-noise" else "json")
-    for name in ("n", "m", "criterion", "m_signed", "phi", "p", "noise", "seed",
-                 "restarts", "i0", "only", "verbose"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
+def _validate(args: argparse.Namespace) -> argparse.Namespace:
+    """Normalize the parsed flags in place; a bad value raises DomainError
+    before any work starts."""
+    if hasattr(args, "tol"):
+        args.tol = _parse_tolerances(args.tol)
+    if args.output_format is None:
+        args.output_format = "csv" if args.command == "sweep-noise" else "json"
     if hasattr(args, "a"):
-        cfg.form_a = _parse_triple(args.a, "--a")
-        cfg.form_b = _parse_triple(args.b, "--b")
+        args.a, args.b = _parse_triple(args.a, "--a"), _parse_triple(args.b, "--b")
         if getattr(args, "m_signed", None) is not None:
-            cfg.form_b = (0.0, 0.0, -2.0 * args.m_signed)
-    if hasattr(args, "mode"):
-        cfg.oracle_mode = args.mode
-        if not 1 <= cfg.restarts <= MAX_RESTARTS:
-            raise DomainError(f"--restarts must be 1 to {MAX_RESTARTS}, got {cfg.restarts}")
+            args.b = (0.0, 0.0, -2.0 * args.m_signed)
+    if hasattr(args, "restarts"):
+        if not 1 <= args.restarts <= MAX_RESTARTS:
+            raise DomainError(f"--restarts must be 1 to {MAX_RESTARTS}, got {args.restarts}")
+        _check_count(args.seed, "--seed", minimum=0)
     if hasattr(args, "grid"):
-        cfg.grid = _parse_grid(args.grid)
-    if cfg.n is not None and cfg.m is None:
-        cfg.m = cfg.n // 2
-    return cfg
+        args.grid = _parse_grid(args.grid)
+    if getattr(args, "m", 0) is None:  # --m defaults to n//2
+        args.m = args.n // 2
+    return args
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns (exit status, document)
 # ---------------------------------------------------------------------------
 
-def _noisy_state(cfg: RunConfig, p: float):
-    if cfg.noise == "psixy":
-        if cfg.m != cfg.n // 2:
+def _noisy_state(args: argparse.Namespace, p: float):
+    if args.noise == "psixy":
+        if args.m != args.n // 2:
             raise DomainError(
-                f"--noise psixy mixes around |N/2,N>; --m must be {cfg.n // 2}, got {cfg.m}"
+                f"--noise psixy mixes around |N/2,N>; --m must be {args.n // 2}, got {args.m}"
             )
-        return psixy_noise_mix(cfg.n, p, cfg.phi)
-    return white_noise_mix(dicke_state(cfg.n, cfg.m), p)
+        return psixy_noise_mix(args.n, p, args.phi)
+    return white_noise_mix(dicke_state(args.n, args.m), p)
 
 
-def _cmd_dicke(cfg: RunConfig) -> str:
-    state = dicke_state(cfg.n, cfg.m)
-    if cfg.output_format == "csv":
-        rows = [[i, amp.real, amp.imag] for i, amp in enumerate(state.amplitudes)]
-        return _csv(["index", "real", "imag"], rows)
-    return _to_json(
-        {
-            "n": cfg.n,
-            "m": cfg.m,
-            "amplitudes": [[amp.real, amp.imag] for amp in state.amplitudes],
-        }
-    )
+def _verdict(args: argparse.Namespace, p: float) -> WitnessVerdict:
+    """The fidelity witness or a collective criterion on the state at noise ratio p."""
+    state = _noisy_state(args, p)
+    if args.criterion == "fidelity":
+        return fidelity_witness_verdict(state, args.n, args.m, tol=args.tol)
+    return criterion_verdict(state, args.criterion, m=args.m_signed, tol=args.tol)
 
 
-def _cmd_witness(cfg: RunConfig) -> str:
-    state = _noisy_state(cfg, cfg.p)
-    verdict = fidelity_witness_verdict(state, cfg.n, cfg.m, tol=cfg.tolerances)
-    return _verdict_doc(verdict, cfg.output_format)
+def _cmd_verdict(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, _document(args, asdict(_verdict(args, args.p)))
 
 
-def _cmd_criterion(cfg: RunConfig) -> str:
-    state = _noisy_state(cfg, cfg.p)
-    verdict = criterion_verdict(state, cfg.criterion, m=cfg.m_signed, tol=cfg.tolerances)
-    return _verdict_doc(verdict, cfg.output_format)
-
-
-def _cmd_bound(cfg: RunConfig) -> str:
-    form = QuadraticForm(a=cfg.form_a, b=cfg.form_b)
-    value = lemma1_bound(form, cfg.n)
-    if cfg.output_format == "csv":
-        return _csv(
-            ["n", "ax", "ay", "az", "bx", "by", "bz", "bound"],
-            [[cfg.n, *cfg.form_a, *cfg.form_b, value]],
-        )
-    return _to_json({"n": cfg.n, "a": list(cfg.form_a), "b": list(cfg.form_b), "bound": value})
-
-
-def _cmd_oracle(cfg: RunConfig) -> str:
-    form = QuadraticForm(a=cfg.form_a, b=cfg.form_b)
-    op = collective_operator(cfg.n, form)
-    doc = {"mode": cfg.oracle_mode, "n": cfg.n, "a": list(cfg.form_a), "b": list(cfg.form_b)}
-    if cfg.oracle_mode == "eigmax":
-        doc["value"] = max_eigenvalue(op)
-    elif cfg.oracle_mode == "product-max":
-        result = maximize_over_product_states(op, restarts=cfg.restarts, seed=cfg.seed,
-                                              tol=cfg.tolerances)
-        doc.update(value=result.value, restarts_used=result.restarts_used, seed=result.seed)
-    else:  # bisep-max
-        result = maximize_over_biseparable(op, restarts=cfg.restarts, seed=cfg.seed,
-                                           tol=cfg.tolerances)
-        doc.update(value=result.value, restarts_used=result.restarts_used, seed=result.seed,
-                   split=list(result.argument.split.side_a))
-    if cfg.output_format == "csv":  # a list is one quoted cell of comma-joined numbers
-        return _csv(list(doc), [['"' + ",".join(map(_fmt, v)) + '"' if isinstance(v, list) else v
-                                 for v in doc.values()]])
-    return _to_json(doc)
-
-
-def sweep_noise(cfg: RunConfig) -> list[SweepRow]:
-    """One verdict per grid point on the requested noise family."""
-    start, stop, steps = cfg.grid
-    if start < 0.0 or stop > 1.0:
-        raise DomainError(f"noise grid must lie within [0, 1], got {start}:{stop}")
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str]:
     rows = []
-    for p in np.linspace(start, stop, steps):
-        state = _noisy_state(cfg, float(p))
-        if cfg.criterion == "fidelity":
-            verdict = fidelity_witness_verdict(state, cfg.n, cfg.m, tol=cfg.tolerances)
-        else:
-            verdict = criterion_verdict(state, cfg.criterion, m=cfg.m_signed, tol=cfg.tolerances)
-        rows.append(SweepRow(float(p), verdict.value, verdict.bound, verdict.margin,
-                             verdict.detected))
-    return rows
+    for p in map(float, np.linspace(*args.grid)):
+        row = {"p": p, **asdict(_verdict(args, p))}
+        del row["criterion_id"]
+        rows.append(row)
+    if args.output_format == "csv":
+        return 0, _csv(rows[0], [row.values() for row in rows])
+    return 0, _to_json({"criterion": args.criterion, "noise": args.noise, "rows": rows})
 
 
-def _cmd_sweep(cfg: RunConfig) -> str:
-    rows = sweep_noise(cfg)
-    if cfg.output_format == "json":
-        return _to_json(
-            {
-                "criterion": cfg.criterion,
-                "noise": cfg.noise,
-                "rows": [
-                    {"p": r.p, "value": r.value, "bound": r.bound, "margin": r.margin,
-                     "detected": r.detected}
-                    for r in rows
-                ],
-            }
-        )
-    return _csv(
-        ["p", "value", "bound", "margin", "detected"],
-        [[r.p, r.value, r.bound, r.margin, r.detected] for r in rows],
-    )
+def _cmd_dicke(args: argparse.Namespace) -> tuple[int, str]:
+    state = dicke_state(args.n, args.m)
+    if args.output_format == "csv":
+        rows = [[i, amp.real, amp.imag] for i, amp in enumerate(state.amplitudes)]
+        return 0, _csv(["index", "real", "imag"], rows)
+    amplitudes = [[amp.real, amp.imag] for amp in state.amplitudes]
+    return 0, _to_json({"n": args.n, "m": args.m, "amplitudes": amplitudes})
 
 
-def _cmd_intensity(cfg: RunConfig) -> str:
-    state = white_noise_mix(dicke_symmetric(cfg.n, cfg.m), cfg.p)  # O(N), no dense limit
-    value = superradiance_intensity(state, i0=cfg.i0)
-    if cfg.output_format == "csv":
-        return _csv(["n", "m", "i0", "p", "intensity"],
-                    [[cfg.n, cfg.m, cfg.i0, cfg.p, value]])
-    return _to_json({"n": cfg.n, "m": cfg.m, "i0": cfg.i0, "p": cfg.p, "intensity": value})
+def _cmd_bound(args: argparse.Namespace) -> tuple[int, str]:
+    value = lemma1_bound(QuadraticForm(a=args.a, b=args.b), args.n)
+    if args.output_format == "csv":
+        return 0, _csv(["n", "ax", "ay", "az", "bx", "by", "bz", "bound"],
+                       [[args.n, *args.a, *args.b, value]])
+    return 0, _to_json({"n": args.n, "a": list(args.a), "b": list(args.b), "bound": value})
 
 
-def _cmd_verify_appendix(cfg: RunConfig) -> str:
-    report = verify_appendix_inequality(cfg.n)
-    if cfg.output_format == "csv":
+def _cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
+    op = collective_operator(args.n, QuadraticForm(a=args.a, b=args.b))
+    doc = {"mode": args.mode, "n": args.n, "a": list(args.a), "b": list(args.b)}
+    if args.mode == "eigmax":
+        doc["value"] = max_eigenvalue(op)
+    else:
+        search = maximize_over_product_states if args.mode == "product-max" else maximize_over_biseparable
+        result = search(op, restarts=args.restarts, seed=args.seed, tol=args.tol)
+        doc.update(value=result.value, restarts_used=result.restarts_used, seed=result.seed)
+        if args.mode == "bisep-max":
+            doc["split"] = list(result.argument.split.side_a)
+    return 0, _document(args, doc)
+
+
+def _cmd_intensity(args: argparse.Namespace) -> tuple[int, str]:
+    state = white_noise_mix(dicke_symmetric(args.n, args.m), args.p)  # O(N), no dense limit
+    value = superradiance_intensity(state, i0=args.i0)
+    return 0, _document(args, {"n": args.n, "m": args.m, "i0": args.i0, "p": args.p, "intensity": value})
+
+
+def _cmd_verify_appendix(args: argparse.Namespace) -> tuple[int, str]:
+    report = verify_appendix_inequality(args.n)
+    if args.output_format == "csv":
         rows = [[n1, k, g] for (n1, k), g in sorted(report.table.items())]
-        return _csv(["n1", "k", "g"], rows)
-    return _to_json(
-        {
-            "n": report.n,
-            "argmax": list(report.argmax),
-            "max_value": report.max_value,
-            "ok": True,
-        }
-    )
+        return 0, _csv(["n1", "k", "g"], rows)
+    doc = {"n": report.n, "argmax": list(report.argmax), "max_value": report.max_value, "ok": True}
+    return 0, _to_json(doc)
 
 
-def _cmd_selftest(cfg: RunConfig) -> tuple[int, str]:
-    results = selftest.run_all(only=cfg.only)
+def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
+    results = selftest.run_all(only=args.only)
     if not results:
-        raise DomainError(f"no criterion numbered {cfg.only}; valid range is 1..10")
-    report = selftest.format_report(results, verbose=cfg.verbose)
-    status = 0 if all(r.passed for r in results) else 3
-    return status, report
+        raise DomainError(f"no criterion numbered {args.only}; valid range is 1..10")
+    report = selftest.format_report(results, verbose=args.verbose)
+    return (0 if all(r.passed for r in results) else 3), report
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Dispatch a validated config; returns (exit status, document)."""
-    handlers = {
-        "dicke": _cmd_dicke,
-        "witness": _cmd_witness,
-        "criterion": _cmd_criterion,
-        "bound": _cmd_bound,
-        "oracle": _cmd_oracle,
-        "sweep-noise": _cmd_sweep,
-        "intensity": _cmd_intensity,
-        "verify-appendix": _cmd_verify_appendix,
-    }
-    if config.command == "selftest":
-        return _cmd_selftest(config)
-    if config.command not in handlers:
-        raise DomainError(f"unknown command {config.command!r}")
-    return 0, handlers[config.command](config)
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Run a validated command; returns (exit status, document)."""
+    return args.handler(args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        status, document = run(config)
+        status, document = run(_validate(args))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

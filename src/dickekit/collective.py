@@ -86,14 +86,13 @@ def criterion_verdict(
     if kind not in CRITERION_KINDS:
         raise DomainError(f"criterion kind must be one of {CRITERION_KINDS}, got {kind!r}")
     n = state.n_qubits
-    dt = tol.detection_tolerance
 
     if kind == "theorem2":
         value = expectation(state, _XY_FORM)
-        return make_verdict(kind, value, theorem2_bound(n), DETECTED_ENTANGLED, dt)
+        return make_verdict(kind, value, theorem2_bound(n), DETECTED_ENTANGLED, tol)
     if kind == "variance":
         value = expectation(state, _XY_FORM) - expectation(state, "x") ** 2 - expectation(state, "y") ** 2
-        return make_verdict(kind, value, theorem2_bound(n), DETECTED_ENTANGLED, dt)
+        return make_verdict(kind, value, theorem2_bound(n), DETECTED_ENTANGLED, tol)
     if kind == "symmetric_jz":
         total = expectation(state, _TOTAL_FORM)
         maximal = (n / 2.0) * (n / 2.0 + 1.0)
@@ -102,20 +101,20 @@ def criterion_verdict(
                 f"symmetric_jz needs a maximal-spin state: <J^2> = {total:.12g}, expected {maximal:.12g}"
             )
         value = n / 4.0 - expectation(state, _Z2_FORM)
-        return make_verdict(kind, value, 0.0, DETECTED_ENTANGLED, dt)
+        return make_verdict(kind, value, 0.0, DETECTED_ENTANGLED, tol)
     if kind == "crit2":
         if m is None or not _is_int(m):
             raise DomainError("crit2 needs an integer shift m")
         form = QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, 0.0, -2.0 * m))
         value = expectation(state, form)
-        return make_verdict(f"crit2(m={int(m)})", value, lemma1_bound(form, n), DETECTED_ENTANGLED, dt)
+        return make_verdict(f"crit2(m={int(m)})", value, lemma1_bound(form, n), DETECTED_ENTANGLED, tol)
     # genuine multipartite criteria
     required = 3 if kind == "genuine3" else 4
     if n != required:
         raise DomainError(f"{kind} applies to exactly {required} qubits, got n = {n}")
     value = expectation(state, _XY_FORM)
     bound = GENUINE3_BOUND if kind == "genuine3" else GENUINE4_BOUND
-    return make_verdict(kind, value, bound, DETECTED_GENUINE, dt)
+    return make_verdict(kind, value, bound, DETECTED_GENUINE, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +221,8 @@ def superradiance_intensity(state, i0: float = 1.0, n: int | None = None) -> flo
     """
     if not i0 > 0:
         raise DomainError(f"i0 must be positive, got {i0!r}")
+    if not np.isfinite(i0):
+        raise DomainError(f"i0 must be finite, got {i0!r}")
     if n is not None and n != state.n_qubits:
         raise DomainError(f"state has {state.n_qubits} qubits, expected n = {n}")
     return i0 * (expectation(state, _XY_FORM) + expectation(state, "z"))

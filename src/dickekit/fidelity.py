@@ -80,7 +80,7 @@ def fidelity_witness_verdict(
         value = float(np.vdot(target, state.matrix @ target).real)
     else:
         value = _dicke_fidelity(state, m)
-    return make_verdict("fidelity", value, bound, DETECTED_GENUINE, tol.detection_tolerance)
+    return make_verdict("fidelity", value, bound, DETECTED_GENUINE, tol)
 
 
 def _dicke_fidelity(state: "PureState | SymmetricState | Mixture", m: int) -> float:

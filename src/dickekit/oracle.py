@@ -134,9 +134,11 @@ def max_eigenvalue(op) -> float:
 # lockstep restarts (shared by the product and biseparable searches)
 # ---------------------------------------------------------------------------
 
-def _check_restarts(restarts) -> None:
-    if not _is_int(restarts) or restarts < 1:
-        raise DomainError(f"restarts must be a positive integer, got {restarts!r}")
+def _check_count(value, name: str, minimum: int = 1) -> None:
+    """Refuse all but an integer (never a bool) of at least ``minimum``: the
+    restart and sample counts and the seeds of the random streams."""
+    if not _is_int(value) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _haar_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -267,7 +269,8 @@ def maximize_over_product_states(
     """Best <psi_1 (x) ... (x) psi_N | op | psi_1 (x) ... (x) psi_N> found from
     seeded Haar-random starts followed by cyclic exact single-qubit updates,
     all restarts stepped in lockstep."""
-    _check_restarts(restarts)
+    _check_count(restarts, "restarts")
+    _check_count(seed, "seed", minimum=0)
     mat, n = _as_matrix(op, n)
     search = _Search(restarts, seed, tol)
     search.run(lambda rng: (_haar_rows(rng, n, 2),), partial(_product_sweep, mat))
@@ -404,7 +407,8 @@ def maximize_over_biseparable(
     restarts of a split stepped in lockstep.  When the operator commutes with
     all qubit transpositions, only split sizes are enumerated.
     """
-    _check_restarts(restarts)
+    _check_count(restarts, "restarts")
+    _check_count(seed, "seed", minimum=0)
     mat, n = _as_matrix(op, n)
     if n < 2:
         raise DomainError("biseparable maximization needs at least two qubits")
@@ -486,8 +490,8 @@ def sample_random_states(kind: str, n: int, count: int, seed: int = 0):
     one sample at a time would take them, and each is validated as it is
     yielded.
     """
-    if not _is_int(count) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
+    _check_count(count, "count")
+    _check_count(seed, "seed", minimum=0)
     if kind not in _SAMPLERS:
         raise DomainError(f"unsupported sample kind {kind!r}")
     _check_qubit_count(n)

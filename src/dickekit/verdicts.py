@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError
 
 DETECTED_NONE = "none"
@@ -32,10 +33,10 @@ def make_verdict(
     value: float,
     bound: float,
     detection_class: str,
-    detection_tolerance: float = 0.0,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> WitnessVerdict:
     if detection_class not in (DETECTED_ENTANGLED, DETECTED_GENUINE):
         raise DomainError(f"detection_class must be a positive class, got {detection_class!r}")
     margin = value - bound
-    detected = detection_class if margin > detection_tolerance else DETECTED_NONE
+    detected = detection_class if margin > tol.detection_tolerance else DETECTED_NONE
     return WitnessVerdict(criterion_id, float(value), float(bound), float(margin), detected)

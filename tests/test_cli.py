@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from dataclasses import fields
@@ -197,6 +198,9 @@ def test_non_finite_numbers_exit_2_without_a_document(capsys):
         status, out, err = run_cli(capsys, "witness", "--n", "4", "--phi", "nan",
                                    "--noise", "psixy", "--p", "0.5", "--format", fmt)
         assert status == 2 and out == "" and "non-finite" in err
+    # an infinite rate is refused by the library, not only by the document writer
+    status, out, err = run_cli(capsys, "intensity", "--n", "4", "--i0", "inf")
+    assert status == 2 and out == "" and "i0 must be finite" in err
 
 
 def test_unknown_flags_exit_2():
@@ -264,9 +268,19 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("mode", ["eigmax", "product-max", "bisep-max"])
-def test_oracle_csv_rows_parse_to_the_header(capsys, mode):
-    argv = ("oracle", mode, "--n", "4", "--restarts", "2", "--a", "1,0.5,0.2", "--b", "0,0,0.3")
+# single-row documents, all written by one writer: (test id, argv)
+_SINGLE_ROW_RUNS = [
+    (mode, ("oracle", mode, "--n", "4", "--restarts", "2", "--a", "1,0.5,0.2", "--b", "0,0,0.3"))
+    for mode in ("eigmax", "product-max", "bisep-max")
+] + [
+    ("witness", ("witness", "--n", "4", "--p", "0.3")),
+    ("criterion", ("criterion", "--n", "4", "--m", "1", "--criterion", "crit2", "--m-signed", "1")),
+    ("intensity", ("intensity", "--n", "6", "--m", "2", "--i0", "2.5", "--p", "0.1")),
+]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name) for name, argv in _SINGLE_ROW_RUNS])
+def test_oracle_csv_rows_parse_to_the_header(capsys, argv):
     _status, out, _err = run_cli(capsys, *argv)
     doc = json.loads(out)
     status, out, _err = run_cli(capsys, *argv, "--format", "csv")
@@ -326,9 +340,57 @@ def test_sizes_past_their_caps_exit_2_before_any_work(capsys, monkeypatch, argv)
 def test_sizes_at_their_caps_parse():
     # parsing only: a capped size is never run
     parser = cli.build_parser()
-    cfg = cli._config_from_args(parser.parse_args(
+    cfg = cli._validate(parser.parse_args(
         ["oracle", "product-max", "--n", "3", "--restarts", str(cli.MAX_RESTARTS)]))
     assert cfg.restarts == cli.MAX_RESTARTS
-    cfg = cli._config_from_args(parser.parse_args(
+    cfg = cli._validate(parser.parse_args(
         ["sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", f"0:1:{cli.MAX_GRID_STEPS}"]))
     assert cfg.grid == (0.0, 1.0, cli.MAX_GRID_STEPS)
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", mode, "--n", "2", "--restarts", "1", "--seed", "-1")
+    for mode in ("product-max", "bisep-max", "eigmax")
+] + [
+    ("sweep-noise", "--n", "4", "--criterion", "theorem2", f"--grid={grid}")
+    for grid in ("-0.1:1:5", "0:1.5:5")
+])
+def test_seed_and_grid_ranges_exit_2_before_any_work(capsys, monkeypatch, argv):
+    def refuse(_config):
+        raise AssertionError("a value out of range reached the command")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert "--seed must be an integer >= 0" in err or "must lie within [0, 1]" in err
+
+
+# one small run per subcommand
+_SMALL_RUNS = {
+    "dicke": ("--n", "3"),
+    "witness": ("--n", "3", "--p", "0.2"),
+    "criterion": ("--n", "3", "--criterion", "genuine3"),
+    "bound": ("--n", "3", "--m-signed", "1"),
+    "oracle": ("bisep-max", "--n", "3", "--restarts", "2"),
+    "sweep-noise": ("--n", "4", "--criterion", "fidelity", "--noise", "psixy", "--grid", "0:1:3"),
+    "intensity": ("--n", "3"),
+    "verify-appendix": ("--n", "4"),
+    "selftest": ("--only", "7"),
+}
+
+
+def test_every_subcommand_runs_in_both_formats(capsys):
+    (commands,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(_SMALL_RUNS)
+    for command, args in _SMALL_RUNS.items():
+        for fmt in ("json", "csv"):
+            status, out, err = run_cli(capsys, command, *args, "--format", fmt)
+            assert status == 0 and err == "", (command, fmt)
+            if command == "selftest":  # a text report in either format
+                assert "1/1 criteria passed" in out
+            elif fmt == "json":
+                assert isinstance(json.loads(out), dict)
+            else:
+                header, *rows = list(csv.reader(out.splitlines()))
+                assert rows and all(len(row) == len(header) for row in rows), command

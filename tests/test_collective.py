@@ -67,6 +67,14 @@ def test_make_verdict_refuses_a_non_detection_class():
             dk.make_verdict("x", 1.0, 0.0, cls)
 
 
+def test_make_verdict_reads_its_threshold_from_tolerances():
+    assert dk.make_verdict("x", 2.0, 1.0, dk.DETECTED_ENTANGLED).detected == dk.DETECTED_ENTANGLED
+    strict = dk.Tolerances(detection_tolerance=1.0)
+    assert dk.make_verdict("x", 2.0, 1.0, dk.DETECTED_ENTANGLED, tol=strict).detected == dk.DETECTED_NONE
+    with pytest.raises(dk.DomainError):  # a NaN threshold never reaches the comparison
+        dk.make_verdict("x", 2.0, 1.0, dk.DETECTED_ENTANGLED, tol=dk.Tolerances(detection_tolerance=float("nan")))
+
+
 def test_theorem2_saturated_by_equatorial_product():
     verdict = dk.criterion_verdict(dk.psixy_state(4, 0.7), "theorem2", tol=_STRICT)
     assert verdict.value == pytest.approx(5.0, abs=1e-10)
@@ -251,8 +259,9 @@ def test_superradiance_reference_values():
 
 
 def test_superradiance_errors():
-    with pytest.raises(dk.DomainError):
-        dk.superradiance_intensity(dk.dicke_state(4, 2), i0=0.0)
+    for i0 in (0.0, float("inf"), float("nan")):
+        with pytest.raises(dk.DomainError, match="i0"):
+            dk.superradiance_intensity(dk.dicke_state(4, 2), i0=i0)
     with pytest.raises(dk.DomainError):
         dk.superradiance_intensity(dk.dicke_state(4, 2), n=5)
 

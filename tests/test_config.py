@@ -29,7 +29,7 @@ def test_tolerances_store_floats():
 
 
 @pytest.mark.parametrize("func, reads_tol", [
-    (dk.criterion_verdict, True), (dk.fidelity_witness_verdict, True),
+    (dk.make_verdict, True), (dk.criterion_verdict, True), (dk.fidelity_witness_verdict, True),
     (dk.maximize_over_product_states, True), (dk.maximize_over_biseparable, True),
     (dk.lemma1_bound, False), (dk.fidelity_threshold_numeric, False),
     (dk.collective_threshold_numeric, False),

@@ -390,6 +390,24 @@ def test_sampling_validations():
         next(dk.sample_random_states("biseparable", 1, 1, seed=0))
 
 
+@pytest.mark.parametrize("bad", [-1, True, 1.0, None])
+def test_seeds_and_counts_are_nonnegative_integers(bad):
+    op = dk.collective_operator(2, "z")
+    for search in (dk.maximize_over_product_states, dk.maximize_over_biseparable):
+        with pytest.raises(dk.DomainError, match="seed"):
+            search(op, restarts=1, seed=bad)
+    with pytest.raises(dk.DomainError, match="seed"):
+        next(dk.sample_random_states("pure", 2, 1, seed=bad))
+    with pytest.raises(dk.DomainError, match="count"):
+        next(dk.sample_random_states("pure", 2, bad, seed=0))
+
+
+def test_numpy_integer_seeds_and_counts_are_accepted():
+    op = dk.collective_operator(2, "z")
+    assert dk.maximize_over_product_states(op, restarts=np.int64(1), seed=np.int64(3)).seed == 3
+    assert len(list(dk.sample_random_states("pure", 2, np.int64(2), seed=np.int64(0)))) == 2
+
+
 def test_biseparable_samples_respect_bound():
     op = dk.collective_operator(4, dk.QuadraticForm(a=(1, 1, 0)))
     worst = max(
