@@ -18,7 +18,7 @@ print("Separable-bound criteria on reference 4-qubit states")
 print("=" * 72)
 for label, state in (("|2,4> (half-excited Dicke)", half),
                      ("equatorial product state", equatorial),
-                     ("maximally mixed", dk.maximally_mixed(4))):
+                     ("maximally mixed", dk.white_noise_mix(half, 1.0))):
     for kind in ("theorem2", "variance"):
         v = dk.criterion_verdict(state, kind, tol=STRICT)
         print(f"  {label:<28} {kind:<10} value = {v.value:8.4f}  bound = {v.bound:6.3f}"

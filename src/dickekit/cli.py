@@ -109,10 +109,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise DomainError(f"grid: {exc}") from exc
     if not 2 <= steps <= MAX_GRID_STEPS:
         raise DomainError(f"grid needs 2 to {MAX_GRID_STEPS} steps, got {steps}")
-    if start > stop:
-        raise DomainError(f"grid start {start} must not exceed stop {stop}")
-    if start < 0.0 or stop > 1.0:
-        raise DomainError(f"noise grid must lie within [0, 1], got {start}:{stop}")
+    if not 0.0 <= start <= stop <= 1.0:  # fails closed on NaN
+        raise DomainError(f"noise grid must lie within [0, 1] with start <= stop, got {start}:{stop}")
     return start, stop, steps
 
 
@@ -179,10 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
     p.add_argument("mode", choices=("product-max", "bisep-max", "eigmax"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed of the restarts' random starts")
+    # --seed and --restarts default to None so that eigmax, which runs no search, can refuse them
+    p.add_argument("--seed", type=int, default=None, help="seed of the restarts' random starts")
     p.add_argument("--a", default="1,1,0")
     p.add_argument("--b", default="0,0,0")
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
+    p.add_argument("--restarts", type=int, default=None,
                    help=f"seeded restarts per search (at most {MAX_RESTARTS})")
 
     p = sub.add_parser("sweep-noise", parents=[tolerant], help="verdicts along a noise grid")
@@ -218,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args: argparse.Namespace) -> argparse.Namespace:
     """Normalize the parsed flags in place; a bad value raises DomainError
     before any work starts."""
-    if hasattr(args, "tol"):
-        args.tol = _parse_tolerances(args.tol)
     if args.output_format is None:
         args.output_format = "csv" if args.command == "sweep-noise" else "json"
     if hasattr(args, "a"):
@@ -227,9 +224,17 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, "m_signed", None) is not None:
             args.b = (0.0, 0.0, -2.0 * args.m_signed)
     if hasattr(args, "restarts"):
+        given = [flag for flag, value in (("--restarts", args.restarts), ("--seed", args.seed),
+                                          ("--tolerance", args.tol or None)) if value is not None]
+        args.restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
+        args.seed = 0 if args.seed is None else args.seed
         if not 1 <= args.restarts <= MAX_RESTARTS:
             raise DomainError(f"--restarts must be 1 to {MAX_RESTARTS}, got {args.restarts}")
         _check_count(args.seed, "--seed", minimum=0)
+        if args.mode == "eigmax" and given:  # a top eigenvalue runs no seeded search
+            raise DomainError(f"oracle eigmax does not read {', '.join(given)}")
+    if hasattr(args, "tol"):
+        args.tol = _parse_tolerances(args.tol)
     if hasattr(args, "grid"):
         args.grid = _parse_grid(args.grid)
     if getattr(args, "m", 0) is None:  # --m defaults to n//2

@@ -41,17 +41,13 @@ from .operators import (
     PAULI,
 )
 from .oracle import maximize_over_ti_product
-from .states import DensityMatrix, PureState, _is_int, dicke_state, psixy_noise_mix, white_noise_mix
+from .states import DensityMatrix, PureState, _is_int, dicke_state, moments, psixy_noise_mix, white_noise_mix
 from .verdicts import DETECTED_ENTANGLED, DETECTED_GENUINE, WitnessVerdict, make_verdict
 
 CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4")
 
 GENUINE3_BOUND = 2.0 + sqrt(5.0) / 2.0
 GENUINE4_BOUND = 3.5 + sqrt(3.0)
-
-_XY_FORM = QuadraticForm(a=(1.0, 1.0, 0.0))
-_Z2_FORM = QuadraticForm(a=(0.0, 0.0, 1.0))
-_TOTAL_FORM = QuadraticForm(a=(1.0, 1.0, 1.0))
 
 
 def theorem2_bound(n: int) -> float:
@@ -86,22 +82,20 @@ def criterion_verdict(
     if kind not in CRITERION_KINDS:
         raise DomainError(f"criterion kind must be one of {CRITERION_KINDS}, got {kind!r}")
     n = state.n_qubits
-
+    (jx, jy, _jz), (jx2, jy2, jz2) = moments(state)
+    planar = jx2 + jy2
     if kind == "theorem2":
-        value = expectation(state, _XY_FORM)
-        return make_verdict(kind, value, theorem2_bound(n), DETECTED_ENTANGLED, tol)
+        return make_verdict(kind, planar, theorem2_bound(n), DETECTED_ENTANGLED, tol)
     if kind == "variance":
-        value = expectation(state, _XY_FORM) - expectation(state, "x") ** 2 - expectation(state, "y") ** 2
-        return make_verdict(kind, value, theorem2_bound(n), DETECTED_ENTANGLED, tol)
+        return make_verdict(kind, planar - jx ** 2 - jy ** 2, theorem2_bound(n), DETECTED_ENTANGLED, tol)
     if kind == "symmetric_jz":
-        total = expectation(state, _TOTAL_FORM)
+        total = planar + jz2
         maximal = (n / 2.0) * (n / 2.0 + 1.0)
         if abs(total - maximal) > tol.symmetry_atol * max(1.0, maximal):
             raise DomainError(
                 f"symmetric_jz needs a maximal-spin state: <J^2> = {total:.12g}, expected {maximal:.12g}"
             )
-        value = n / 4.0 - expectation(state, _Z2_FORM)
-        return make_verdict(kind, value, 0.0, DETECTED_ENTANGLED, tol)
+        return make_verdict(kind, n / 4.0 - jz2, 0.0, DETECTED_ENTANGLED, tol)
     if kind == "crit2":
         if m is None or not _is_int(m):
             raise DomainError("crit2 needs an integer shift m")
@@ -112,9 +106,8 @@ def criterion_verdict(
     required = 3 if kind == "genuine3" else 4
     if n != required:
         raise DomainError(f"{kind} applies to exactly {required} qubits, got n = {n}")
-    value = expectation(state, _XY_FORM)
     bound = GENUINE3_BOUND if kind == "genuine3" else GENUINE4_BOUND
-    return make_verdict(kind, value, bound, DETECTED_GENUINE, tol)
+    return make_verdict(kind, planar, bound, DETECTED_GENUINE, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +218,8 @@ def superradiance_intensity(state, i0: float = 1.0, n: int | None = None) -> flo
         raise DomainError(f"i0 must be finite, got {i0!r}")
     if n is not None and n != state.n_qubits:
         raise DomainError(f"state has {state.n_qubits} qubits, expected n = {n}")
-    return i0 * (expectation(state, _XY_FORM) + expectation(state, "z"))
+    (_jx, _jy, jz), (jx2, jy2, _jz2) = moments(state)
+    return i0 * (jx2 + jy2 + jz)
 
 
 # ---------------------------------------------------------------------------

@@ -75,23 +75,20 @@ def fidelity_witness_verdict(
     if state.n_qubits != n:
         raise DomainError(f"state has {state.n_qubits} qubits, expected {n}")
     bound = dicke_fidelity_bound(n, m)
-    if isinstance(state, DensityMatrix):
-        target = dicke_state(n, m).amplitudes
-        value = float(np.vdot(target, state.matrix @ target).real)
-    else:
-        value = _dicke_fidelity(state, m)
-    return make_verdict("fidelity", value, bound, DETECTED_GENUINE, tol)
+    return make_verdict("fidelity", _dicke_fidelity(state, m), bound, DETECTED_GENUINE, tol)
 
 
-def _dicke_fidelity(state: "PureState | SymmetricState | Mixture", m: int) -> float:
+def _dicke_fidelity(state: "PureState | SymmetricState | Mixture | DensityMatrix", m: int) -> float:
     """<m,N| rho |m,N>: |<m,N|psi>|^2 for a pure state; for a Mixture the
     weighted sum over its components plus the identity's share 2^-N."""
     if isinstance(state, Mixture):
-        value = sum(w * _dicke_fidelity(psi, m) for w, psi in zip(state.weights, state.components))
-        return value + state.identity_weight * 2.0 ** -state.n_qubits
+        return state.average(lambda psi: _dicke_fidelity(psi, m), 2.0 ** -state.n_qubits)
     if isinstance(state, SymmetricState):
         return abs(state.sector_amplitudes[m]) ** 2
-    return abs(np.vdot(dicke_state(state.n_qubits, m).amplitudes, state.amplitudes)) ** 2
+    target = dicke_state(state.n_qubits, m).amplitudes
+    if isinstance(state, DensityMatrix):
+        return float(np.vdot(target, state.matrix @ target).real)
+    return abs(np.vdot(target, state.amplitudes)) ** 2
 
 
 def fidelity_noise_threshold(n: int) -> float:

@@ -18,8 +18,9 @@ identity, never a dense density matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, isfinite, sqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +72,16 @@ def _check_qubit_count(n: int, limit: int = DENSE_QUBIT_LIMIT) -> None:
         raise DomainError(f"n_qubits = {n} exceeds the backend limit of {limit} qubits")
 
 
+class _State:
+    """Base of the state records: holds a state's collective moments once computed."""
+
+    @cached_property
+    def _moments(self) -> "Moments":
+        return _collective_moments(self)
+
+
 @dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_State):
     """Dense N-qubit pure state: 2^N complex amplitudes with unit norm."""
 
     n_qubits: int
@@ -93,7 +102,7 @@ class PureState:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_State):
     """Dense N-qubit mixed state: Hermitian, unit-trace, positive semidefinite."""
 
     n_qubits: int
@@ -122,7 +131,7 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class SymmetricState:
+class SymmetricState(_State):
     """Permutation-symmetric N-qubit pure state in the maximal-spin sector.
 
     ``sector_amplitudes[m]`` is the amplitude of the Dicke basis state with m
@@ -139,7 +148,7 @@ class SymmetricState:
 
 
 @dataclass(frozen=True, eq=False)
-class Mixture:
+class Mixture(_State):
     """Convex mixture sum_i w_i |psi_i><psi_i| + w_I I/2^N, held lazily.
 
     The components are pure states of one kind (all ``PureState`` or all
@@ -178,16 +187,22 @@ class Mixture:
     def n_qubits(self) -> int:
         return self.components[0].n_qubits
 
+    def average(self, value: Callable, identity_value):
+        """sum_i w_i value(psi_i) + w_I identity_value: the mixture's value of a
+        quantity linear in the state, given its value on the identity I/2^N."""
+        total = sum(w * value(psi) for w, psi in zip(self.weights, self.components))
+        return total + self.identity_weight * identity_value
+
     def to_density(self) -> "DensityMatrix":
         """The mixture as a dense DensityMatrix (dense qubit limit applies)."""
         n = self.n_qubits
         _check_qubit_count(n)
-        dim = 2 ** n
-        rho = self.identity_weight * np.eye(dim, dtype=complex) / dim
-        for w, psi in zip(self.weights, self.components):
+
+        def projector(psi) -> np.ndarray:
             v = (symmetric_to_dense(psi) if isinstance(psi, SymmetricState) else psi).amplitudes
-            rho += w * np.outer(v, v.conj())
-        return DensityMatrix(n, rho)
+            return np.outer(v, v.conj())
+
+        return DensityMatrix(n, self.average(projector, np.eye(2 ** n) / 2 ** n))
 
 
 def _check_weight(w) -> float:
@@ -197,6 +212,95 @@ def _check_weight(w) -> float:
     if not np.isfinite(value) or value < 0.0:
         raise DomainError(f"Mixture weight must be finite and nonnegative, got {w!r}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# collective moments
+# ---------------------------------------------------------------------------
+
+class Moments(NamedTuple):
+    """First and second moments of the collective spin: ``first`` holds
+    (<J_x>, <J_y>, <J_z>) and ``second`` holds (<J_x^2>, <J_y^2>, <J_z^2>)."""
+
+    first: tuple[float, float, float]
+    second: tuple[float, float, float]
+
+
+def moments(state) -> Moments:
+    """The collective moments of a PureState, DensityMatrix, SymmetricState or
+    Mixture, computed once per state object and kept on it."""
+    if not isinstance(state, _State):
+        raise DomainError(f"unsupported state type {type(state).__name__}")
+    return state._moments
+
+
+def _collective_moments(state: _State) -> Moments:
+    n = state.n_qubits
+    if isinstance(state, Mixture):  # the identity's share: Tr(J_l)/2^N = 0 and Tr(J_l^2)/2^N = N/4
+        table = state.average(lambda psi: np.array(moments(psi)), np.array([[0.0] * 3, [n / 4.0] * 3]))
+        return Moments(*map(tuple, table.tolist()))
+    if isinstance(state, PureState):
+        amps, images = state.amplitudes, _dense_images(state.amplitudes, n)
+    elif isinstance(state, SymmetricState):
+        amps, images = state.sector_amplitudes, _sector_images(state.sector_amplitudes, n)
+    else:  # a DensityMatrix: Tr(rho J^p) = sum_i (J^p rho)_ii, gathered along the row table
+        diagonal = np.arange(2 ** n)
+
+        def trace(axis: str, power: int) -> float:
+            cols, vals = _spin_rows(n, axis, power)
+            return float(np.sum(vals * state.matrix[cols, diagonal]).real)
+
+        return Moments(tuple(trace(a, 1) for a in "xyz"), tuple(trace(a, 2) for a in "xyz"))
+    first, second = [], []
+    for image in images:  # <J> = <psi|J psi> and <J^2> = |J psi|^2, one image J psi at a time
+        first.append(float(np.vdot(amps, image).real))
+        second.append(float(np.vdot(image, image).real))
+    return Moments(tuple(first), tuple(second))
+
+
+def _dense_images(amps: np.ndarray, n: int):
+    """J_x, J_y and J_z applied to 2^N dense amplitudes, yielded in turn (O(N 2^N)).
+    J_x and J_y flip one qubit per row of their tables, so they share one gather."""
+    cols, vals = _spin_rows(n, "x")
+    flipped = amps[cols]
+    yield (vals * flipped).sum(axis=0)
+    yield (_spin_rows(n, "y")[1] * flipped).sum(axis=0)
+    yield _spin_rows(n, "z")[1][0] * amps
+
+
+def _sector_images(amps: np.ndarray, n: int):
+    """J_x, J_y and J_z applied to maximal-spin sector amplitudes, yielded in turn (O(N)).
+    J_x and J_y share the coupling (1/2) sqrt((m+1)(N-m)) of excitations m and m+1."""
+    m = np.arange(n + 1)
+    coupling = 0.5 * np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+    for raise_coeff in (-1.0, 1j):  # J_x = -(J_+ + J_-)/2 and J_y = i(J_+ - J_-)/2
+        image = np.zeros_like(amps)
+        image[1:] += raise_coeff * coupling * amps[:-1]
+        image[:-1] += np.conj(raise_coeff) * coupling * amps[1:]
+        yield image
+    yield (m - n / 2.0) * amps
+
+
+def _spin_rows(n: int, axis: str, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Row table of J_axis^power on N qubits: (J^power x)_i = sum_r vals[r, i] x[cols[r, i]].
+
+    Row i of sigma_x or sigma_y on the qubit at bit k has its one entry in
+    column i ^ 2^k: -1 for sigma_x, and +i or -i for sigma_y as that qubit is
+    excited or not.  J_z is diagonal.  J^2 composes the table with itself, so
+    a table has at most N^2 rows of 2^N entries and no 4^N matrix is built.
+    """
+    labels = np.arange(2 ** n)
+    if axis == "z":  # (number of excited qubits) - N/2
+        cols, vals = labels[None, :], _excitation_counts(n)[None, :] - 0.5 * n
+    else:
+        flips = 1 << np.arange(n)[:, None]
+        cols = labels ^ flips
+        vals = np.full(cols.shape, -0.5) if axis == "x" else np.where(labels & flips, 0.5j, -0.5j)
+    if power == 2:  # (J^2 x)_i = sum_r vals[r, i] sum_s vals[s, c] x[cols[s, c]], c = cols[r, i]
+        flat = cols.ravel()
+        cols, vals = np.take(cols, flat, axis=1), np.take(vals, flat, axis=1) * vals.ravel()
+        cols, vals = cols.reshape(-1, labels.size), vals.reshape(-1, labels.size)
+    return cols, vals
 
 
 @dataclass(frozen=True)
@@ -335,13 +439,6 @@ def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition)
     amps = np.transpose(tensor, perm).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     return PureState(n, amps)
-
-
-def maximally_mixed(n: int) -> DensityMatrix:
-    """The normalized identity on N qubits."""
-    _check_qubit_count(n)
-    dim = 2 ** n
-    return DensityMatrix(n, np.eye(dim, dtype=complex) / dim)
 
 
 def white_noise_mix(target: PureState | SymmetricState, p: float) -> Mixture:

@@ -270,8 +270,8 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
 
 # single-row documents, all written by one writer: (test id, argv)
 _SINGLE_ROW_RUNS = [
-    (mode, ("oracle", mode, "--n", "4", "--restarts", "2", "--a", "1,0.5,0.2", "--b", "0,0,0.3"))
-    for mode in ("eigmax", "product-max", "bisep-max")
+    (mode, ("oracle", mode, "--n", "4", *restarts, "--a", "1,0.5,0.2", "--b", "0,0,0.3"))
+    for mode, restarts in (("eigmax", ()), ("product-max", ("--restarts", "2")), ("bisep-max", ("--restarts", "2")))
 ] + [
     ("witness", ("witness", "--n", "4", "--p", "0.3")),
     ("criterion", ("criterion", "--n", "4", "--m", "1", "--criterion", "crit2", "--m-signed", "1")),
@@ -353,7 +353,7 @@ def test_sizes_at_their_caps_parse():
     for mode in ("product-max", "bisep-max", "eigmax")
 ] + [
     ("sweep-noise", "--n", "4", "--criterion", "theorem2", f"--grid={grid}")
-    for grid in ("-0.1:1:5", "0:1.5:5")
+    for grid in ("-0.1:1:5", "0:1.5:5", "nan:1:3", "0:nan:3", "0:inf:3")
 ])
 def test_seed_and_grid_ranges_exit_2_before_any_work(capsys, monkeypatch, argv):
     def refuse(_config):
@@ -363,6 +363,16 @@ def test_seed_and_grid_ranges_exit_2_before_any_work(capsys, monkeypatch, argv):
     status, out, err = run_cli(capsys, *argv)
     assert status == 2 and out == ""
     assert "--seed must be an integer >= 0" in err or "must lie within [0, 1]" in err
+
+
+@pytest.mark.parametrize("flags", [("--restarts", "5"), ("--seed", "9"), ("--tolerance", "convergence_tol=1")])
+def test_eigmax_refuses_the_search_flags(capsys, monkeypatch, flags):
+    def refuse(_config):
+        raise AssertionError("a flag eigmax does not read reached the command")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    status, out, err = run_cli(capsys, "oracle", "eigmax", "--n", "3", *flags)
+    assert status == 2 and out == "" and f"oracle eigmax does not read {flags[0]}" in err
 
 
 # one small run per subcommand

@@ -185,7 +185,8 @@ def test_planar_moment_rewrite_identity(seed, n):
 
 
 def test_lemma2_vector_norm_examples():
-    assert dk.lemma2_vector_norm(dk.maximally_mixed(2)) == pytest.approx(0.0, abs=1e-12)
+    mixed = dk.white_noise_mix(dk.dicke_state(2, 1), 1.0).to_density()
+    assert dk.lemma2_vector_norm(mixed) == pytest.approx(0.0, abs=1e-12)
     plus = dk.product_state([[2 ** -0.5, 2 ** -0.5]] * 2)
     assert dk.lemma2_vector_norm(plus) == pytest.approx(5.0, abs=1e-10)
 
@@ -207,7 +208,7 @@ def test_lemma2_bound_holds_on_random_densities():
 
 def test_lemma2_vector_norm_needs_two_qubits():
     with pytest.raises(dk.DomainError):
-        dk.lemma2_vector_norm(dk.maximally_mixed(3))
+        dk.lemma2_vector_norm(dk.white_noise_mix(dk.dicke_state(3, 1), 1.0).to_density())
 
 
 def test_analytic_eigenvalues_pair_family():

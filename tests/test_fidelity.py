@@ -76,7 +76,7 @@ def test_verdict_on_pure_target():
 
 
 def test_verdict_on_maximally_mixed():
-    verdict = dk.fidelity_witness_verdict(dk.maximally_mixed(4), 4, 2)
+    verdict = dk.fidelity_witness_verdict(dk.white_noise_mix(dk.dicke_state(4, 2), 1.0).to_density(), 4, 2)
     assert verdict.value == pytest.approx(1 / 16, abs=1e-12)
     assert verdict.detected == dk.DETECTED_NONE
 

@@ -41,7 +41,7 @@ def test_expectation_examples():
     half = dk.dicke_state(4, 2)
     assert dk.expectation(half, "z") == pytest.approx(0.0, abs=1e-12)
     assert dk.expectation(half, dk.QuadraticForm(a=(1, 1, 0))) == pytest.approx(6.0, abs=1e-10)
-    mixed = dk.maximally_mixed(4)
+    mixed = dk.white_noise_mix(half, 1.0)
     assert dk.expectation(mixed, dk.QuadraticForm(a=(1, 0, 0))) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -50,7 +50,7 @@ def test_expectation_dimension_mismatch():
     with pytest.raises(dk.DomainError):
         dk.expectation(dk.dicke_state(2, 1), op)
     with pytest.raises(dk.DomainError):
-        dk.expectation(dk.maximally_mixed(2), op)
+        dk.expectation(dk.white_noise_mix(dk.dicke_state(2, 1), 1.0), op)
 
 
 def test_symmetric_state_rejects_dense_operators():
@@ -111,12 +111,52 @@ def test_collective_operator_matches_kron_chains(n):
         assert np.abs(built - _kron_reference(n, which)).max() < 1e-13, which
 
 
+def _random_symmetric(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return dk.SymmetricState(n, amps / np.linalg.norm(amps))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_density_moments_match_the_trace_against_kron_chains(n):
     for rho in dk.sample_random_states("density", n, 3, seed=n):
         for which in ("x", "y", "z", dk.QuadraticForm(a=(1, 1, 0)), _GENERIC):
             reference = np.trace(rho.matrix @ _kron_reference(n, which)).real
             assert dk.expectation(rho, which) == pytest.approx(reference, abs=1e-12), which
+    # every state kind against the same reference, through its dense matrix
+    psi, phi = dk.sample_random_states("pure", n, 2, seed=n)
+    sym = _random_symmetric(n, n)
+    proj = {state: np.outer(v, v.conj()) for state, v in
+            ((psi, psi.amplitudes), (phi, phi.amplitudes), (sym, dk.symmetric_to_dense(sym).amplitudes))}
+    eye = np.eye(2 ** n) / 2 ** n
+    j = {axis: _kron_reference(n, axis) for axis in "xyz"}
+    for state, matrix in ((rho, rho.matrix), (psi, proj[psi]), (sym, proj[sym]),
+                          (dk.Mixture((psi, phi), (0.5, 0.3), 0.2), 0.5 * proj[psi] + 0.3 * proj[phi] + 0.2 * eye),
+                          (dk.white_noise_mix(sym, 0.4), 0.6 * proj[sym] + 0.4 * eye)):
+        record = dk.moments(state)
+        first = [np.trace(matrix @ j[axis]).real for axis in "xyz"]
+        second = [np.trace(matrix @ j[axis] @ j[axis]).real for axis in "xyz"]
+        assert record.first == pytest.approx(first, abs=1e-12), type(state).__name__
+        assert record.second == pytest.approx(second, abs=1e-12), type(state).__name__
+
+
+def test_each_state_builds_each_components_images_once(monkeypatch):
+    builds = []
+    for name in ("_dense_images", "_sector_images"):
+        def counted(amps, n, build=getattr(dk.states, name)):
+            builds.append(id(amps))
+            return build(amps, n)
+        monkeypatch.setattr(dk.states, name, counted)
+    for state in (dk.dicke_state(5, 2), dk.psixy_noise_mix(6, 0.3, 0.7), dk.dicke_symmetric(100, 40),
+                  dk.Mixture((dk.psixy_symmetric(6, 0.2), dk.dicke_symmetric(6, 3)), (0.3, 0.7))):
+        builds.clear()
+        for kind in ("theorem2", "variance", "symmetric_jz"):
+            dk.criterion_verdict(state, kind)
+        dk.superradiance_intensity(state)
+        dk.expectation(state, "z")
+        components = getattr(state, "components", (state,))
+        amps = [getattr(psi, "amplitudes", getattr(psi, "sector_amplitudes", None)) for psi in components]
+        assert sorted(builds) == sorted(map(id, amps)), type(state).__name__
 
 
 def _peak_bytes(call):
@@ -204,13 +244,19 @@ def test_single_site_refuses_bad_labels(qubit, n):
 
 
 def test_variance_refuses_a_bad_axis():
+    # moments are indexed by axis; the axis tags of expectation are checked
     with pytest.raises(dk.DomainError, match="axis must be one of"):
-        dk.variance(dk.dicke_state(2, 1), "w")
+        dk.expectation(dk.dicke_state(2, 1), "w")
+
+
+def _z_variance(state):
+    record = dk.moments(state)
+    return record.second[2] - record.first[2] ** 2
 
 
 def test_variance_on_reference_states():
-    assert dk.variance(dk.dicke_state(4, 2), "z") == pytest.approx(0.0, abs=1e-12)
-    assert dk.variance(dk.psixy_state(4, 0.0), "z") == pytest.approx(1.0, abs=1e-12)  # N/4
+    assert _z_variance(dk.dicke_state(4, 2)) == pytest.approx(0.0, abs=1e-12)
+    assert _z_variance(dk.psixy_state(4, 0.0)) == pytest.approx(1.0, abs=1e-12)  # N/4
 
 
 @settings(deadline=None, max_examples=25)

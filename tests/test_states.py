@@ -180,7 +180,7 @@ def test_density_matrix_validation():
         ((dk.dicke_state(2, 1), dk.dicke_symmetric(2, 1)), (0.5, 0.5), 0.0),  # mixed kinds
         ((dk.dicke_state(2, 1),), (0.5, 0.5), 0.0),  # weight count mismatch
         ((), (), 1.0),  # no component fixes N
-        ((dk.maximally_mixed(2),), (1.0,), 0.0),  # components must be pure
+        ((dk.white_noise_mix(dk.dicke_state(2, 0), 1.0).to_density(),), (1.0,), 0.0),  # components must be pure
     ],
 )
 def test_mixture_rejects_invalid_weights_and_components(components, weights, identity_weight):
