@@ -60,10 +60,10 @@ print("white noise threshold for theorem2 is 1/N:")
 for n in (4, 6, 8):
     closed = dk.collective_noise_threshold(n, "theorem2")
     numeric = dk.collective_threshold_numeric(n, "theorem2")
-    print(f"  N = {n}: closed = {closed:.9f}   bisection = {numeric:.9f}")
+    print(f"  N = {n}: closed = {closed:.9f}   numeric = {numeric:.9f}")
 print("genuine4 under white noise:")
 print(f"  closed = {dk.collective_noise_threshold(4, 'genuine4'):.9f}"
-      f"   bisection = {dk.collective_threshold_numeric(4, 'genuine4'):.9f}")
+      f"   numeric = {dk.collective_threshold_numeric(4, 'genuine4'):.9f}")
 print("coherent equatorial noise keeps theorem2 detection for every p < 1:")
 for p in (0.5, 0.9, 0.999):
     v = dk.criterion_verdict(dk.psixy_noise_mix(4, p), "theorem2")

@@ -35,11 +35,11 @@ for p in (0.0, 0.2, 16 / 45, 0.5):
           f"  -> {verdict.detected}")
 
 print()
-print("Noise thresholds (closed form vs bisection on the margin):")
+print("Noise thresholds (closed form vs root-finding on the margin):")
 for n in (4, 6, 8):
     closed = dk.fidelity_noise_threshold(n)
     numeric = dk.fidelity_threshold_numeric(n)
-    print(f"  N = {n}: closed = {closed:.9f}   bisection = {numeric:.9f}")
+    print(f"  N = {n}: closed = {closed:.9f}   numeric = {numeric:.9f}")
 
 print()
 print("=" * 72)

@@ -206,18 +206,16 @@ def theorem3_partition_bounds() -> PartitionBounds:
 # superradiance
 # ---------------------------------------------------------------------------
 
-def superradiance_intensity(state, i0: float = 1.0, n: int | None = None) -> float:
+def superradiance_intensity(state, i0: float = 1.0) -> float:
     """Peak emission intensity I = I0 (<Jx^2> + <Jy^2> + <Jz>).
 
     Zero for the ground state, N I0 for the all-excited product state, and
     maximal, I0 (N/2)(N/2 + 1), at the half-excited Dicke state.
     """
-    if not i0 > 0:
-        raise DomainError(f"i0 must be positive, got {i0!r}")
+    if isinstance(i0, (bool, np.bool_)) or not i0 > 0:
+        raise DomainError(f"i0 must be a positive number, got {i0!r}")
     if not np.isfinite(i0):
         raise DomainError(f"i0 must be finite, got {i0!r}")
-    if n is not None and n != state.n_qubits:
-        raise DomainError(f"state has {state.n_qubits} qubits, expected n = {n}")
     (_jx, _jy, jz), (jx2, jy2, _jz2) = moments(state)
     return i0 * (jx2 + jy2 + jz)
 
@@ -258,15 +256,12 @@ def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> flo
     """
     if kind not in ("theorem2", "genuine4"):
         raise DomainError(f"numeric threshold supports 'theorem2'/'genuine4', got {kind!r}")
+    if noise not in ("white", "psixy"):
+        raise DomainError(f"noise family must be 'white' or 'psixy', got {noise!r}")
     target = dicke_state(n, n // 2)
 
     def margin(p: float) -> float:
-        if noise == "white":
-            rho = white_noise_mix(target, p)
-        elif noise == "psixy":
-            rho = psixy_noise_mix(n, p)
-        else:
-            raise DomainError(f"noise family must be 'white' or 'psixy', got {noise!r}")
+        rho = white_noise_mix(target, p) if noise == "white" else psixy_noise_mix(n, p)
         return criterion_verdict(rho, kind).margin
 
     return _margin_crossing(margin)

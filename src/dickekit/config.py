@@ -15,14 +15,14 @@ SYMMETRIC_QUBIT_LIMIT = 10_000
 
 DEFAULT_RESTARTS = 64
 
-# Fixed tolerances of state validation and of the threshold bisections.
+# Fixed tolerances of state validation and of the numeric noise thresholds.
 NORM_ATOL = 1e-12       # state normalization
 HERMITIAN_ATOL = 1e-12  # entrywise Hermiticity
 TRACE_ATOL = 1e-12      # unit trace of density matrices and mixture weights
 PSD_ATOL = 1e-10        # allowed negativity of density eigenvalues
 SCHMIDT_ATOL = 1e-10    # Schmidt spectrum normalization
 SOUNDNESS_TOL = 1e-9    # a margin at p = 1 up to this counts as a crossing at the endpoint
-BISECTION_XTOL = 1e-12  # root finding on noise-sweep margins
+ROOT_XTOL = 1e-12       # root finding on noise-sweep margins
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from math import comb
 
 import numpy as np
 
-from .config import BISECTION_XTOL, DEFAULT_TOLERANCES, SOUNDNESS_TOL, Tolerances
+from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, Tolerances
 from .errors import DomainError, InvariantViolationError
+from .oracle import _safeguarded_root
 from .states import (
     Bipartition,
     DensityMatrix,
@@ -108,11 +109,7 @@ def fidelity_threshold_numeric(n: int) -> float:
     if not _is_int(n) or n < 4 or n % 2 != 0:
         raise DomainError(f"numeric threshold needs even n >= 4, got n = {n!r}")
     target = dicke_state(n, n // 2)
-
-    def margin(p: float) -> float:
-        return fidelity_witness_verdict(white_noise_mix(target, p), n, n // 2).margin
-
-    return _margin_crossing(margin)
+    return _margin_crossing(lambda p: fidelity_witness_verdict(white_noise_mix(target, p), n, n // 2).margin)
 
 
 def _margin_crossing(margin) -> float:
@@ -122,11 +119,11 @@ def _margin_crossing(margin) -> float:
         raise DomainError("criterion does not detect the noiseless state; no threshold")
     if hi > SOUNDNESS_TOL:
         raise DomainError("margin stays positive on [0, 1]; no threshold to find")
-    if hi > 0:
+    if hi >= 0:
         return 1.0  # crossing sits at the endpoint within roundoff
-    from scipy.optimize import brentq
-
-    return float(brentq(margin, 0.0, 1.0, xtol=BISECTION_XTOL))
+    # the first step, the secant through the endpoints, is exact for a margin affine in p
+    return _safeguarded_root(lambda p: (-margin(p), None), 0.0, 1.0, lo / (lo - hi),
+                             xtol=ROOT_XTOL, last=(0.0, -lo))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .states import (
 
 _BISEP_QUBIT_LIMIT = 8  # general pure-state pairs get expensive beyond this
 _RADIUS = 0.5  # Bloch-vector length of a pure qubit state
-_SECULAR_MAX_STEPS = 200  # safety cap; Newton from the left needs a handful of steps
+_ROOT_MAX_STEPS = 200  # safety cap; Newton and secant steps need a handful
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 _SWEEP_CAP = 2000  # alternating sweeps per restart before it counts as unconverged
 _RESTART_CHUNK = 64  # restarts stacked at once, so memory does not grow with restarts
@@ -323,26 +323,46 @@ def _secular_point(gaps, beta, mu: float) -> list[float]:
 def _secular_root(gaps, beta) -> float:
     """mu > 0 with |s(mu)| = R, or 0 in the hard case.  psi = 1/|s| - 1/R is
     increasing and concave in mu, so Newton steps from the left stay left of
-    the root; bisection takes over if roundoff pushes one out of the bracket."""
+    the root."""
     top_beta = hypot(*(bl for bl, gl in zip(beta, gaps) if gl == 0.0))
     if top_beta == 0.0 and hypot(*_secular_point(gaps, beta, 0.0)) <= _RADIUS:
         return 0.0
-    # |beta| / (2 (max gap + mu)) and |beta_top| / (2 mu) <= |s(mu)| <= |beta| / (2 mu)
-    hi = hypot(*beta) / (2.0 * _RADIUS)
-    lo = mu = max(0.0, hi - max(gaps), top_beta / (2.0 * _RADIUS))
-    for _ in range(_SECULAR_MAX_STEPS):
+
+    def psi(mu: float) -> tuple[float, float]:
         s = _secular_point(gaps, beta, mu)
         length = hypot(*s)
-        psi = 1.0 / length - 1.0 / _RADIUS
-        lo, hi = (lo, mu) if psi >= 0.0 else (mu, hi)
         slope = sum(x * x / (gl + mu) for x, gl in zip(s, gaps) if x != 0.0) / length ** 3
-        step = mu - psi / slope
-        if not lo < step < hi:
+        return 1.0 / length - 1.0 / _RADIUS, slope
+
+    # |beta| / (2 (max gap + mu)) and |beta_top| / (2 mu) <= |s(mu)| <= |beta| / (2 mu)
+    hi = hypot(*beta) / (2.0 * _RADIUS)
+    lo = max(0.0, hi - max(gaps), top_beta / (2.0 * _RADIUS))
+    return _safeguarded_root(psi, lo, hi, lo)
+
+
+def _safeguarded_root(f, lo: float, hi: float, x: float, xtol: float = 0.0, last=None) -> float:
+    """Root of an increasing f that changes sign on [lo, hi], searched from x.
+
+    ``f(x)`` returns (value, slope) for a Newton step; a slope of None asks for
+    the secant through the last two evaluated points, ``last`` being the
+    (point, value) evaluated before x.  A step that leaves the bracket becomes
+    its midpoint.  Stops on an exact zero or on a step shorter than
+    xtol + 4 eps |x| and returns the last evaluated point; raises
+    InvariantViolationError at the step cap."""
+    for _ in range(_ROOT_MAX_STEPS):
+        value, slope = f(x)
+        lo, hi = (lo, x) if value >= 0.0 else (x, hi)
+        if slope is None:
+            slope = (value - last[1]) / (x - last[0])
+        last = x, value
+        step = x - value / slope if slope else 0.5 * (lo + hi)
+        small = xtol + 4.0 * np.finfo(float).eps * abs(x)
+        if not lo < step < hi and abs(step - x) > small:
             step = 0.5 * (lo + hi)
-        if psi == 0.0 or abs(step - mu) <= 4.0 * np.finfo(float).eps * mu:
-            break
-        mu = step
-    return mu
+        if value == 0.0 or abs(step - x) <= small:
+            return x
+        x = step
+    raise InvariantViolationError(f"root-finder did not converge in {_ROOT_MAX_STEPS} steps; last x = {x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each criterion function runs one battery (closed forms vs. independent numeric
 routes, soundness sweeps over seeded random states, noise thresholds by
-bisection, backend equivalence) and returns a CheckResult with one detail line
+root-finding, backend equivalence) and returns a CheckResult with one detail line
 per sub-check.  ``run_all`` drives them; the CLI ``selftest`` subcommand and
 the acceptance test module are thin wrappers around it.
 """
@@ -220,36 +220,23 @@ def criterion_05_eigenvalue_formulas() -> CheckResult:
 
 
 def criterion_06_noise_thresholds() -> CheckResult:
-    """Bisection on verdict margins reproduces every closed-form threshold."""
+    """Root-finding on verdict margins reproduces every closed-form threshold."""
     c = _Checks()
     t0 = time.perf_counter()
     c.close("fidelity threshold n=4 (closed)", fidelity_noise_threshold(4), 16.0 / 45.0, 1e-12)
-    c.close("fidelity threshold n=4 (bisection)", fidelity_threshold_numeric(4), 16.0 / 45.0, 1e-9)
-    for n in (4, 6, 8):
-        c.close(
-            f"theorem2 threshold n={n} (bisection vs 1/n)",
-            collective_threshold_numeric(n, "theorem2"),
-            collective_noise_threshold(n, "theorem2"),
-            1e-9,
-        )
-    c.close(
-        "genuine4 threshold (bisection vs (5/2 - sqrt(3))/4)",
-        collective_threshold_numeric(4, "genuine4"),
-        (2.5 - sqrt(3.0)) / 4.0,
-        1e-9,
-    )
-    c.close(
-        "psixy-noise threshold (bisection vs 1)",
-        collective_threshold_numeric(4, "theorem2", noise="psixy"),
-        1.0,
-        1e-9,
-    )
+    c.close("fidelity threshold n=4 (numeric)", fidelity_threshold_numeric(4), 16.0 / 45.0, 1e-9)
+    cases = [(n, "theorem2", "white", "1/n") for n in (4, 6, 8)]
+    cases += [(4, "genuine4", "white", "(5/2 - sqrt(3))/4"), (4, "theorem2", "psixy", "1")]
+    for n, kind, noise, formula in cases:
+        c.close(f"{kind} threshold n={n}, {noise} noise (numeric vs {formula})",
+                collective_threshold_numeric(n, kind, noise),
+                collective_noise_threshold(n, kind, noise), 1e-9)
     verdict = criterion_verdict(psixy_noise_mix(4, 0.999), "theorem2")
     c.check(
         f"psixy noise at p = 0.999 still detected (margin {verdict.margin:.3g})",
         verdict.detected == "entangled",
     )
-    return _finish(6, "noise thresholds by bisection", c, t0, 10.0)
+    return _finish(6, "noise thresholds by root-finding", c, t0, 10.0)
 
 
 def criterion_07_appendix_combinatorics() -> CheckResult:

@@ -405,6 +405,8 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
 def psixy_state(n: int, phi: float = 0.0) -> PureState:
     """Tensor power of (|0> + e^{i phi} |1>)/sqrt(2): the equatorial product
     state that saturates the separable bound on <Jx^2> + <Jy^2>."""
+    if isinstance(phi, (bool, np.bool_)):
+        raise DomainError(f"psixy phase must be a number, got {phi!r}")
     with np.errstate(invalid="ignore"):  # an inf phase gives NaN, which product_state refuses
         q = np.array([1.0, np.exp(1j * phi)], dtype=complex) / sqrt(2.0)
     return product_state([q] * n)
@@ -413,8 +415,8 @@ def psixy_state(n: int, phi: float = 0.0) -> PureState:
 def psixy_symmetric(n: int, phi: float = 0.0) -> SymmetricState:
     """Symmetric-sector amplitudes of psixy_state: a_m = sqrt(C(N,m)) 2^{-N/2} e^{i m phi}."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
-    if not np.isfinite(phi):
-        raise DomainError(f"psixy phase must be finite, got {phi}")
+    if isinstance(phi, (bool, np.bool_)) or not np.isfinite(phi):
+        raise DomainError(f"psixy phase must be a finite number, got {phi!r}")
     m = np.arange(n + 1)
     # log C(N,k) = sum_{j<k} log((N-j)/(j+1)): log-domain binomials keep this
     # stable far beyond the dense limit

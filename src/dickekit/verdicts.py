@@ -10,7 +10,6 @@ from .errors import DomainError
 DETECTED_NONE = "none"
 DETECTED_ENTANGLED = "entangled"
 DETECTED_GENUINE = "genuine_multipartite"
-DETECTION_CLASSES = (DETECTED_NONE, DETECTED_ENTANGLED, DETECTED_GENUINE)
 
 
 @dataclass(frozen=True)

@@ -260,11 +260,9 @@ def test_superradiance_reference_values():
 
 
 def test_superradiance_errors():
-    for i0 in (0.0, float("inf"), float("nan")):
+    for i0 in (0.0, float("inf"), float("nan"), True):
         with pytest.raises(dk.DomainError, match="i0"):
             dk.superradiance_intensity(dk.dicke_state(4, 2), i0=i0)
-    with pytest.raises(dk.DomainError):
-        dk.superradiance_intensity(dk.dicke_state(4, 2), n=5)
 
 
 def test_superradiance_of_separable_states_also_scales_quadratically():
@@ -293,8 +291,10 @@ def test_collective_noise_threshold_errors():
 
 
 def test_collective_threshold_numeric_agrees():
-    assert dk.collective_threshold_numeric(4, "theorem2") == pytest.approx(0.25, abs=1e-9)
-    assert dk.collective_threshold_numeric(4, "theorem2", noise="psixy") == pytest.approx(1.0, abs=1e-9)
+    for n in range(4, 13, 2):
+        assert dk.collective_threshold_numeric(n, "theorem2") == pytest.approx(1.0 / n, abs=1e-12)
+        assert dk.collective_threshold_numeric(n, "theorem2", noise="psixy") == pytest.approx(1.0, abs=1e-12)
+    assert dk.collective_threshold_numeric(4, "genuine4") == pytest.approx((2.5 - sqrt(3)) / 4, abs=1e-12)
 
 
 def test_psixy_noise_detected_arbitrarily_close_to_one():

@@ -1,7 +1,11 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
 import dickekit as dk
+from dickekit.config import SOUNDNESS_TOL
+from dickekit.fidelity import _margin_crossing
 
 
 def test_bound_examples():
@@ -119,11 +123,49 @@ def test_noise_threshold_domain(n):
         dk.fidelity_noise_threshold(n)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_noise_threshold_bisection_agrees(n):
     assert dk.fidelity_threshold_numeric(n) == pytest.approx(
-        dk.fidelity_noise_threshold(n), abs=1e-9
+        dk.fidelity_noise_threshold(n), abs=1e-12
     )
+
+
+def _counted(margin):
+    """The margin with a list of the points it was evaluated at."""
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return margin(p)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("margin, root, most", [
+    (lambda p: 0.3 - p, 0.3, 3),  # affine: the first secant lands on the root
+    (lambda p: 0.7 - p - 0.2 * p ** 2, (-1 + sqrt(1.56)) / 0.4, 10),
+])
+def test_margin_crossing_finds_the_root(margin, root, most):
+    counted, calls = _counted(margin)
+    assert _margin_crossing(counted) == pytest.approx(root, abs=1e-12)
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("at_one", [0.0, 1e-12, SOUNDNESS_TOL])
+def test_margin_crossing_at_the_endpoint(at_one):
+    counted, calls = _counted(lambda p: (1.0 - p) + at_one * p)
+    assert _margin_crossing(counted) == 1.0
+    assert calls == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("margin", [
+    lambda p: -p,  # the noiseless state is not detected
+    lambda p: 0.0,
+    lambda p: 1.0 - p + 2 * SOUNDNESS_TOL * p,  # still detected at p = 1
+])
+def test_margin_crossing_refuses_a_margin_without_a_crossing(margin):
+    with pytest.raises(dk.DomainError):
+        _margin_crossing(margin)
 
 
 def test_margin_is_affine_with_single_crossing():

@@ -91,6 +91,15 @@ def test_states_reject_non_finite_entries(bad):
         dk.psixy_symmetric(3, bad)
 
 
+@pytest.mark.parametrize("phi", [True, np.bool_(False)])
+def test_psixy_refuses_a_bool_phase(phi):
+    for build in (dk.psixy_state, dk.psixy_symmetric):
+        with pytest.raises(dk.DomainError):
+            build(3, phi)
+    with pytest.raises(dk.DomainError):
+        dk.psixy_noise_mix(4, 0.5, phi)
+
+
 def test_pure_state_must_be_normalized():
     with pytest.raises(dk.DomainError):
         dk.PureState(1, [1.0, 1.0])
