@@ -123,16 +123,23 @@ def lemma2_operators() -> tuple[HermitianOperator, HermitianOperator, HermitianO
     return tuple(HermitianOperator(4, m) for m in (m1, m2, m3))
 
 
+@lru_cache(maxsize=1)
+def _lemma2_stack() -> np.ndarray:
+    """M1, M2, M3 as one (3, 4, 4) array."""
+    return np.stack([op.matrix for op in lemma2_operators()])
+
+
 def lemma2_vector_norm(state) -> float:
     """<M1>^2 + <M2>^2 + <M3>^2 for a two-qubit state; at most 16/3."""
-    if isinstance(state, PureState):
-        state = state.to_density()
-    if not isinstance(state, DensityMatrix) or state.n_qubits != 2:
+    if not isinstance(state, (PureState, DensityMatrix)) or state.n_qubits != 2:
         raise DomainError("lemma2_vector_norm needs a two-qubit state")
-    total = 0.0
-    for op in lemma2_operators():
-        total += expectation(state, op) ** 2
-    return total
+    stack = _lemma2_stack()
+    if isinstance(state, PureState):  # <psi|M_k|psi>
+        psi = state.amplitudes
+        values = (stack @ psi) @ psi.conj()
+    else:  # Tr(rho M_k)
+        values = np.einsum("ij,kji->k", state.matrix, stack)
+    return float(values.real @ values.real)
 
 
 def theorem3_operators(x1: float = 1.0, y1: float = 0.0) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator, HermitianOperator]:
@@ -224,6 +231,11 @@ def superradiance_intensity(state, i0: float = 1.0) -> float:
 # noise thresholds
 # ---------------------------------------------------------------------------
 
+def _check_threshold_size(n) -> None:
+    if not _is_int(n) or n < 2 or n % 2 != 0:
+        raise DomainError(f"noise thresholds are defined for even n >= 2, got {n!r}")
+
+
 def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float:
     """Closed-form noise ratio at which a criterion stops detecting the noisy
     half-excited Dicke state.
@@ -231,8 +243,7 @@ def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float
     white noise: 'theorem2' -> 1/N (even N); 'genuine4' -> (5/2 - sqrt(3))/4
     at N = 4.  psixy noise: 'theorem2' -> 1 (detection for every p < 1).
     """
-    if not _is_int(n) or n < 2 or n % 2 != 0:
-        raise DomainError(f"noise thresholds are defined for even n >= 2, got {n!r}")
+    _check_threshold_size(n)
     if noise == "white":
         if kind == "theorem2":
             return 1.0 / n
@@ -254,6 +265,7 @@ def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> flo
     Like ``fidelity_threshold_numeric``, it builds the noisy state and judges
     it at each probe, independent of the closed formula.
     """
+    _check_threshold_size(n)
     if kind not in ("theorem2", "genuine4"):
         raise DomainError(f"numeric threshold supports 'theorem2'/'genuine4', got {kind!r}")
     if noise not in ("white", "psixy"):

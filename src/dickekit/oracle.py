@@ -31,6 +31,7 @@ from .states import (
     PureState,
     _check_qubit_count,
     _is_int,
+    _squared_norms,
     assemble_bipartite,
     product_state,
 )
@@ -391,13 +392,19 @@ def _bipartitions(n: int, permutation_invariant: bool):
                 yield Bipartition(n, (1,) + rest)
 
 
+def _haar_pairs(x: np.ndarray, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Haar-random factors on C^d_a and C^d_b, one pair per row of ``x``, each
+    row 2 (d_a + d_b) normals: real and imaginary parts of the first factor,
+    then of the second.  Each factor gets the bits it would get alone."""
+    a = x[:, :d_a] + 1j * x[:, d_a:2 * d_a]
+    b = x[:, 2 * d_a:2 * d_a + d_b] + 1j * x[:, 2 * d_a + d_b:]
+    return a / np.sqrt(_squared_norms(a))[:, None], b / np.sqrt(_squared_norms(b))[:, None]
+
+
 def _haar_pair(rng: np.random.Generator, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Haar-random factors on C^d_a and C^d_b from one draw of 2 (d_a + d_b)
-    normals: real and imaginary parts of the first, then of the second."""
-    x = rng.normal(size=2 * (d_a + d_b))
-    a = x[:d_a] + 1j * x[d_a:2 * d_a]
-    b = x[2 * d_a:2 * d_a + d_b] + 1j * x[2 * d_a + d_b:]
-    return a / np.linalg.norm(a), b / np.linalg.norm(b)
+    """One pair of Haar-random factors from one draw of 2 (d_a + d_b) normals."""
+    a, b = _haar_pairs(rng.normal(size=(1, 2 * (d_a + d_b))), d_a, d_b)
+    return a[0], b[0]
 
 
 def _bisep_sweep(w_l: np.ndarray, w_k: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
@@ -466,19 +473,20 @@ def _product_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 
 
 def _biseparable_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """Per sample one split draw, then one draw for both factors; the states
-    are then assembled split by split."""
+    """Per sample one split draw, then one draw of normals for both factors;
+    the states are then assembled split by split."""
     dim = 2 ** n
-    pairs, rows_of = [], {}
+    draws, rows_of = [], {}
     for i in range(size):
         mask = int(rng.integers(1, dim - 1))  # uniform nonempty proper subset; bit q is qubit q + 1
-        d_a = 2 ** bin(mask).count("1")
-        pairs.append(_haar_pair(rng, d_a, dim // d_a))
+        d_a = 2 ** mask.bit_count()
+        draws.append(rng.normal(size=2 * (d_a + dim // d_a)))
         rows_of.setdefault(mask, []).append(i)
     amps = np.empty((size, dim), dtype=complex)
     for mask, rows in rows_of.items():
         order = [q for q in range(n) if mask >> q & 1] + [q for q in range(n) if not mask >> q & 1]
-        pair = _outer_rows(*(np.stack([pairs[i][side] for i in rows]) for side in (0, 1)))
+        d_a = 2 ** mask.bit_count()
+        pair = _outer_rows(*_haar_pairs(np.stack([draws[i] for i in rows]), d_a, dim // d_a))
         axes = [0] + [1 + order.index(q) for q in range(n)]  # back to qubit order
         amps[rows] = pair.reshape([len(rows)] + [2] * n).transpose(axes).reshape(len(rows), dim)
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
@@ -507,7 +515,8 @@ def sample_random_states(kind: str, n: int, count: int, seed: int = 0):
     split, Haar factor on each side), 'density' (normalized Wishart).
 
     States are built in blocks of bounded size from the draws, in the order
-    one sample at a time would take them, and each is validated as it is
+    one sample at a time would take them.  Each block is validated once, by
+    the checks the state's constructor runs, before any of its states is
     yielded.
     """
     _check_count(count, "count")
@@ -521,5 +530,4 @@ def sample_random_states(kind: str, n: int, count: int, seed: int = 0):
     block = max(1, _SAMPLE_BLOCK // floats(n))
     rng = np.random.default_rng([seed])
     for first in range(0, count, block):
-        for data in build(rng, n, min(block, count - first)):
-            yield state_type(n, data)
+        yield from state_type._from_stack(n, build(rng, n, min(block, count - first)))

@@ -18,7 +18,7 @@ identity, never a dense density matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, isfinite, sqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -29,36 +29,66 @@ from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, SCHMIDT_ATOL, TRACE_ATO
 from .errors import DomainError
 
 
-def _as_unit_vector(values, length: int, kind: str) -> np.ndarray:
-    """Read-only complex copy of a unit-norm amplitude vector of a ``kind`` state."""
-    arr = np.asarray(values, dtype=complex)
-    if arr.shape != (length,):
-        raise DomainError(f"{kind} amplitudes: expected shape ({length},), got {arr.shape}")
-    norm = np.linalg.norm(arr)
-    if not isfinite(norm):  # any NaN or inf amplitude makes the norm NaN or inf
-        raise DomainError(f"{kind} amplitudes contain non-finite values")
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise DomainError(f"{kind} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis of a complex array, summed as 1-d
+    ``np.linalg.norm`` sums them: v.real . v.real + v.imag . v.imag over the
+    strided views, so each row gets the bits it would get alone."""
+    return np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)
+
+
+def _first_failure(values, ok: Callable):
+    """The first of the per-state ``values`` (a number for one state, an array
+    for a stack) for which ``ok`` fails, or None."""
+    values = values.tolist()
+    for value in values if isinstance(values, list) else (values,):
+        if not ok(value):
+            return value
+    return None
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
+def _unit_vectors(data: np.ndarray, shape: tuple, length: int, kind: str) -> np.ndarray:
+    """Read-only copy of ``kind`` amplitudes, one vector or a stack of them,
+    refused unless each vector has ``shape`` (length,) and unit norm."""
+    if shape != (length,):
+        raise DomainError(f"{kind} amplitudes: expected shape ({length},), got {shape}")
+    data = _frozen(data)
+    # any NaN or inf amplitude makes its norm NaN or inf
+    squared = _first_failure(_squared_norms(data), lambda x: abs(sqrt(x) - 1.0) <= NORM_ATOL)
+    if squared is not None:
+        norm = sqrt(squared)
+        if not isfinite(norm):
+            raise DomainError(f"{kind} amplitudes contain non-finite values")
+        raise DomainError(f"{kind} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    return data
+
+
 def _check_hermitian(mat: np.ndarray, kind: str) -> None:
-    """Refuse ``mat`` unless it is Hermitian within ``HERMITIAN_ATOL``.
+    """Refuse ``mat``, one matrix or a stack of them over its last two axes,
+    unless each is Hermitian within ``HERMITIAN_ATOL``.
 
     A NaN or inf entry makes the residual NaN or inf, which fails the same
     test, so finiteness costs no extra pass over the data."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
-        residual = np.abs(mat - mat.conj().T).max(initial=0.0)
-    if not residual <= HERMITIAN_ATOL:
-        problem = "is not Hermitian within tolerance" if isfinite(residual) else "has non-finite entries"
+        residual = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    worst = _first_failure(residual, lambda x: x <= HERMITIAN_ATOL)
+    if worst is not None:
+        problem = "is not Hermitian within tolerance" if isfinite(worst) else "has non-finite entries"
         raise DomainError(f"{kind} {problem}")
 
 
+@lru_cache(maxsize=DENSE_QUBIT_LIMIT)
 def _excitation_counts(n: int) -> np.ndarray:
-    """Number of excited qubits (set bits) in each of the 2^N basis labels."""
-    return ((np.arange(2 ** n) >> np.arange(n)[:, None]) & 1).sum(axis=0)
+    """Number of excited qubits (set bits) in each of the 2^N basis labels,
+    read-only, since every caller shares it."""
+    counts = ((np.arange(2 ** n) >> np.arange(n)[:, None]) & 1).sum(axis=0)
+    counts.setflags(write=False)
+    return counts
 
 
 def _is_int(x) -> bool:  # bool is an int subclass but never a count
@@ -80,17 +110,47 @@ class _State:
         return _collective_moments(self)
 
 
+class _ArrayState(_State):
+    """Base of the states held in one array, the field named ``_field``.  The
+    constructor runs ``_checked`` on its one array and ``_from_stack`` on a
+    whole stack, once: a stack fails on its first bad state, with the message
+    that state alone gets."""
+
+    _field = ""
+    _limit = DENSE_QUBIT_LIMIT
+
+    def __post_init__(self):
+        _check_qubit_count(self.n_qubits, self._limit)
+        data = np.asarray(getattr(self, self._field), dtype=complex)
+        object.__setattr__(self, self._field, self._checked(self.n_qubits, data, data.shape))
+
+    @classmethod
+    def _from_stack(cls, n: int, stack) -> list:
+        """One state per entry of ``stack`` along its first axis, each a view
+        of one read-only checked copy; a bad entry is refused before any state
+        is built."""
+        _check_qubit_count(n, cls._limit)
+        stack = np.asarray(stack, dtype=complex)
+        states = []
+        for data in cls._checked(n, stack, stack.shape[1:]):
+            state = object.__new__(cls)
+            object.__setattr__(state, "n_qubits", n)
+            object.__setattr__(state, cls._field, data)
+            states.append(state)
+        return states
+
+
 @dataclass(frozen=True, eq=False)
-class PureState(_State):
+class PureState(_ArrayState):
     """Dense N-qubit pure state: 2^N complex amplitudes with unit norm."""
 
     n_qubits: int
     amplitudes: np.ndarray
+    _field = "amplitudes"
 
-    def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
-        amps = _as_unit_vector(self.amplitudes, 2 ** self.n_qubits, "PureState")
-        object.__setattr__(self, "amplitudes", amps)
+    @staticmethod
+    def _checked(n: int, data: np.ndarray, shape: tuple) -> np.ndarray:
+        return _unit_vectors(data, shape, 2 ** n, "PureState")
 
     @property
     def dimension(self) -> int:
@@ -102,28 +162,30 @@ class PureState(_State):
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix(_State):
+class DensityMatrix(_ArrayState):
     """Dense N-qubit mixed state: Hermitian, unit-trace, positive semidefinite."""
 
     n_qubits: int
     matrix: np.ndarray
+    _field = "matrix"
 
-    def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
-        dim = 2 ** self.n_qubits
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise DomainError(f"DensityMatrix: expected shape ({dim},{dim}), got {mat.shape}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        _check_hermitian(mat, "DensityMatrix")
-        trace = np.trace(mat)
-        if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
+    @staticmethod
+    def _checked(n: int, data: np.ndarray, shape: tuple) -> np.ndarray:
+        """Hermitian, unit trace and positive semidefinite: one eigvalsh
+        covers a whole stack."""
+        dim = 2 ** n
+        if shape != (dim, dim):
+            raise DomainError(f"DensityMatrix: expected shape ({dim},{dim}), got {shape}")
+        data = _frozen(data)
+        _check_hermitian(data, "DensityMatrix")
+        trace = _first_failure(np.trace(data, axis1=-2, axis2=-1),
+                               lambda t: abs(t.real - 1.0) <= TRACE_ATOL and abs(t.imag) <= TRACE_ATOL)
+        if trace is not None:
             raise DomainError(f"DensityMatrix trace is {trace:.15g}, expected 1")
-        min_eig = np.linalg.eigvalsh(mat)[0]
-        if min_eig < -PSD_ATOL:
+        min_eig = _first_failure(np.linalg.eigvalsh(data)[..., 0], lambda x: not x < -PSD_ATOL)
+        if min_eig is not None:
             raise DomainError(f"DensityMatrix has negative eigenvalue {min_eig:.3e}")
+        return data
 
     @property
     def dimension(self) -> int:
@@ -131,7 +193,7 @@ class DensityMatrix(_State):
 
 
 @dataclass(frozen=True, eq=False)
-class SymmetricState(_State):
+class SymmetricState(_ArrayState):
     """Permutation-symmetric N-qubit pure state in the maximal-spin sector.
 
     ``sector_amplitudes[m]`` is the amplitude of the Dicke basis state with m
@@ -140,11 +202,12 @@ class SymmetricState(_State):
 
     n_qubits: int
     sector_amplitudes: np.ndarray
+    _field = "sector_amplitudes"
+    _limit = SYMMETRIC_QUBIT_LIMIT
 
-    def __post_init__(self):
-        _check_qubit_count(self.n_qubits, limit=SYMMETRIC_QUBIT_LIMIT)
-        amps = _as_unit_vector(self.sector_amplitudes, self.n_qubits + 1, "SymmetricState")
-        object.__setattr__(self, "sector_amplitudes", amps)
+    @staticmethod
+    def _checked(n: int, data: np.ndarray, shape: tuple) -> np.ndarray:
+        return _unit_vectors(data, shape, n + 1, "SymmetricState")
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,21 +465,24 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     return PureState(len(qubit_states), amps)
 
 
+def _check_phase(phi) -> None:
+    if isinstance(phi, (bool, np.bool_)) or not np.isfinite(phi):
+        raise DomainError(f"psixy phase must be a finite number, got {phi!r}")
+
+
 def psixy_state(n: int, phi: float = 0.0) -> PureState:
     """Tensor power of (|0> + e^{i phi} |1>)/sqrt(2): the equatorial product
     state that saturates the separable bound on <Jx^2> + <Jy^2>."""
-    if isinstance(phi, (bool, np.bool_)):
-        raise DomainError(f"psixy phase must be a number, got {phi!r}")
-    with np.errstate(invalid="ignore"):  # an inf phase gives NaN, which product_state refuses
-        q = np.array([1.0, np.exp(1j * phi)], dtype=complex) / sqrt(2.0)
+    _check_qubit_count(n)
+    _check_phase(phi)
+    q = np.array([1.0, np.exp(1j * phi)], dtype=complex) / sqrt(2.0)
     return product_state([q] * n)
 
 
 def psixy_symmetric(n: int, phi: float = 0.0) -> SymmetricState:
     """Symmetric-sector amplitudes of psixy_state: a_m = sqrt(C(N,m)) 2^{-N/2} e^{i m phi}."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
-    if isinstance(phi, (bool, np.bool_)) or not np.isfinite(phi):
-        raise DomainError(f"psixy phase must be a finite number, got {phi!r}")
+    _check_phase(phi)
     m = np.arange(n + 1)
     # log C(N,k) = sum_{j<k} log((N-j)/(j+1)): log-domain binomials keep this
     # stable far beyond the dense limit

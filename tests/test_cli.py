@@ -197,7 +197,7 @@ def test_non_finite_numbers_exit_2_without_a_document(capsys):
     for fmt in ("json", "csv"):
         status, out, err = run_cli(capsys, "witness", "--n", "4", "--phi", "nan",
                                    "--noise", "psixy", "--p", "0.5", "--format", fmt)
-        assert status == 2 and out == "" and "non-finite" in err
+        assert status == 2 and out == "" and "psixy phase must be a finite number" in err
     # an infinite rate is refused by the library, not only by the document writer
     status, out, err = run_cli(capsys, "intensity", "--n", "4", "--i0", "inf")
     assert status == 2 and out == "" and "i0 must be finite" in err

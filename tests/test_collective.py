@@ -290,6 +290,13 @@ def test_collective_noise_threshold_errors():
         dk.collective_noise_threshold(4, "theorem2", noise="pink")
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_collective_threshold_numeric_refuses_odd_n(n):
+    for noise in ("white", "psixy"):
+        with pytest.raises(dk.DomainError, match=r"noise thresholds are defined for even n >= 2, got %d" % n):
+            dk.collective_threshold_numeric(n, "theorem2", noise)
+
+
 def test_collective_threshold_numeric_agrees():
     for n in range(4, 13, 2):
         assert dk.collective_threshold_numeric(n, "theorem2") == pytest.approx(1.0 / n, abs=1e-12)

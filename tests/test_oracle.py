@@ -502,6 +502,7 @@ def _reference_samples(kind, n, count, seed):
     ("pure", 3, 64), ("product", 2, 64), ("product", 6, 64), ("density", 1, 64),
     ("density", 2, 64), ("biseparable", 2, 64), ("biseparable", 4, 256),
     ("pure", 5, None), ("product", 8, None), ("biseparable", 5, None), ("density", 2, None),
+    ("biseparable", 3, None), ("biseparable", 6, None), ("product", 6, None), ("density", 3, None),
 ])
 def test_batched_samples_replay_the_per_sample_stream(kind, n, block, monkeypatch):
     if block is not None:
@@ -522,3 +523,62 @@ def test_batched_samples_replay_the_per_sample_stream(kind, n, block, monkeypatc
         assert np.array_equal(got, want), seen
         seen += 1
     assert seen == count
+
+
+def _negative_eigenvalue(rho):
+    """rho with weight 1/2 moved from its smallest eigenvector to its largest:
+    still Hermitian and of unit trace, but no longer positive semidefinite."""
+    _vals, vecs = np.linalg.eigh(rho)
+    low, high = vecs[:, 0], vecs[:, -1]
+    return rho + 0.5 * (np.outer(high, high.conj()) - np.outer(low, low.conj()))
+
+
+_BAD_ROWS = {  # kind sampled: (fault taking a valid sample to an invalid one, what it breaks)
+    "pure": [(lambda v: 2.0 * v, "is not normalized"),
+             (lambda v: np.where(np.arange(v.size) == 1, np.nan, v), "non-finite")],
+    "product": [(lambda v: 2.0 * v, "is not normalized")],
+    "biseparable": [(lambda v: np.where(np.arange(v.size) == 0, np.nan, v), "non-finite")],
+    "density": [(lambda rho: rho + np.triu(np.full_like(rho, 1e-3), 1), "is not Hermitian"),
+                (lambda rho: 1.5 * rho, "trace is 1.5"),
+                (_negative_eigenvalue, "negative eigenvalue")],
+}
+
+
+@pytest.mark.parametrize("kind,fault", [(k, i) for k, faults in _BAD_ROWS.items() for i in range(len(faults))])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_bad_row_fails_its_block_with_the_constructor_message(kind, fault, where, monkeypatch):
+    build, floats, state_type = oracle._SAMPLERS[kind]
+    damage, message = _BAD_ROWS[kind][fault]
+    size, n = 7, 2
+    row = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+    bad = {}
+
+    def broken(rng, n, count):
+        block = build(rng, n, count)
+        block[row] = bad["data"] = damage(block[row])
+        return block
+
+    monkeypatch.setitem(oracle._SAMPLERS, kind, (broken, floats, state_type))
+    samples = dk.sample_random_states(kind, n, size, seed=5)
+    with pytest.raises(dk.DomainError, match=message) as from_block:
+        next(samples)  # nothing of the block is yielded, whichever row is bad
+    with pytest.raises(dk.DomainError) as alone:
+        state_type(n, bad["data"])
+    assert str(from_block.value) == str(alone.value)
+
+
+def test_density_samples_are_validated_once_per_block(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    count = 1000
+    _build, floats, _type = oracle._SAMPLERS["density"]
+    block = max(1, oracle._SAMPLE_BLOCK // floats(2))
+    assert len(list(dk.sample_random_states("density", 2, count, seed=3))) == count
+    assert len(calls) == -(-count // block) < count
+    assert sum(calls) == count
