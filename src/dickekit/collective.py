@@ -125,8 +125,10 @@ def lemma2_operators() -> tuple[HermitianOperator, HermitianOperator, HermitianO
 
 @lru_cache(maxsize=1)
 def _lemma2_stack() -> np.ndarray:
-    """M1, M2, M3 as one (3, 4, 4) array."""
-    return np.stack([op.matrix for op in lemma2_operators()])
+    """M1, M2, M3 as one (3, 4, 4) array, read-only, since every caller shares it."""
+    stack = np.stack([op.matrix for op in lemma2_operators()])
+    stack.setflags(write=False)
+    return stack
 
 
 def lemma2_vector_norm(state) -> float:

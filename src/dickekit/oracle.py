@@ -31,7 +31,6 @@ from .states import (
     PureState,
     _check_qubit_count,
     _is_int,
-    _squared_norms,
     assemble_bipartite,
     product_state,
 )
@@ -398,7 +397,14 @@ def _haar_pairs(x: np.ndarray, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarr
     then of the second.  Each factor gets the bits it would get alone."""
     a = x[:, :d_a] + 1j * x[:, d_a:2 * d_a]
     b = x[:, 2 * d_a:2 * d_a + d_b] + 1j * x[:, 2 * d_a + d_b:]
-    return a / np.sqrt(_squared_norms(a))[:, None], b / np.sqrt(_squared_norms(b))[:, None]
+    return _unit_rows(a), _unit_rows(b)
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` over its norm, summed as 1-d ``np.linalg.norm`` sums
+    it (re . re + im . im over the strided views), so each row gets the bits
+    it would get alone."""
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
 
 
 def _haar_pair(rng: np.random.Generator, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:

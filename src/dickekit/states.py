@@ -29,27 +29,18 @@ from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, SCHMIDT_ATOL, TRACE_ATO
 from .errors import DomainError
 
 
-def _squared_norms(v: np.ndarray) -> np.ndarray:
-    """Squared norms along the last axis of a complex array, summed as 1-d
-    ``np.linalg.norm`` sums them: v.real . v.real + v.imag . v.imag over the
-    strided views, so each row gets the bits it would get alone."""
-    return np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)
-
-
-def _first_failure(values, ok: Callable):
-    """The first of the per-state ``values`` (a number for one state, an array
-    for a stack) for which ``ok`` fails, or None."""
-    values = values.tolist()
-    for value in values if isinstance(values, list) else (values,):
-        if not ok(value):
-            return value
-    return None
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _first_refused(values, ok):
+    """The entry of ``values`` (one per state: a number, or an array for a
+    stack) at the first False of ``ok``, or None when every state passes."""
+    if np.count_nonzero(ok) == ok.size:
+        return None
+    return np.ravel(values)[np.argmin(ok)].item()
 
 
 def _unit_vectors(data: np.ndarray, shape: tuple, length: int, kind: str) -> np.ndarray:
@@ -58,10 +49,11 @@ def _unit_vectors(data: np.ndarray, shape: tuple, length: int, kind: str) -> np.
     if shape != (length,):
         raise DomainError(f"{kind} amplitudes: expected shape ({length},), got {shape}")
     data = _frozen(data)
-    # any NaN or inf amplitude makes its norm NaN or inf
-    squared = _first_failure(_squared_norms(data), lambda x: abs(sqrt(x) - 1.0) <= NORM_ATOL)
-    if squared is not None:
-        norm = sqrt(squared)
+    flat = data.view(float)  # re, im interleaved
+    norms = np.sqrt(np.vecdot(flat, flat))
+    # any NaN or inf amplitude makes its norm NaN or inf, which is refused
+    norm = _first_refused(norms, abs(norms - 1.0) <= NORM_ATOL)
+    if norm is not None:
         if not isfinite(norm):
             raise DomainError(f"{kind} amplitudes contain non-finite values")
         raise DomainError(f"{kind} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -76,7 +68,7 @@ def _check_hermitian(mat: np.ndarray, kind: str) -> None:
     test, so finiteness costs no extra pass over the data."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
         residual = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    worst = _first_failure(residual, lambda x: x <= HERMITIAN_ATOL)
+    worst = _first_refused(residual, residual <= HERMITIAN_ATOL)
     if worst is not None:
         problem = "is not Hermitian within tolerance" if isfinite(worst) else "has non-finite entries"
         raise DomainError(f"{kind} {problem}")
@@ -113,8 +105,8 @@ class _State:
 class _ArrayState(_State):
     """Base of the states held in one array, the field named ``_field``.  The
     constructor runs ``_checked`` on its one array and ``_from_stack`` on a
-    whole stack, once: a stack fails on its first bad state, with the message
-    that state alone gets."""
+    whole stack, once: a stack with a bad state fails with the message one of
+    its bad states gets alone."""
 
     _field = ""
     _limit = DENSE_QUBIT_LIMIT
@@ -178,11 +170,12 @@ class DensityMatrix(_ArrayState):
             raise DomainError(f"DensityMatrix: expected shape ({dim},{dim}), got {shape}")
         data = _frozen(data)
         _check_hermitian(data, "DensityMatrix")
-        trace = _first_failure(np.trace(data, axis1=-2, axis2=-1),
-                               lambda t: abs(t.real - 1.0) <= TRACE_ATOL and abs(t.imag) <= TRACE_ATOL)
+        traces = data.diagonal(0, -2, -1).sum(-1)
+        trace = _first_refused(traces, (abs(traces.real - 1.0) <= TRACE_ATOL) & (abs(traces.imag) <= TRACE_ATOL))
         if trace is not None:
             raise DomainError(f"DensityMatrix trace is {trace:.15g}, expected 1")
-        min_eig = _first_failure(np.linalg.eigvalsh(data)[..., 0], lambda x: not x < -PSD_ATOL)
+        min_eigs = np.linalg.eigvalsh(data)[..., 0]
+        min_eig = _first_refused(min_eigs, min_eigs >= -PSD_ATOL)
         if min_eig is not None:
             raise DomainError(f"DensityMatrix has negative eigenvalue {min_eig:.3e}")
         return data
