@@ -25,10 +25,10 @@ from .collective import (
     superradiance_intensity,
 )
 from .config import DEFAULT_RESTARTS, Tolerances
-from .errors import DomainError, InvariantViolationError
+from .errors import DomainError, InvariantViolationError, _check_int, _check_real
 from .fidelity import fidelity_witness_verdict, verify_appendix_inequality
 from .operators import QuadraticForm, collective_operator
-from .oracle import _check_count, max_eigenvalue, maximize_over_biseparable, maximize_over_product_states
+from .oracle import max_eigenvalue, maximize_over_biseparable, maximize_over_product_states
 from .states import dicke_state, dicke_symmetric, psixy_noise_mix, white_noise_mix
 from .verdicts import WitnessVerdict
 
@@ -107,10 +107,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"grid: {exc}") from exc
-    if not 2 <= steps <= MAX_GRID_STEPS:
-        raise DomainError(f"grid needs 2 to {MAX_GRID_STEPS} steps, got {steps}")
-    if not 0.0 <= start <= stop <= 1.0:  # fails closed on NaN
-        raise DomainError(f"noise grid must lie within [0, 1] with start <= stop, got {start}:{stop}")
+    _check_int(steps, "grid steps", 2, MAX_GRID_STEPS)
+    _check_real(start, "noise grid start", 0.0, 1.0)
+    _check_real(stop, "noise grid stop", start, 1.0)
     return start, stop, steps
 
 
@@ -206,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_appendix)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
-    p.set_defaults(handler=_cmd_selftest)
+    p = sub.add_parser("selftest", help="run the acceptance suite")
+    p.set_defaults(handler=_cmd_selftest, output_format="text")  # it prints one text report
     p.add_argument("--only", type=int, default=None, help="run a single criterion (1..10)")
     p.add_argument("--verbose", action="store_true", help="print every sub-check")
 
@@ -228,9 +227,8 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
                                           ("--tolerance", args.tol or None)) if value is not None]
         args.restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
         args.seed = 0 if args.seed is None else args.seed
-        if not 1 <= args.restarts <= MAX_RESTARTS:
-            raise DomainError(f"--restarts must be 1 to {MAX_RESTARTS}, got {args.restarts}")
-        _check_count(args.seed, "--seed", minimum=0)
+        _check_int(args.restarts, "--restarts", 1, MAX_RESTARTS)
+        _check_int(args.seed, "--seed", 0)
         if args.mode == "eigmax" and given:  # a top eigenvalue runs no seeded search
             raise DomainError(f"oracle eigmax does not read {', '.join(given)}")
     if hasattr(args, "tol"):
@@ -326,9 +324,9 @@ def _cmd_verify_appendix(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
+    if args.only is not None:
+        _check_int(args.only, "--only", 1, len(selftest.ALL_CRITERIA))
     results = selftest.run_all(only=args.only)
-    if not results:
-        raise DomainError(f"no criterion numbered {args.only}; valid range is 1..10")
     report = selftest.format_report(results, verbose=args.verbose)
     return (0 if all(r.passed for r in results) else 3), report
 

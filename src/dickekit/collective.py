@@ -30,8 +30,8 @@ from math import sqrt
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DomainError
+from .config import DEFAULT_TOLERANCES, Tolerances, _check_tolerances
+from .errors import DomainError, _check_int, _check_real
 from .fidelity import _margin_crossing
 from .operators import (
     HermitianOperator,
@@ -41,7 +41,7 @@ from .operators import (
     PAULI,
 )
 from .oracle import maximize_over_ti_product
-from .states import DensityMatrix, PureState, _is_int, dicke_state, moments, psixy_noise_mix, white_noise_mix
+from .states import DensityMatrix, PureState, dicke_state, moments, psixy_noise_mix, white_noise_mix
 from .verdicts import DETECTED_ENTANGLED, DETECTED_GENUINE, WitnessVerdict, make_verdict
 
 CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4")
@@ -63,9 +63,8 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
     by ``maximize_over_ti_product``: the secular equation and its hard case.
     """
     if not isinstance(form, QuadraticForm):
-        form = QuadraticForm(*form)
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+        raise DomainError(f"expected a QuadraticForm, got {type(form).__name__}")
+    _check_int(n, "n", 1)
     if form.is_linear_free:
         a = form.a
         return sum(a) * n / 4.0 + max(a) * (n / 2.0) * (n / 2.0 - 0.5)
@@ -89,6 +88,7 @@ def criterion_verdict(
     if kind == "variance":
         return make_verdict(kind, planar - jx ** 2 - jy ** 2, theorem2_bound(n), DETECTED_ENTANGLED, tol)
     if kind == "symmetric_jz":
+        _check_tolerances(tol)  # read here, before make_verdict checks it
         total = planar + jz2
         maximal = (n / 2.0) * (n / 2.0 + 1.0)
         if abs(total - maximal) > tol.symmetry_atol * max(1.0, maximal):
@@ -97,8 +97,7 @@ def criterion_verdict(
             )
         return make_verdict(kind, n / 4.0 - jz2, 0.0, DETECTED_ENTANGLED, tol)
     if kind == "crit2":
-        if m is None or not _is_int(m):
-            raise DomainError("crit2 needs an integer shift m")
+        _check_int(m, "crit2 shift m")
         form = QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, 0.0, -2.0 * m))
         value = expectation(state, form)
         return make_verdict(f"crit2(m={int(m)})", value, lemma1_bound(form, n), DETECTED_ENTANGLED, tol)
@@ -150,6 +149,7 @@ def theorem3_operators(x1: float = 1.0, y1: float = 0.0) -> tuple[HermitianOpera
     Qa sums sigma_a over the three qubits; R sums the planar pair correlators
     sx sx + sy sy over the three pairs.
     """
+    x1, y1 = _check_real(x1, "x1"), _check_real(y1, "y1")
     qx = sum(single_site(PAULI["x"], q, 3) for q in (1, 2, 3))
     qy = sum(single_site(PAULI["y"], q, 3) for q in (1, 2, 3))
     r = np.zeros((8, 8), dtype=complex)
@@ -183,9 +183,7 @@ def analytic_eigenvalues(family: str, params) -> np.ndarray:
         root = sqrt(n1 ** 2 + 4 * n2 ** 2 + 4 * n3 ** 2)
         return np.array([0.0, -2 * n1, n1 + root, n1 - root])
     if family == "theorem3_eig":
-        x = float(params)
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"theorem3_eig needs X in [0, 1], got {x!r}")
+        x = _check_real(params, "theorem3_eig X", 0, 1)
         rp = 2.0 * sqrt(1.0 + x + x * x)
         rm = 2.0 * sqrt(1.0 - x + x * x)
         return np.array(
@@ -221,10 +219,7 @@ def superradiance_intensity(state, i0: float = 1.0) -> float:
     Zero for the ground state, N I0 for the all-excited product state, and
     maximal, I0 (N/2)(N/2 + 1), at the half-excited Dicke state.
     """
-    if isinstance(i0, (bool, np.bool_)) or not i0 > 0:
-        raise DomainError(f"i0 must be a positive number, got {i0!r}")
-    if not np.isfinite(i0):
-        raise DomainError(f"i0 must be finite, got {i0!r}")
+    i0 = _check_real(i0, "i0", 0, strict=True)
     (_jx, _jy, jz), (jx2, jy2, _jz2) = moments(state)
     return i0 * (jx2 + jy2 + jz)
 
@@ -233,11 +228,6 @@ def superradiance_intensity(state, i0: float = 1.0) -> float:
 # noise thresholds
 # ---------------------------------------------------------------------------
 
-def _check_threshold_size(n) -> None:
-    if not _is_int(n) or n < 2 or n % 2 != 0:
-        raise DomainError(f"noise thresholds are defined for even n >= 2, got {n!r}")
-
-
 def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float:
     """Closed-form noise ratio at which a criterion stops detecting the noisy
     half-excited Dicke state.
@@ -245,7 +235,7 @@ def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float
     white noise: 'theorem2' -> 1/N (even N); 'genuine4' -> (5/2 - sqrt(3))/4
     at N = 4.  psixy noise: 'theorem2' -> 1 (detection for every p < 1).
     """
-    _check_threshold_size(n)
+    _check_int(n, "n", 2, even=True)  # the thresholds are those of |N/2,N>
     if noise == "white":
         if kind == "theorem2":
             return 1.0 / n
@@ -267,7 +257,7 @@ def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> flo
     Like ``fidelity_threshold_numeric``, it builds the noisy state and judges
     it at each probe, independent of the closed formula.
     """
-    _check_threshold_size(n)
+    _check_int(n, "n", 2, even=True)  # the thresholds are those of |N/2,N>
     if kind not in ("theorem2", "genuine4"):
         raise DomainError(f"numeric threshold supports 'theorem2'/'genuine4', got {kind!r}")
     if noise not in ("white", "psixy"):

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import isfinite
-from numbers import Real
 
-from .errors import DomainError
+from .errors import DomainError, _check_real
 
 # Dense statevectors/operators are capped at 12 qubits (4096-dim vectors,
 # 4096 x 4096 matrices); symmetric-sector computations scale to much larger N.
@@ -36,11 +34,13 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass (np.bool_ is not a Real) but never a tolerance
-            if isinstance(value, bool) or not isinstance(value, Real) or not isfinite(value) or value < 0:
-                raise DomainError(f"tolerance {f.name} must be finite and nonnegative, got {value!r}")
-            object.__setattr__(self, f.name, float(value))
+            object.__setattr__(self, f.name, _check_real(getattr(self, f.name), f"tolerance {f.name}", 0))
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def _check_tolerances(tol) -> Tolerances:
+    if not isinstance(tol, Tolerances):
+        raise DomainError(f"tol must be a Tolerances, got {tol!r}")
+    return tol

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, Tolerances
-from .errors import DomainError, InvariantViolationError
+from .errors import DomainError, InvariantViolationError, _check_int
 from .oracle import _safeguarded_root
 from .states import (
     Bipartition,
@@ -25,7 +25,7 @@ from .states import (
     Mixture,
     PureState,
     SymmetricState,
-    _is_int,
+    _dicke_amplitudes,
     dicke_state,
     schmidt_spectrum,
     white_noise_mix,
@@ -43,10 +43,8 @@ def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
     with a dense singular value decomposition.  The two must agree to tight
     tolerance, which the test suite enforces.
     """
-    if not _is_int(n) or n < 2:
-        raise DomainError(f"need at least two qubits for a bipartition, got n = {n!r}")
-    if not _is_int(m) or not 0 <= m <= n:
-        raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
+    _check_int(n, "n", 2)  # a bipartition needs two qubits
+    _check_int(m, "excitation count m", 0, n)
     if method == "exact":
         best = 0
         for n1 in range(1, n // 2 + 1):
@@ -86,7 +84,7 @@ def _dicke_fidelity(state: "PureState | SymmetricState | Mixture | DensityMatrix
         return state.average(lambda psi: _dicke_fidelity(psi, m), 2.0 ** -state.n_qubits)
     if isinstance(state, SymmetricState):
         return abs(state.sector_amplitudes[m]) ** 2
-    target = dicke_state(state.n_qubits, m).amplitudes
+    target = _dicke_amplitudes(state.n_qubits, m)
     if isinstance(state, DensityMatrix):
         return float(np.vdot(target, state.matrix @ target).real)
     return abs(np.vdot(target, state.amplitudes)) ** 2
@@ -95,8 +93,7 @@ def _dicke_fidelity(state: "PureState | SymmetricState | Mixture | DensityMatrix
 def fidelity_noise_threshold(n: int) -> float:
     """White-noise ratio below which the fidelity witness still detects
     |N/2,N>: (1/2) (N-2) / ((N-1) (1 - 2^-N)).  Even n >= 4 only."""
-    if not _is_int(n) or n < 4 or n % 2 != 0:
-        raise DomainError(f"threshold formula needs even n >= 4, got n = {n!r}")
+    _check_int(n, "n", 4, even=True)
     return 0.5 * (n - 2) / ((n - 1) * (1.0 - 2.0 ** (-n)))
 
 
@@ -106,8 +103,7 @@ def fidelity_threshold_numeric(n: int) -> float:
     Independent of the closed formula: evaluates the full state-construction
     and fidelity pipeline at each probe.
     """
-    if not _is_int(n) or n < 4 or n % 2 != 0:
-        raise DomainError(f"numeric threshold needs even n >= 4, got n = {n!r}")
+    _check_int(n, "n", 4, even=True)
     target = dicke_state(n, n // 2)
     return _margin_crossing(lambda p: fidelity_witness_verdict(white_noise_mix(target, p), n, n // 2).margin)
 
@@ -156,8 +152,7 @@ def verify_appendix_inequality(n: int) -> AppendixReport:
     Raises InvariantViolationError with a counterexample if either claim
     fails (it never should).
     """
-    if not _is_int(n) or n % 2 != 0 or not 4 <= n <= 64:
-        raise DomainError(f"verification needs even n with 4 <= n <= 64, got n = {n!r}")
+    _check_int(n, "n", 4, 64, even=True)
     half = n // 2
     table: dict[tuple[int, int], int] = {}
     for n1 in range(1, half + 1):

@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError
+from .errors import DomainError, InvariantViolationError, _check_int, _check_real
 from .states import (
     DensityMatrix,
     Mixture,
@@ -27,7 +27,6 @@ from .states import (
     SymmetricState,
     _check_hermitian,
     _check_qubit_count,
-    _is_int,
     _spin_rows,
     moments,
 )
@@ -51,11 +50,9 @@ class HermitianOperator:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if not _is_int(self.dimension) or mat.shape != (self.dimension, self.dimension):
-            raise DomainError(
-                f"HermitianOperator: expected an integer dimension d and shape (d, d), "
-                f"got d = {self.dimension!r} and shape {mat.shape}"
-            )
+        d = _check_int(self.dimension, "HermitianOperator dimension")
+        if mat.shape != (d, d):
+            raise DomainError(f"HermitianOperator: expected shape ({d}, {d}), got {mat.shape}")
         _check_hermitian(mat, "HermitianOperator matrix")
         mat = mat.copy()
         mat.setflags(write=False)
@@ -70,14 +67,11 @@ class QuadraticForm:
     b: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.a)
-        b = tuple(float(x) for x in self.b)
+        a, b = tuple(self.a), tuple(self.b)
         if len(a) != 3 or len(b) != 3:
             raise DomainError("QuadraticForm coefficients must be triples (x, y, z)")
-        if not all(np.isfinite(x) for x in a + b):
-            raise DomainError(f"quadratic form coefficients must be finite, got a = {a}, b = {b}")
-        if any(x < 0 for x in a):
-            raise DomainError(f"quadratic coefficients must be nonnegative, got a = {a}")
+        a = tuple(_check_real(x, "quadratic coefficient a_l", 0) for x in a)
+        b = tuple(_check_real(x, "linear coefficient b_l") for x in b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -88,8 +82,8 @@ class QuadraticForm:
 
 def single_site(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator on 1-based ``qubit`` into N qubits."""
-    if not _is_int(qubit) or not _is_int(n) or not 1 <= qubit <= n:
-        raise DomainError(f"qubit label {qubit!r} not an integer within 1..{n!r}")
+    _check_int(n, "n", 1)
+    _check_int(qubit, "qubit label", 1, n)
     return reduce(np.kron, [op if k == qubit else np.eye(2, dtype=complex) for k in range(1, n + 1)])
 
 

@@ -22,15 +22,14 @@ from math import hypot, sqrt
 
 import numpy as np
 
-from .config import DEFAULT_RESTARTS, DEFAULT_TOLERANCES, Tolerances
-from .errors import DomainError, InvariantViolationError
+from .config import DEFAULT_RESTARTS, DEFAULT_TOLERANCES, Tolerances, _check_tolerances
+from .errors import DomainError, InvariantViolationError, _check_int
 from .operators import AXES, PAULI, HermitianOperator, QuadraticForm
 from .states import (
     Bipartition,
     DensityMatrix,
     PureState,
     _check_qubit_count,
-    _is_int,
     assemble_bipartite,
     product_state,
 )
@@ -119,7 +118,7 @@ def _as_matrix(op, n: int | None = None) -> tuple[np.ndarray, int]:
     inferred = dim.bit_length() - 1
     if 2 ** inferred != dim:
         raise DomainError(f"operator dimension {dim} is not a power of two")
-    if n is not None and n != inferred:
+    if n is not None and _check_int(n, "n", 1) != inferred:
         raise DomainError(f"operator dimension {dim} does not match n = {n}")
     return op.matrix, inferred
 
@@ -133,13 +132,6 @@ def max_eigenvalue(op) -> float:
 # ---------------------------------------------------------------------------
 # lockstep restarts (shared by the product and biseparable searches)
 # ---------------------------------------------------------------------------
-
-def _check_count(value, name: str, minimum: int = 1) -> None:
-    """Refuse all but an integer (never a bool) of at least ``minimum``: the
-    restart and sample counts and the seeds of the random streams."""
-    if not _is_int(value) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
 
 def _haar_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     """``count`` Haar-random unit vectors in C^d, each drawn as d real then d
@@ -202,7 +194,9 @@ class _Search:
     """Runs seeded restarts in bounded chunks and keeps the first best one."""
 
     def __init__(self, restarts: int, seed: int, tol: Tolerances):
-        self.restarts, self.seed, self.tol = restarts, seed, tol
+        self.restarts = _check_int(restarts, "restarts", 1)
+        self.seed = _check_int(seed, "seed", 0)
+        self.tol = _check_tolerances(tol)
         self.values: list[float] = []
         self.sweeps: list[int] = []
         # the best restart so far: value, factors, split label, convergence, history
@@ -269,10 +263,8 @@ def maximize_over_product_states(
     """Best <psi_1 (x) ... (x) psi_N | op | psi_1 (x) ... (x) psi_N> found from
     seeded Haar-random starts followed by cyclic exact single-qubit updates,
     all restarts stepped in lockstep."""
-    _check_count(restarts, "restarts")
-    _check_count(seed, "seed", minimum=0)
-    mat, n = _as_matrix(op, n)
     search = _Search(restarts, seed, tol)
+    mat, n = _as_matrix(op, n)
     search.run(lambda rng: (_haar_rows(rng, n, 2),), partial(_product_sweep, mat))
     (qubits,) = search.factors
     bloch = np.array([[float(np.vdot(q, PAULI[a] @ q).real) / 2.0 for a in AXES] for q in qubits])
@@ -300,8 +292,7 @@ def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
     |s(lambda)| = 1/2, or lambda = max(alpha) in its hard case (README, Lemma 1;
     More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
     """
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_int(n, "n", 1)
     alpha = [n * (n - 1) * x for x in form.a]
     # a subnormal beta on a top axis would put the root below the normal range
     # (the Newton slope overflows); flushing it moves the value by < 1e-307
@@ -440,8 +431,7 @@ def maximize_over_biseparable(
     restarts of a split stepped in lockstep.  When the operator commutes with
     all qubit transpositions, only split sizes are enumerated.
     """
-    _check_count(restarts, "restarts")
-    _check_count(seed, "seed", minimum=0)
+    search = _Search(restarts, seed, tol)
     mat, n = _as_matrix(op, n)
     if n < 2:
         raise DomainError("biseparable maximization needs at least two qubits")
@@ -449,7 +439,6 @@ def maximize_over_biseparable(
         raise DomainError(f"n = {n} exceeds the biseparable-search limit of {_BISEP_QUBIT_LIMIT}")
 
     tensor = mat.reshape([2] * (2 * n))
-    search = _Search(restarts, seed, tol)
     for split in _bipartitions(n, _is_permutation_invariant(mat, n)):
         axes_a = [q - 1 for q in split.side_a]
         axes_b = [q - 1 for q in split.side_b]
@@ -525,8 +514,8 @@ def sample_random_states(kind: str, n: int, count: int, seed: int = 0):
     the checks the state's constructor runs, before any of its states is
     yielded.
     """
-    _check_count(count, "count")
-    _check_count(seed, "seed", minimum=0)
+    _check_int(count, "count", 1)
+    _check_int(seed, "seed", 0)
     if kind not in _SAMPLERS:
         raise DomainError(f"unsupported sample kind {kind!r}")
     _check_qubit_count(n)

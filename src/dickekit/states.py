@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DENSE_QUBIT_LIMIT, SYMMETRIC_QUBIT_LIMIT
 from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, SCHMIDT_ATOL, TRACE_ATOL
-from .errors import DomainError
+from .errors import DomainError, _check_int, _check_real
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -83,14 +83,8 @@ def _excitation_counts(n: int) -> np.ndarray:
     return counts
 
 
-def _is_int(x) -> bool:  # bool is an int subclass but never a count
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _check_qubit_count(n: int, limit: int = DENSE_QUBIT_LIMIT) -> None:
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"n_qubits must be a positive integer, got {n!r}")
-    if n > limit:
+    if _check_int(n, "n_qubits", 1) > limit:
         raise DomainError(f"n_qubits = {n} exceeds the backend limit of {limit} qubits")
 
 
@@ -228,10 +222,10 @@ class Mixture(_State):
             raise DomainError(f"Mixture components must be pure states, got {kind.__name__}")
         if any(type(psi) is not kind or psi.n_qubits != n for psi in components):
             raise DomainError("Mixture components must be all PureState or all SymmetricState, on one N")
-        weights = tuple(_check_weight(w) for w in self.weights)
+        weights = tuple(_check_real(w, "Mixture weight", 0) for w in self.weights)
         if len(weights) != len(components):
             raise DomainError(f"Mixture has {len(components)} components but {len(weights)} weights")
-        identity_weight = _check_weight(self.identity_weight)
+        identity_weight = _check_real(self.identity_weight, "Mixture identity weight", 0)
         total = sum(weights) + identity_weight
         if abs(total - 1.0) > TRACE_ATOL:
             raise DomainError(f"Mixture weights sum to {total:.15g}, expected 1")
@@ -259,15 +253,6 @@ class Mixture(_State):
             return np.outer(v, v.conj())
 
         return DensityMatrix(n, self.average(projector, np.eye(2 ** n) / 2 ** n))
-
-
-def _check_weight(w) -> float:
-    if isinstance(w, (bool, np.bool_)):
-        raise DomainError(f"Mixture weight must be a number, got {w!r}")
-    value = float(w)
-    if not np.isfinite(value) or value < 0.0:
-        raise DomainError(f"Mixture weight must be finite and nonnegative, got {w!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +353,11 @@ class Bipartition:
 
     def __post_init__(self):
         _check_qubit_count(self.n_qubits, limit=SYMMETRIC_QUBIT_LIMIT)
-        if not all(_is_int(q) for q in self.side_a):
-            raise DomainError(f"Bipartition qubit labels must be integers, got {self.side_a!r}")
-        side = tuple(sorted(int(q) for q in self.side_a))
+        side = tuple(sorted(int(_check_int(q, "Bipartition qubit label", 1, self.n_qubits))
+                            for q in self.side_a))
         object.__setattr__(self, "side_a", side)
         if len(set(side)) != len(side):
             raise DomainError(f"Bipartition side_a has repeated qubits: {side}")
-        if any(q < 1 or q > self.n_qubits for q in side):
-            raise DomainError(f"Bipartition side_a {side} not within 1..{self.n_qubits}")
         if not side or len(side) >= self.n_qubits:
             raise DomainError("Bipartition sides must both be nonempty")
 
@@ -416,20 +398,21 @@ def dicke_state(n: int, m: int) -> PureState:
     """Dense Dicke state |m,N>: equal weight 1/sqrt(C(N,m)) on every basis
     label with exactly m excited qubits."""
     _check_qubit_count(n)
-    if not _is_int(m) or m < 0 or m > n:
-        raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
+    return PureState(n, _dicke_amplitudes(n, _check_int(m, "excitation count m", 0, n)))
+
+
+def _dicke_amplitudes(n: int, m: int) -> np.ndarray:
+    """The 2^N amplitudes of |m,N>, unchecked: callers have validated n and m."""
     amps = np.zeros(2 ** n, dtype=complex)
     amps[_excitation_counts(n) == m] = 1.0 / sqrt(comb(n, m))
-    return PureState(n, amps)
+    return amps
 
 
 def dicke_symmetric(n: int, m: int) -> SymmetricState:
     """Symmetric-sector Dicke state: unit amplitude on excitation count m."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
-    if not _is_int(m) or m < 0 or m > n:
-        raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
     amps = np.zeros(n + 1, dtype=complex)
-    amps[m] = 1.0
+    amps[_check_int(m, "excitation count m", 0, n)] = 1.0
     return SymmetricState(n, amps)
 
 
@@ -458,16 +441,11 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     return PureState(len(qubit_states), amps)
 
 
-def _check_phase(phi) -> None:
-    if isinstance(phi, (bool, np.bool_)) or not np.isfinite(phi):
-        raise DomainError(f"psixy phase must be a finite number, got {phi!r}")
-
-
 def psixy_state(n: int, phi: float = 0.0) -> PureState:
     """Tensor power of (|0> + e^{i phi} |1>)/sqrt(2): the equatorial product
     state that saturates the separable bound on <Jx^2> + <Jy^2>."""
     _check_qubit_count(n)
-    _check_phase(phi)
+    phi = _check_real(phi, "psixy phase")
     q = np.array([1.0, np.exp(1j * phi)], dtype=complex) / sqrt(2.0)
     return product_state([q] * n)
 
@@ -475,7 +453,7 @@ def psixy_state(n: int, phi: float = 0.0) -> PureState:
 def psixy_symmetric(n: int, phi: float = 0.0) -> SymmetricState:
     """Symmetric-sector amplitudes of psixy_state: a_m = sqrt(C(N,m)) 2^{-N/2} e^{i m phi}."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
-    _check_phase(phi)
+    phi = _check_real(phi, "psixy phase")
     m = np.arange(n + 1)
     # log C(N,k) = sum_{j<k} log((N-j)/(j+1)): log-domain binomials keep this
     # stable far beyond the dense limit
@@ -507,8 +485,7 @@ def white_noise_mix(target: PureState | SymmetricState, p: float) -> Mixture:
 
     Works on either backend: a symmetric-sector target keeps the mixture
     O(N), since the identity term is carried by its weight alone."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"noise ratio p = {p!r} must lie in [0, 1]")
+    p = _check_real(p, "noise ratio p", 0, 1)
     return Mixture((target,), (1.0 - p,), identity_weight=p)
 
 
@@ -516,10 +493,8 @@ def psixy_noise_mix(n: int, p: float, phi: float = 0.0) -> Mixture:
     """p |psixy><psixy| + (1-p) |N/2,N><N/2,N|: coherent equatorial noise on
     the half-excited Dicke state.  Requires even n."""
     _check_qubit_count(n)
-    if n % 2 != 0:
-        raise DomainError(f"psixy_noise_mix requires an even qubit count, got n = {n}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"noise ratio p = {p!r} must lie in [0, 1]")
+    _check_int(n, "psixy_noise_mix qubit count", even=True)
+    p = _check_real(p, "noise ratio p", 0, 1)
     return Mixture((psixy_state(n, phi), dicke_state(n, n // 2)), (p, 1.0 - p))
 
 
@@ -548,10 +523,9 @@ def schmidt_spectrum(state: PureState, split: Bipartition) -> SchmidtSpectrum:
 def dicke_schmidt_squared(n: int, m: int, n1: int) -> np.ndarray:
     """Closed-form squared Schmidt coefficients of |m,N> for a split with N1
     qubits on one side: C(N1,k) C(N-N1,m-k) / C(N,m) over valid k, descending."""
-    if not _is_int(n) or not _is_int(n1) or not 1 <= n1 <= n - 1:
-        raise DomainError(f"split size n1 = {n1!r} must satisfy 1 <= n1 <= n - 1 for n = {n!r}")
-    if not _is_int(m) or not 0 <= m <= n:
-        raise DomainError(f"excitation count m = {m!r} must satisfy 0 <= m <= {n}")
+    _check_int(n, "n", 2)
+    _check_int(n1, "split size n1", 1, n - 1)
+    _check_int(m, "excitation count m", 0, n)
     total = comb(n, m)
     k_lo = max(0, m - (n - n1))
     k_hi = min(n1, m)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -200,7 +201,7 @@ def test_non_finite_numbers_exit_2_without_a_document(capsys):
         assert status == 2 and out == "" and "psixy phase must be a finite number" in err
     # an infinite rate is refused by the library, not only by the document writer
     status, out, err = run_cli(capsys, "intensity", "--n", "4", "--i0", "inf")
-    assert status == 2 and out == "" and "i0 must be finite" in err
+    assert status == 2 and out == "" and "i0 must be a finite number > 0" in err
 
 
 def test_unknown_flags_exit_2():
@@ -231,7 +232,7 @@ def test_bad_tolerance_values_exit_2_before_any_work(capsys, monkeypatch, overri
 
     monkeypatch.setattr(cli, "run", refuse)
     status, out, err = run_cli(capsys, "oracle", "product-max", "--n", "3", "--tolerance", override)
-    assert status == 2 and out == "" and "finite and nonnegative" in err
+    assert status == 2 and out == "" and "must be a finite number >= 0" in err
 
 
 # for every name --tolerance accepts: a command and a value of it that changes
@@ -334,7 +335,8 @@ def test_sizes_past_their_caps_exit_2_before_any_work(capsys, monkeypatch, argv)
     monkeypatch.setattr(cli, "run", refuse)
     status, out, err = run_cli(capsys, *argv)
     assert status == 2 and out == ""
-    assert "--restarts must be 1 to" in err or "grid needs 2 to" in err
+    assert (f"--restarts must be an integer in [1, {cli.MAX_RESTARTS}]" in err
+            or f"grid steps must be an integer in [2, {cli.MAX_GRID_STEPS}]" in err)
 
 
 def test_sizes_at_their_caps_parse():
@@ -362,7 +364,8 @@ def test_seed_and_grid_ranges_exit_2_before_any_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "run", refuse)
     status, out, err = run_cli(capsys, *argv)
     assert status == 2 and out == ""
-    assert "--seed must be an integer >= 0" in err or "must lie within [0, 1]" in err
+    assert ("--seed must be an integer >= 0" in err
+            or re.search(r"noise grid (start|stop) must be a finite number in \[0\.0, 1\.0\]", err))
 
 
 @pytest.mark.parametrize("flags", [("--restarts", "5"), ("--seed", "9"), ("--tolerance", "convergence_tol=1")])
@@ -385,22 +388,26 @@ _SMALL_RUNS = {
     "sweep-noise": ("--n", "4", "--criterion", "fidelity", "--noise", "psixy", "--grid", "0:1:3"),
     "intensity": ("--n", "3"),
     "verify-appendix": ("--n", "4"),
-    "selftest": ("--only", "7"),
 }
 
 
 def test_every_subcommand_runs_in_both_formats(capsys):
     (commands,) = [a.choices for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
-    assert set(commands) == set(_SMALL_RUNS)
+    assert set(commands) == set(_SMALL_RUNS) | {"selftest"}
     for command, args in _SMALL_RUNS.items():
         for fmt in ("json", "csv"):
             status, out, err = run_cli(capsys, command, *args, "--format", fmt)
             assert status == 0 and err == "", (command, fmt)
-            if command == "selftest":  # a text report in either format
-                assert "1/1 criteria passed" in out
-            elif fmt == "json":
+            if fmt == "json":
                 assert isinstance(json.loads(out), dict)
             else:
                 header, *rows = list(csv.reader(out.splitlines()))
                 assert rows and all(len(row) == len(header) for row in rows), command
+    # selftest prints one text report and takes no --format
+    status, out, err = run_cli(capsys, "selftest", "--only", "7")
+    assert status == 0 and err == "" and "1/1 criteria passed" in out
+    for fmt in ("json", "csv"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selftest", "--only", "7", "--format", fmt])
+        assert excinfo.value.code == 2

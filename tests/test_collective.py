@@ -293,7 +293,7 @@ def test_collective_noise_threshold_errors():
 @pytest.mark.parametrize("n", [3, 5])
 def test_collective_threshold_numeric_refuses_odd_n(n):
     for noise in ("white", "psixy"):
-        with pytest.raises(dk.DomainError, match=r"noise thresholds are defined for even n >= 2, got %d" % n):
+        with pytest.raises(dk.DomainError, match=r"n must be an even integer >= 2, got %d" % n):
             dk.collective_threshold_numeric(n, "theorem2", noise)
 
 

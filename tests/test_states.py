@@ -384,15 +384,7 @@ def test_product_state_validates_before_normalizing(bad):
         dk.product_state([[1.0, 0.0], bad])
 
 
-@pytest.mark.filterwarnings("error")  # the phase is refused before any arithmetic can warn
-@pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
-def test_psixy_refuses_a_non_finite_phase(phi):
-    for build in (dk.psixy_state, dk.psixy_symmetric):
-        with pytest.raises(dk.DomainError, match="psixy phase must be a finite number"):
-            build(3, phi)
-
-
 @pytest.mark.parametrize("n", [True, 0, 2.0])
 def test_psixy_state_refuses_a_size_that_is_not_a_qubit_count(n):
-    with pytest.raises(dk.DomainError, match="n_qubits must be a positive integer"):
+    with pytest.raises(dk.DomainError, match="n_qubits must be an integer >= 1"):
         dk.psixy_state(n)
