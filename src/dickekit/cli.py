@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="0,0,0", help="linear coefficients bx,by,bz")
     p.add_argument("--m-signed", type=int, default=None, help="use b = (0,0,-2m)")
 
-    p = sub.add_parser("oracle", parents=[tolerant], help="brute-force maximizations")
+    p = sub.add_parser("oracle", parents=[common], help="brute-force maximizations")
     p.set_defaults(handler=_cmd_oracle)
     p.add_argument("mode", choices=("product-max", "bisep-max", "eigmax"))
     p.add_argument("--n", type=int, required=True)
@@ -221,10 +221,10 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
     if hasattr(args, "a"):
         args.a, args.b = _parse_triple(args.a, "--a"), _parse_triple(args.b, "--b")
         if getattr(args, "m_signed", None) is not None:
-            args.b = (0.0, 0.0, -2.0 * args.m_signed)
+            args.b = (0.0, 0.0, _check_real(-2 * args.m_signed, "--m-signed shift -2m"))
     if hasattr(args, "restarts"):
-        given = [flag for flag, value in (("--restarts", args.restarts), ("--seed", args.seed),
-                                          ("--tolerance", args.tol or None)) if value is not None]
+        given = [flag for flag, value in (("--restarts", args.restarts), ("--seed", args.seed))
+                 if value is not None]
         args.restarts = DEFAULT_RESTARTS if args.restarts is None else args.restarts
         args.seed = 0 if args.seed is None else args.seed
         _check_int(args.restarts, "--restarts", 1, MAX_RESTARTS)
@@ -301,7 +301,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
         doc["value"] = max_eigenvalue(op)
     else:
         search = maximize_over_product_states if args.mode == "product-max" else maximize_over_biseparable
-        result = search(op, restarts=args.restarts, seed=args.seed, tol=args.tol)
+        result = search(op, restarts=args.restarts, seed=args.seed)
         doc.update(value=result.value, restarts_used=result.restarts_used, seed=result.seed)
         if args.mode == "bisep-max":
             doc["split"] = list(result.argument.split.side_a)

@@ -30,7 +30,7 @@ from math import sqrt
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, _check_tolerances
+from .config import DEFAULT_TOLERANCES, SYMMETRY_ATOL, Tolerances
 from .errors import DomainError, _check_int, _check_real
 from .fidelity import _margin_crossing
 from .operators import (
@@ -40,7 +40,7 @@ from .operators import (
     single_site,
     PAULI,
 )
-from .oracle import maximize_over_ti_product
+from .oracle import _ti_maximum
 from .states import DensityMatrix, PureState, dicke_state, moments, psixy_noise_mix, white_noise_mix
 from .verdicts import DETECTED_ENTANGLED, DETECTED_GENUINE, WitnessVerdict, make_verdict
 
@@ -60,7 +60,8 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
 
     With no linear part the closed form applies; otherwise the maximum over
     N-fold tensor powers (which equals the separable maximum) is solved exactly
-    by ``maximize_over_ti_product``: the secular equation and its hard case.
+    by the solver of ``maximize_over_ti_product``: the secular equation and
+    its hard case.
     """
     if not isinstance(form, QuadraticForm):
         raise DomainError(f"expected a QuadraticForm, got {type(form).__name__}")
@@ -68,7 +69,7 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
     if form.is_linear_free:
         a = form.a
         return sum(a) * n / 4.0 + max(a) * (n / 2.0) * (n / 2.0 - 0.5)
-    return maximize_over_ti_product(form, n).value
+    return _ti_maximum(form, n)[0]
 
 
 def criterion_verdict(
@@ -88,17 +89,17 @@ def criterion_verdict(
     if kind == "variance":
         return make_verdict(kind, planar - jx ** 2 - jy ** 2, theorem2_bound(n), DETECTED_ENTANGLED, tol)
     if kind == "symmetric_jz":
-        _check_tolerances(tol)  # read here, before make_verdict checks it
         total = planar + jz2
         maximal = (n / 2.0) * (n / 2.0 + 1.0)
-        if abs(total - maximal) > tol.symmetry_atol * max(1.0, maximal):
+        if abs(total - maximal) > SYMMETRY_ATOL * max(1.0, maximal):
             raise DomainError(
                 f"symmetric_jz needs a maximal-spin state: <J^2> = {total:.12g}, expected {maximal:.12g}"
             )
         return make_verdict(kind, n / 4.0 - jz2, 0.0, DETECTED_ENTANGLED, tol)
     if kind == "crit2":
         _check_int(m, "crit2 shift m")
-        form = QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, 0.0, -2.0 * m))
+        # the exact integer -2m, which QuadraticForm refuses beyond the float range
+        form = QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, 0.0, -2 * int(m)))
         value = expectation(state, form)
         return make_verdict(f"crit2(m={int(m)})", value, lemma1_bound(form, n), DETECTED_ENTANGLED, tol)
     # genuine multipartite criteria

@@ -13,12 +13,14 @@ SYMMETRIC_QUBIT_LIMIT = 10_000
 
 DEFAULT_RESTARTS = 64
 
-# Fixed tolerances of state validation and of the numeric noise thresholds.
+# Fixed tolerances of state validation, of the symmetric_jz domain check, of
+# the alternating searches and of the numeric noise thresholds.
 NORM_ATOL = 1e-12       # state normalization
 HERMITIAN_ATOL = 1e-12  # entrywise Hermiticity
 TRACE_ATOL = 1e-12      # unit trace of density matrices and mixture weights
 PSD_ATOL = 1e-10        # allowed negativity of density eigenvalues
-SCHMIDT_ATOL = 1e-10    # Schmidt spectrum normalization
+SYMMETRY_ATOL = 1e-8    # <J^2> distance from J(J+1), relative to max(1, J(J+1))
+CONVERGENCE_TOL = 1e-12  # alternating-update stopping gain, relative to max(1, |value|)
 SOUNDNESS_TOL = 1e-9    # a margin at p = 1 up to this counts as a crossing at the endpoint
 ROOT_XTOL = 1e-12       # root finding on noise-sweep margins
 
@@ -29,8 +31,6 @@ class Tolerances:
     sets them with ``--tolerance NAME=VALUE``."""
 
     detection_tolerance: float = 0.0  # margin must exceed this to count as detected
-    symmetry_atol: float = 1e-8       # <J^2> distance from J(J+1), relative to max(1, J(J+1))
-    convergence_tol: float = 1e-12    # alternating-update stopping threshold
 
     def __post_init__(self):
         for f in fields(self):

@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the one check of scalar
-arguments that every entry point runs."""
+"""Exception types shared across the library, and the checks of scalar and
+sequence arguments that every entry point runs."""
 
 from math import isfinite
 
@@ -60,3 +60,12 @@ def _check_real(value, name: str, lo=None, hi=None, strict: bool = False) -> flo
                 and (hi is None or x <= hi)):
             return x
     raise _refuse(name, "a finite number", value, lo, hi, strict)
+
+
+def _check_sequence(value, name: str) -> tuple:
+    """``value`` as a tuple if it is a list, tuple, range or NumPy array of
+    one or more dimensions; otherwise DomainError naming ``name``.  A string,
+    a number, None or a single state is no sequence here."""
+    if isinstance(value, (list, tuple, range)) or (isinstance(value, np.ndarray) and value.ndim):
+        return tuple(value)
+    raise DomainError(f"{name} must be a sequence, got {type(value).__name__}")

@@ -57,7 +57,7 @@ def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
         # permutation invariance: only the split size matters
         for n1 in range(1, n // 2 + 1):
             split = Bipartition(n, tuple(range(1, n1 + 1)))
-            best = max(best, schmidt_spectrum(state, split).largest)
+            best = max(best, float(schmidt_spectrum(state, split)[0]))
         return best
     raise DomainError(f"method must be 'exact' or 'svd', got {method!r}")
 

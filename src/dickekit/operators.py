@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, _check_int, _check_real
+from .errors import DomainError, InvariantViolationError, _check_int, _check_real, _check_sequence
 from .states import (
     DensityMatrix,
     Mixture,
@@ -67,7 +67,7 @@ class QuadraticForm:
     b: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        a, b = tuple(self.a), tuple(self.b)
+        a, b = _check_sequence(self.a, "QuadraticForm a"), _check_sequence(self.b, "QuadraticForm b")
         if len(a) != 3 or len(b) != 3:
             raise DomainError("QuadraticForm coefficients must be triples (x, y, z)")
         a = tuple(_check_real(x, "quadratic coefficient a_l", 0) for x in a)

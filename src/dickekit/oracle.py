@@ -22,7 +22,7 @@ from math import hypot, sqrt
 
 import numpy as np
 
-from .config import DEFAULT_RESTARTS, DEFAULT_TOLERANCES, Tolerances, _check_tolerances
+from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS
 from .errors import DomainError, InvariantViolationError, _check_int
 from .operators import AXES, PAULI, HermitianOperator, QuadraticForm
 from .states import (
@@ -94,7 +94,7 @@ class OptimizationResult:
     For the alternating searches ``values`` and ``sweeps`` hold one entry per
     restart (per split and restart, split by split, for the biseparable
     search); ``history`` is the best restart's value after each of its sweeps,
-    and ``converged`` says whether that restart stopped on ``convergence_tol``
+    and ``converged`` says whether that restart stopped on ``CONVERGENCE_TOL``
     rather than on the sweep cap.
     """
 
@@ -152,12 +152,12 @@ def _top_eigvecs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, -1], vecs[:, :, -1]
 
 
-def _lockstep(sweep, factors: list[np.ndarray], tol: Tolerances):
+def _lockstep(sweep, factors: list[np.ndarray]):
     """Run exact alternating sweeps on a stack of restarts in lockstep.
 
     ``factors`` hold the restarts along their first axis and are updated in
     place; ``sweep`` updates a sub-stack and returns its objective values.  A
-    restart whose gain drops below ``convergence_tol`` freezes, so each does
+    restart whose gain drops below ``CONVERGENCE_TOL`` freezes, so each does
     exactly the sweeps it would do alone, up to the cap.  Returns per-restart
     values, sweep counts, whether each stopped on the tolerance, and the value
     of every restart after every sweep (rows).
@@ -182,7 +182,7 @@ def _lockstep(sweep, factors: list[np.ndarray], tol: Tolerances):
         values[active] = new
         sweeps[active] += 1
         rows.append(values.copy())
-        done = new - old < tol.convergence_tol * np.maximum(1.0, np.abs(new))
+        done = new - old < CONVERGENCE_TOL * np.maximum(1.0, np.abs(new))
         stopped[active[done]] = True
         active = active[~done]
         if active.size == 0:
@@ -193,10 +193,9 @@ def _lockstep(sweep, factors: list[np.ndarray], tol: Tolerances):
 class _Search:
     """Runs seeded restarts in bounded chunks and keeps the first best one."""
 
-    def __init__(self, restarts: int, seed: int, tol: Tolerances):
+    def __init__(self, restarts: int, seed: int):
         self.restarts = _check_int(restarts, "restarts", 1)
         self.seed = _check_int(seed, "seed", 0)
-        self.tol = _check_tolerances(tol)
         self.values: list[float] = []
         self.sweeps: list[int] = []
         # the best restart so far: value, factors, split label, convergence, history
@@ -211,7 +210,7 @@ class _Search:
             chunk = range(first, min(self.restarts, first + _RESTART_CHUNK))
             starts = [start(np.random.default_rng([self.seed, r])) for r in chunk]
             factors = [np.stack(parts) for parts in zip(*starts)]
-            values, sweeps, stopped, rows = _lockstep(sweep, factors, self.tol)
+            values, sweeps, stopped, rows = _lockstep(sweep, factors)
             self.values += values.tolist()
             self.sweeps += sweeps.tolist()
             i = int(np.argmax(values))
@@ -258,12 +257,11 @@ def maximize_over_product_states(
     n: int | None = None,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> OptimizationResult:
     """Best <psi_1 (x) ... (x) psi_N | op | psi_1 (x) ... (x) psi_N> found from
     seeded Haar-random starts followed by cyclic exact single-qubit updates,
     all restarts stepped in lockstep."""
-    search = _Search(restarts, seed, tol)
+    search = _Search(restarts, seed)
     mat, n = _as_matrix(op, n)
     search.run(lambda rng: (_haar_rows(rng, n, 2),), partial(_product_sweep, mat))
     (qubits,) = search.factors
@@ -293,6 +291,12 @@ def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
     More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
     """
     _check_int(n, "n", 1)
+    value, s = _ti_maximum(form, n)
+    return OptimizationResult(value, BlochProduct(np.tile(s, (n, 1))), 1, 0)
+
+
+def _ti_maximum(form: QuadraticForm, n: int) -> tuple[float, np.ndarray]:
+    """The maximum over |psi(s)>^(x N) and its Bloch vector s, for a checked n."""
     alpha = [n * (n - 1) * x for x in form.a]
     # a subnormal beta on a top axis would put the root below the normal range
     # (the Newton slope overflows); flushing it moves the value by < 1e-307
@@ -303,7 +307,7 @@ def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
     if mu == 0.0:  # hard case
         s[gaps.index(0.0)] = sqrt(max(0.0, _RADIUS ** 2 - hypot(*s) ** 2))
     s = np.array(s) * (_RADIUS / hypot(*s))
-    return OptimizationResult(ti_objective(form, n, s), BlochProduct(np.tile(s, (n, 1))), 1, 0)
+    return ti_objective(form, n, s), s
 
 
 def _secular_point(gaps, beta, mu: float) -> list[float]:
@@ -422,7 +426,6 @@ def maximize_over_biseparable(
     n: int | None = None,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> OptimizationResult:
     """Best <phi_A (x) phi_B | op | phi_A (x) phi_B> over all bipartitions.
 
@@ -431,7 +434,7 @@ def maximize_over_biseparable(
     restarts of a split stepped in lockstep.  When the operator commutes with
     all qubit transpositions, only split sizes are enumerated.
     """
-    search = _Search(restarts, seed, tol)
+    search = _Search(restarts, seed)
     mat, n = _as_matrix(op, n)
     if n < 2:
         raise DomainError("biseparable maximization needs at least two qubits")

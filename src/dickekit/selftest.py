@@ -82,7 +82,7 @@ class _Checks:
 
 
 def _check_converged(checks: _Checks, label: str, results) -> None:
-    """Every search's best restart stopped on convergence_tol, not on the sweep cap."""
+    """Every search's best restart stopped on CONVERGENCE_TOL, not on the sweep cap."""
     short = sum(not r.converged for r in results)
     most = max(max(r.sweeps) for r in results)
     checks.check(f"{label}: best restart converged in {len(results) - short}/{len(results)} "

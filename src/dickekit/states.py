@@ -25,8 +25,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import DENSE_QUBIT_LIMIT, SYMMETRIC_QUBIT_LIMIT
-from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, SCHMIDT_ATOL, TRACE_ATOL
-from .errors import DomainError, _check_int, _check_real
+from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, TRACE_ATOL
+from .errors import DomainError, _check_int, _check_real, _check_sequence
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ class Mixture(_State):
     identity_weight: float = 0.0
 
     def __post_init__(self):
-        components = tuple(self.components)
+        components = _check_sequence(self.components, "Mixture components")
         if not components:
             raise DomainError("Mixture needs at least one pure component")
         kind, n = type(components[0]), components[0].n_qubits
@@ -222,7 +222,8 @@ class Mixture(_State):
             raise DomainError(f"Mixture components must be pure states, got {kind.__name__}")
         if any(type(psi) is not kind or psi.n_qubits != n for psi in components):
             raise DomainError("Mixture components must be all PureState or all SymmetricState, on one N")
-        weights = tuple(_check_real(w, "Mixture weight", 0) for w in self.weights)
+        weights = _check_sequence(self.weights, "Mixture weights")
+        weights = tuple(_check_real(w, "Mixture weight", 0) for w in weights)
         if len(weights) != len(components):
             raise DomainError(f"Mixture has {len(components)} components but {len(weights)} weights")
         identity_weight = _check_real(self.identity_weight, "Mixture identity weight", 0)
@@ -354,7 +355,7 @@ class Bipartition:
     def __post_init__(self):
         _check_qubit_count(self.n_qubits, limit=SYMMETRIC_QUBIT_LIMIT)
         side = tuple(sorted(int(_check_int(q, "Bipartition qubit label", 1, self.n_qubits))
-                            for q in self.side_a))
+                            for q in _check_sequence(self.side_a, "Bipartition side_a")))
         object.__setattr__(self, "side_a", side)
         if len(set(side)) != len(side):
             raise DomainError(f"Bipartition side_a has repeated qubits: {side}")
@@ -365,29 +366,6 @@ class Bipartition:
     def side_b(self) -> tuple[int, ...]:
         in_a = set(self.side_a)
         return tuple(q for q in range(1, self.n_qubits + 1) if q not in in_a)
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtSpectrum:
-    """Squared Schmidt coefficients of a pure state across a bipartition, descending."""
-
-    split: Bipartition
-    squared_coefficients: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.squared_coefficients, dtype=float).copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "squared_coefficients", vals)
-        if vals.ndim != 1 or vals.size == 0:
-            raise DomainError("SchmidtSpectrum needs a nonempty 1-d coefficient list")
-        if np.any(vals < -1e-15) or np.any(np.diff(vals) > 1e-15):
-            raise DomainError("Schmidt coefficients must be nonnegative and descending")
-        if abs(vals.sum() - 1.0) > SCHMIDT_ATOL:
-            raise DomainError(f"Schmidt coefficients sum to {vals.sum():.15g}, expected 1")
-
-    @property
-    def largest(self) -> float:
-        return float(self.squared_coefficients[0])
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +404,7 @@ def symmetric_to_dense(state: SymmetricState) -> PureState:
 
 def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     """Tensor product of single-qubit states; the first factor is qubit 1 (MSB)."""
+    qubit_states = _check_sequence(qubit_states, "product_state qubit states")
     if len(qubit_states) == 0:
         raise DomainError("product_state needs at least one qubit")
     amps = np.array([1.0], dtype=complex)
@@ -502,9 +481,10 @@ def psixy_noise_mix(n: int, p: float, phi: float = 0.0) -> Mixture:
 # Schmidt analysis
 # ---------------------------------------------------------------------------
 
-def schmidt_spectrum(state: PureState, split: Bipartition) -> SchmidtSpectrum:
+def schmidt_spectrum(state: PureState, split: Bipartition) -> np.ndarray:
     """Squared singular values of the state reshaped along the bipartition,
-    descending.  For Dicke states this matches ``dicke_schmidt_squared``."""
+    descending and read-only, numerically zero ones dropped.  For Dicke states
+    this matches ``dicke_schmidt_squared``."""
     if split.n_qubits != state.n_qubits:
         raise DomainError(
             f"split is over {split.n_qubits} qubits but the state has {state.n_qubits}"
@@ -517,7 +497,8 @@ def schmidt_spectrum(state: PureState, split: Bipartition) -> SchmidtSpectrum:
     squared = np.sort(singular ** 2)[::-1]
     squared = squared / squared.sum()  # remove last-digit drift; sum is 1 by unitarity
     squared = squared[squared > 1e-14]  # drop numerically-zero coefficients
-    return SchmidtSpectrum(split, squared)
+    squared.setflags(write=False)
+    return squared
 
 
 def dicke_schmidt_squared(n: int, m: int, n1: int) -> np.ndarray:

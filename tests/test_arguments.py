@@ -108,9 +108,7 @@ _BAD_RECORDS = {"float": 0.0, "None": None, "dict": {"detection_tolerance": 0.0}
     lambda tol: dk.criterion_verdict(_PURE, "theorem2", tol=tol),
     lambda tol: dk.criterion_verdict(dk.dicke_symmetric(4, 2), "symmetric_jz", tol=tol),
     lambda tol: dk.fidelity_witness_verdict(_PURE, 2, 1, tol=tol),
-    lambda tol: dk.maximize_over_product_states(_OP, restarts=1, tol=tol),
-    lambda tol: dk.maximize_over_biseparable(_OP, restarts=1, tol=tol),
-], ids=["make_verdict", "theorem2", "symmetric_jz", "fidelity", "product", "biseparable"])
+], ids=["make_verdict", "theorem2", "symmetric_jz", "fidelity"])
 def test_a_tolerance_that_is_not_a_tolerances_record_is_refused(call, bad):
     with pytest.raises(dk.DomainError, match="tol must be a Tolerances"):
         call(bad)
@@ -122,6 +120,34 @@ def test_lemma1_bound_refuses_what_is_not_a_quadratic_form(form):
         dk.lemma1_bound(form, 3)
 
 
-def test_an_int_beyond_the_float_range_is_not_a_finite_number():
-    with pytest.raises(dk.DomainError, match="noise ratio p must be"):
-        dk.white_noise_mix(_PURE, 10 ** 400)
+@pytest.mark.parametrize("call, message", [
+    (lambda: dk.white_noise_mix(_PURE, 10 ** 400), "noise ratio p must be"),
+    # the shift -2m overflows a float before any verdict is formed
+    (lambda: dk.criterion_verdict(_PURE, "crit2", m=10 ** 400), "linear coefficient b_l must be"),
+    (lambda: dk.criterion_verdict(_PURE, "crit2", m=-(10 ** 308)), "linear coefficient b_l must be"),
+], ids=["white_noise_mix.p", "crit2.m", "crit2.m_doubled"])
+def test_an_int_beyond_the_float_range_is_not_a_finite_number(call, message):
+    with pytest.raises(dk.DomainError, match=message):
+        call()
+
+
+# argument: (call feeding it something that is not a sequence, start of the refusal)
+_NOT_SEQUENCES = {
+    "QuadraticForm.a": (lambda v: dk.QuadraticForm(a=v), "QuadraticForm a must be a sequence"),
+    "QuadraticForm.b": (lambda v: dk.QuadraticForm(b=v), "QuadraticForm b must be a sequence"),
+    "Mixture.components": (lambda v: dk.Mixture(v, (1.0,)), "Mixture components must be a sequence"),
+    "Mixture.weights": (lambda v: dk.Mixture((_PURE,), v), "Mixture weights must be a sequence"),
+    "Bipartition.side_a": (lambda v: dk.Bipartition(3, v), "Bipartition side_a must be a sequence"),
+    "product_state.qubit_states": (lambda v: dk.product_state(v), "product_state qubit states must be a sequence"),
+}
+
+
+@pytest.mark.parametrize("call, message, bad", [
+    pytest.param(call, message, bad, id=f"{name}-{value_id}")
+    for name, (call, message) in _NOT_SEQUENCES.items()
+    for value_id, bad in {"None": None, "float": 1.0, "int": 1, "str": "110", "state": _PURE,
+                          "0-d array": np.array(1.0)}.items()
+])
+def test_a_container_argument_that_is_not_a_sequence_is_refused(call, message, bad):
+    with pytest.raises(dk.DomainError, match=re.escape(message)):
+        call(bad)

@@ -70,6 +70,12 @@ def test_bound_subcommand(capsys):
     assert json.loads(out)["bound"] == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("command", [("bound", "--n", "4"), ("criterion", "--n", "4", "--criterion", "crit2")])
+def test_a_shift_beyond_the_float_range_exits_2(capsys, command):
+    status, out, err = run_cli(capsys, *command, "--m-signed", "9" * 400)
+    assert status == 2 and out == "" and "must be a finite number" in err
+
+
 def test_oracle_subcommands(capsys):
     status, out, _err = run_cli(capsys, "oracle", "eigmax", "--n", "4")
     assert status == 0
@@ -217,21 +223,23 @@ def test_tolerance_override(capsys):
     )
     assert status == 0
     assert json.loads(out)["detected"] == "none"
-    for name in ("bogus", "psd_atol", "norm_atol"):  # the fixed validation tolerances are no names
+    # the fixed tolerances are no names
+    for name in ("bogus", "psd_atol", "norm_atol", "symmetry_atol", "convergence_tol"):
         status, out, err = run_cli(capsys, "criterion", "--n", "4", "--criterion", "theorem2",
                                    "--tolerance", f"{name}=1e-3")
         assert status == 2 and out == "" and "unknown tolerance" in err
 
 
 @pytest.mark.parametrize("override", [
-    "detection_tolerance=nan", "convergence_tol=nan", "symmetry_atol=inf", "detection_tolerance=-1",
+    "detection_tolerance=nan", "detection_tolerance=inf", "detection_tolerance=-1",
 ])
 def test_bad_tolerance_values_exit_2_before_any_work(capsys, monkeypatch, override):
     def refuse(_config):
         raise AssertionError("a bad tolerance reached the command")
 
     monkeypatch.setattr(cli, "run", refuse)
-    status, out, err = run_cli(capsys, "oracle", "product-max", "--n", "3", "--tolerance", override)
+    status, out, err = run_cli(capsys, "criterion", "--n", "3", "--criterion", "theorem2",
+                               "--tolerance", override)
     assert status == 2 and out == "" and "must be a finite number >= 0" in err
 
 
@@ -239,8 +247,6 @@ def test_bad_tolerance_values_exit_2_before_any_work(capsys, monkeypatch, overri
 # the command's document or exit status
 _TOLERANCE_PROBES = {
     "detection_tolerance": (("witness", "--n", "4"), "10"),
-    "symmetry_atol": (("criterion", "--n", "4", "--criterion", "symmetric_jz", "--p", "0.5"), "1e9"),
-    "convergence_tol": (("oracle", "product-max", "--n", "3", "--restarts", "2"), "1"),
 }
 
 
@@ -257,6 +263,9 @@ def test_every_tolerance_name_changes_some_command(capsys):
     for command, *args in (("dicke", "--n", "2"), ("bound", "--n", "4"), ("intensity", "--n", "4"),
                            ("verify-appendix", "--n", "4"), ("selftest", "--only", "7"))
     for flag, value in (("--seed", "4"), ("--tolerance", "detection_tolerance=3"))
+] + [
+    ("oracle", mode, "--n", "3", "--tolerance", "detection_tolerance=3")
+    for mode in ("product-max", "bisep-max", "eigmax")
 ] + [
     (command, "--n", "4", *args, "--seed", "4")
     for command, *args in (("witness",), ("criterion", "--criterion", "theorem2"),
@@ -368,7 +377,7 @@ def test_seed_and_grid_ranges_exit_2_before_any_work(capsys, monkeypatch, argv):
             or re.search(r"noise grid (start|stop) must be a finite number in \[0\.0, 1\.0\]", err))
 
 
-@pytest.mark.parametrize("flags", [("--restarts", "5"), ("--seed", "9"), ("--tolerance", "convergence_tol=1")])
+@pytest.mark.parametrize("flags", [("--restarts", "5"), ("--seed", "9")])
 def test_eigmax_refuses_the_search_flags(capsys, monkeypatch, flags):
     def refuse(_config):
         raise AssertionError("a flag eigmax does not read reached the command")

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from math import sqrt
 
 import numpy as np
@@ -107,6 +108,17 @@ def test_symmetric_jz_requires_maximal_spin():
     rho = dk.white_noise_mix(dk.dicke_state(4, 2), 0.5)
     with pytest.raises(dk.DomainError):
         dk.criterion_verdict(rho, "symmetric_jz")
+
+
+def test_no_argument_lets_symmetric_jz_judge_a_state_outside_the_maximal_spin_sector():
+    # the separable |01> has <J^2> = 1, not J(J+1) = 2: N/4 <= <Jz^2> does not
+    # hold for it, so no setting of any tolerance may turn the refusal into a verdict
+    state = dk.product_state([[1, 0], [0, 1]])
+    loosest = dk.Tolerances(**{f.name: 1e9 for f in fields(dk.Tolerances)})
+    for tol in (dk.DEFAULT_TOLERANCES, loosest):
+        for m in (None, 0, 1):
+            with pytest.raises(dk.DomainError, match="needs a maximal-spin state"):
+                dk.criterion_verdict(state, "symmetric_jz", m=m, tol=tol)
 
 
 def test_symmetric_jz_tolerance_scales_with_total_spin():

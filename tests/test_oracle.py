@@ -80,7 +80,7 @@ def test_alternating_updates_are_monotone():
     assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
 
 
-def _serial_product_max(mat, n, seed, r, tol):
+def _serial_product_max(mat, n, seed, r):
     """One restart run alone: each qubit in turn set to the top eigenvector of
     its 2x2 effective operator, built from an explicit Kronecker basis."""
     rng = np.random.default_rng([seed, r])
@@ -101,12 +101,12 @@ def _serial_product_max(mat, n, seed, r, tol):
             vals, vecs = np.linalg.eigh(basis.conj().T @ mat @ basis)
             qubits[k] = vecs[:, -1]
         gain, value = vals[-1] - value, vals[-1]
-        if gain < tol.convergence_tol * max(1.0, abs(value)):
+        if gain < config.CONVERGENCE_TOL * max(1.0, abs(value)):
             return value, _sweep + 1
     return value, None
 
 
-def _serial_bisep_max(w, seed, r, tol):
+def _serial_bisep_max(w, seed, r):
     """One restart on one split run alone: alternate exact updates of the two sides."""
     d_a, d_b = w.shape[:2]
     rng = np.random.default_rng([seed, r])
@@ -119,7 +119,7 @@ def _serial_bisep_max(w, seed, r, tol):
         vals, vecs = np.linalg.eigh(np.einsum("ijkl,i,k->jl", w, a.conj(), a))
         b = vecs[:, -1]
         gain, value = vals[-1] - value, vals[-1]
-        if gain < tol.convergence_tol * max(1.0, abs(value)):
+        if gain < config.CONVERGENCE_TOL * max(1.0, abs(value)):
             return value, sweep + 1
     return value, None
 
@@ -130,13 +130,12 @@ _FORMS = [dk.QuadraticForm(a=(1, 1, 0)), dk.QuadraticForm(a=(0.7, 1.3, 0.2), b=(
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("form", _FORMS)
 def test_lockstep_product_restarts_match_serial_runs(n, form):
-    tol = dk.DEFAULT_TOLERANCES
     op = dk.collective_operator(n, form)
     result = dk.maximize_over_product_states(op, restarts=6, seed=13)
     assert len(result.values) == len(result.sweeps) == 6
     for r in range(6):
-        value, sweeps = _serial_product_max(op.matrix, n, 13, r, tol)
-        assert abs(result.values[r] - value) <= tol.convergence_tol * max(1.0, abs(value))
+        value, sweeps = _serial_product_max(op.matrix, n, 13, r)
+        assert abs(result.values[r] - value) <= config.CONVERGENCE_TOL * max(1.0, abs(value))
         assert result.sweeps[r] == sweeps
     assert result.value == max(result.values)
 
@@ -144,7 +143,6 @@ def test_lockstep_product_restarts_match_serial_runs(n, form):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("form", _FORMS)
 def test_lockstep_biseparable_restarts_match_serial_runs(n, form):
-    tol = dk.DEFAULT_TOLERANCES
     op = dk.collective_operator(n, form)
     result = dk.maximize_over_biseparable(op, restarts=4, seed=8)
     # both forms commute with qubit swaps, so the splits are 1|n-1, 2|n-2, ...
@@ -153,10 +151,10 @@ def test_lockstep_biseparable_restarts_match_serial_runs(n, form):
     for size in range(1, n // 2 + 1):
         d_a, d_b = 2 ** size, 2 ** (n - size)
         w = tensor.reshape(d_a, d_b, d_a, d_b)
-        expected += [_serial_bisep_max(w, 8, r, tol) for r in range(4)]
+        expected += [_serial_bisep_max(w, 8, r) for r in range(4)]
     assert len(result.values) == len(expected)
     for got, sweeps, (value, serial_sweeps) in zip(result.values, result.sweeps, expected):
-        assert abs(got - value) <= tol.convergence_tol * max(1.0, abs(value))
+        assert abs(got - value) <= config.CONVERGENCE_TOL * max(1.0, abs(value))
         assert sweeps == serial_sweeps
     assert result.converged
 
@@ -164,7 +162,7 @@ def test_lockstep_biseparable_restarts_match_serial_runs(n, form):
 def test_restarts_run_in_bounded_chunks(monkeypatch):
     # stacking fewer restarts at once changes nothing beyond BLAS roundoff
     op = dk.collective_operator(3, dk.QuadraticForm(a=(0.7, 1.3, 0.2), b=(0.1, 0, -0.4)))
-    atol = dk.DEFAULT_TOLERANCES.convergence_tol * 10
+    atol = config.CONVERGENCE_TOL * 10
     for search in (dk.maximize_over_product_states, dk.maximize_over_biseparable):
         monkeypatch.setattr(oracle, "_RESTART_CHUNK", 64)
         whole = search(op, restarts=7, seed=2)
