@@ -61,9 +61,13 @@ for n in (4, 6, 8):
     closed = dk.collective_noise_threshold(n, "theorem2")
     numeric = dk.collective_threshold_numeric(n, "theorem2")
     print(f"  N = {n}: closed = {closed:.9f}   numeric = {numeric:.9f}")
-print("genuine4 under white noise:")
-print(f"  closed = {dk.collective_noise_threshold(4, 'genuine4'):.9f}"
-      f"   numeric = {dk.collective_threshold_numeric(4, 'genuine4'):.9f}")
+print("thresholds of |2,4> by root-finding, for each kind and the noise it takes")
+print("(crit2 at shift 0, fidelity at m = 2; genuine3 applies to N = 3 only):")
+for kind in ("theorem2", "variance", "crit2", "genuine4", "fidelity"):
+    white, psixy = (dk.collective_threshold_numeric(4, kind, noise) for noise in ("white", "psixy"))
+    print(f"  {kind:<12} white = {white:.9f}   psixy = {psixy:.9f}")
+print(f"  {'symmetric_jz':<12} white: refused   psixy = "
+      f"{dk.collective_threshold_numeric(4, 'symmetric_jz', 'psixy'):.9f}")
 print("coherent equatorial noise keeps theorem2 detection for every p < 1:")
 for p in (0.5, 0.9, 0.999):
     v = dk.criterion_verdict(dk.psixy_noise_mix(4, p), "theorem2")

@@ -30,16 +30,18 @@ print("Witness verdicts under white noise  rho(p) = p I/2^N + (1-p) |2,4><2,4|")
 print("=" * 72)
 target = dk.dicke_state(4, 2)
 for p in (0.0, 0.2, 16 / 45, 0.5):
-    verdict = dk.fidelity_witness_verdict(dk.white_noise_mix(target, p), 4, 2)
+    verdict = dk.criterion_verdict(dk.white_noise_mix(target, p), "fidelity", m=2)
     print(f"  p = {p:<10.6f} fidelity = {verdict.value:.6f}  margin = {verdict.margin:+.6f}"
           f"  -> {verdict.detected}")
 
 print()
-print("Noise thresholds (closed form vs root-finding on the margin):")
+print("White-noise thresholds (closed form vs root-finding on the margin),")
+print("and the psixy-noise threshold, which has only the numeric route:")
 for n in (4, 6, 8):
-    closed = dk.fidelity_noise_threshold(n)
-    numeric = dk.fidelity_threshold_numeric(n)
-    print(f"  N = {n}: closed = {closed:.9f}   numeric = {numeric:.9f}")
+    closed = dk.collective_noise_threshold(n, "fidelity")
+    numeric = dk.collective_threshold_numeric(n, "fidelity")
+    psixy = dk.collective_threshold_numeric(n, "fidelity", "psixy")
+    print(f"  N = {n}: closed = {closed:.9f}   numeric = {numeric:.9f}   psixy = {psixy:.9f}")
 
 print()
 print("=" * 72)

@@ -19,14 +19,16 @@ import numpy as np
 
 from . import selftest
 from .collective import (
+    _NOISE_FAMILIES,
     CRITERION_KINDS,
+    _check_kind,
     criterion_verdict,
     lemma1_bound,
     superradiance_intensity,
 )
 from .config import DEFAULT_RESTARTS, Tolerances
 from .errors import DomainError, InvariantViolationError, _check_int, _check_real
-from .fidelity import fidelity_witness_verdict, verify_appendix_inequality
+from .fidelity import verify_appendix_inequality
 from .operators import QuadraticForm, collective_operator
 from .oracle import max_eigenvalue, maximize_over_biseparable, maximize_over_product_states
 from .states import dicke_state, dicke_symmetric, psixy_noise_mix, white_noise_mix
@@ -140,6 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", action="append", default=[], metavar="NAME=VALUE", dest="tol",
         help=f"set a tolerance, one of {[f.name for f in fields(Tolerances)]} (repeatable)",
     )
+    # the commands that judge a noisy state around |m,N>
+    noisy = argparse.ArgumentParser(add_help=False, parents=[tolerant])
+    noisy.add_argument("--n", type=int, required=True)
+    noisy.add_argument("--m", type=int, default=None, help="Dicke excitations (default n//2)")
+    noisy.add_argument("--noise", choices=_NOISE_FAMILIES, default="white")
+    noisy.add_argument("--phi", type=float, default=None, help="psixy phase (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dicke", parents=[common], help="print a Dicke state")
@@ -147,30 +155,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="excitations (default n//2)")
 
-    p = sub.add_parser("witness", parents=[tolerant], help="fidelity witness verdict")
+    p = sub.add_parser("witness", parents=[noisy], help="fidelity witness verdict")
     p.set_defaults(handler=_cmd_verdict, criterion="fidelity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--p", type=float, default=0.0, help="noise ratio mixed into the state")
-    p.add_argument("--noise", choices=("white", "psixy"), default="white")
-    p.add_argument("--phi", type=float, default=0.0)
 
-    p = sub.add_parser("criterion", parents=[tolerant], help="collective criterion verdict")
+    p = sub.add_parser("criterion", parents=[noisy], help="verdict of any criterion kind")
     p.set_defaults(handler=_cmd_verdict)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--criterion", choices=CRITERION_KINDS, required=True)
-    p.add_argument("--m", type=int, default=None, help="Dicke excitations (default n//2)")
     p.add_argument("--m-signed", type=int, default=None, help="shift for crit2")
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--noise", choices=("white", "psixy"), default="white")
-    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--p", type=float, default=0.0, help="noise ratio mixed into the state")
 
     p = sub.add_parser("bound", parents=[common], help="separable bound of a quadratic form")
     p.set_defaults(handler=_cmd_bound)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", default="1,1,0", help="quadratic coefficients ax,ay,az")
-    p.add_argument("--b", default="0,0,0", help="linear coefficients bx,by,bz")
-    p.add_argument("--m-signed", type=int, default=None, help="use b = (0,0,-2m)")
+    linear = p.add_mutually_exclusive_group()
+    linear.add_argument("--b", default="0,0,0", help="linear coefficients bx,by,bz")
+    linear.add_argument("--m-signed", type=int, default=None, help="use b = (0,0,-2m)")
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force maximizations")
     p.set_defaults(handler=_cmd_oracle)
@@ -183,16 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None,
                    help=f"seeded restarts per search (at most {MAX_RESTARTS})")
 
-    p = sub.add_parser("sweep-noise", parents=[tolerant], help="verdicts along a noise grid")
+    p = sub.add_parser("sweep-noise", parents=[noisy], help="verdicts along a noise grid")
     p.set_defaults(handler=_cmd_sweep)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--criterion", choices=CRITERION_KINDS + ("fidelity",), required=True)
+    p.add_argument("--criterion", choices=CRITERION_KINDS, required=True)
+    p.add_argument("--m-signed", type=int, default=None, help="shift for crit2")
     p.add_argument("--grid", default="0:1:11",
                    help=f"start:stop:steps, with at most {MAX_GRID_STEPS} steps")
-    p.add_argument("--noise", choices=("white", "psixy"), default="white")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--m-signed", type=int, default=None)
-    p.add_argument("--phi", type=float, default=0.0)
 
     p = sub.add_parser("intensity", parents=[common], help="superradiance intensity of |m,N>")
     p.set_defaults(handler=_cmd_intensity)
@@ -235,8 +232,19 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
         args.tol = _parse_tolerances(args.tol)
     if hasattr(args, "grid"):
         args.grid = _parse_grid(args.grid)
+    # bound, which takes no --criterion, always reads --m-signed
+    if getattr(args, "m_signed", None) is not None and getattr(args, "criterion", "crit2") != "crit2":
+        raise DomainError(f"{args.command} reads --m-signed only with --criterion crit2")
+    if hasattr(args, "noise"):
+        if args.phi is not None and args.noise != "psixy":
+            raise DomainError(f"{args.command} reads --phi only with --noise psixy")
+        args.phi = 0.0 if args.phi is None else args.phi
+        if (args.grid[1] if args.command == "sweep-noise" else args.p) > 0:  # noise is mixed in
+            _check_kind(args.criterion, args.n, args.noise)
     if getattr(args, "m", 0) is None:  # --m defaults to n//2
         args.m = args.n // 2
+    if getattr(args, "noise", None) == "psixy" and args.m != args.n // 2:
+        raise DomainError(f"--noise psixy mixes around |N/2,N>; --m must be {args.n // 2}, got {args.m}")
     return args
 
 
@@ -246,20 +254,14 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
 
 def _noisy_state(args: argparse.Namespace, p: float):
     if args.noise == "psixy":
-        if args.m != args.n // 2:
-            raise DomainError(
-                f"--noise psixy mixes around |N/2,N>; --m must be {args.n // 2}, got {args.m}"
-            )
         return psixy_noise_mix(args.n, p, args.phi)
     return white_noise_mix(dicke_state(args.n, args.m), p)
 
 
 def _verdict(args: argparse.Namespace, p: float) -> WitnessVerdict:
-    """The fidelity witness or a collective criterion on the state at noise ratio p."""
-    state = _noisy_state(args, p)
-    if args.criterion == "fidelity":
-        return fidelity_witness_verdict(state, args.n, args.m, tol=args.tol)
-    return criterion_verdict(state, args.criterion, m=args.m_signed, tol=args.tol)
+    """The verdict of the chosen kind on the state at noise ratio p."""
+    m = args.m if args.criterion == "fidelity" else args.m_signed
+    return criterion_verdict(_noisy_state(args, p), args.criterion, m=m, tol=args.tol)
 
 
 def _cmd_verdict(args: argparse.Namespace) -> tuple[int, str]:

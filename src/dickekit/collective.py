@@ -1,6 +1,8 @@
-"""Entanglement criteria built from collective spin measurements.
+"""Entanglement criteria built from collective spin measurements, the
+fidelity witness beside them, and their noise thresholds.
 
-The criteria evaluated here (documented in the README's theory section):
+The kinds ``criterion_verdict`` judges (documented in the README's theory
+section):
 
 - Lemma 1 bound: over fully separable states, any form
   sum_l a_l <J_l^2> + sum_l b_l <J_l> with a_l >= 0 attains its maximum on
@@ -18,8 +20,15 @@ The criteria evaluated here (documented in the README's theory section):
 - 'genuine3'/'genuine4': biseparable 3- and 4-qubit states obey
   <Jx^2> + <Jy^2> <= 2 + sqrt(5)/2 and <= 7/2 + sqrt(3) (Lemma 2/Theorem 3);
   violation certifies genuine multipartite entanglement.
+- 'fidelity' with excitation count m: <m,N|rho|m,N> above the biseparable
+  overlap bound ``dicke_fidelity_bound`` certifies genuine multipartite
+  entanglement.
 - Superradiance: the emitted light intensity of a coherent atomic cloud is
   I = I0 (<Jx^2> + <Jy^2> + <Jz>), maximal at the half-excited Dicke state.
+
+Noise thresholds are those of |N/2,N> (even N) under white or psixy noise:
+``collective_noise_threshold`` holds the closed forms, and
+``collective_threshold_numeric`` root-finds every pair a kind judges.
 """
 
 from __future__ import annotations
@@ -30,9 +39,9 @@ from math import sqrt
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, SYMMETRY_ATOL, Tolerances
-from .errors import DomainError, _check_int, _check_real
-from .fidelity import _margin_crossing
+from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, SYMMETRY_ATOL, Tolerances
+from .errors import DomainError, _check_int, _check_real, _check_type
+from .fidelity import _dicke_fidelity, dicke_fidelity_bound
 from .operators import (
     HermitianOperator,
     QuadraticForm,
@@ -40,11 +49,15 @@ from .operators import (
     single_site,
     PAULI,
 )
-from .oracle import _ti_maximum
-from .states import DensityMatrix, PureState, dicke_state, moments, psixy_noise_mix, white_noise_mix
+from .oracle import _safeguarded_root, _ti_maximum
+from .states import _STATE_TYPES, DensityMatrix, PureState, dicke_state, moments, psixy_noise_mix, white_noise_mix
 from .verdicts import DETECTED_ENTANGLED, DETECTED_GENUINE, WitnessVerdict, make_verdict
 
-CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4")
+CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4", "fidelity")
+_NOISE_FAMILIES = ("white", "psixy")
+# The noise families a kind judges, where not both: white noise leaves the maximal-spin
+# sector symmetric_jz needs, and psixy noise needs an even N, which genuine3 never has.
+_KIND_NOISES = {"symmetric_jz": ("psixy",), "genuine3": ("white",)}
 
 GENUINE3_BOUND = 2.0 + sqrt(5.0) / 2.0
 GENUINE4_BOUND = 3.5 + sqrt(3.0)
@@ -63,8 +76,7 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
     by the solver of ``maximize_over_ti_product``: the secular equation and
     its hard case.
     """
-    if not isinstance(form, QuadraticForm):
-        raise DomainError(f"expected a QuadraticForm, got {type(form).__name__}")
+    _check_type(form, (QuadraticForm,), "form")
     _check_int(n, "n", 1)
     if form.is_linear_free:
         a = form.a
@@ -78,10 +90,13 @@ def criterion_verdict(
     m: int | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> WitnessVerdict:
-    """Evaluate one collective criterion on a pure, mixed, or symmetric state."""
-    if kind not in CRITERION_KINDS:
-        raise DomainError(f"criterion kind must be one of {CRITERION_KINDS}, got {kind!r}")
-    n = state.n_qubits
+    """Evaluate one criterion on a pure, mixed, or symmetric state; ``m`` is
+    the shift of 'crit2' and the excitation count of 'fidelity'."""
+    n = _check_type(state, _STATE_TYPES, "state").n_qubits
+    _check_kind(kind, n)
+    if kind == "fidelity":  # an overlap, not a collective moment
+        bound = dicke_fidelity_bound(n, m)
+        return make_verdict(kind, _dicke_fidelity(state, m), bound, DETECTED_GENUINE, tol)
     (jx, jy, _jz), (jx2, jy2, jz2) = moments(state)
     planar = jx2 + jy2
     if kind == "theorem2":
@@ -103,11 +118,28 @@ def criterion_verdict(
         value = expectation(state, form)
         return make_verdict(f"crit2(m={int(m)})", value, lemma1_bound(form, n), DETECTED_ENTANGLED, tol)
     # genuine multipartite criteria
-    required = 3 if kind == "genuine3" else 4
-    if n != required:
-        raise DomainError(f"{kind} applies to exactly {required} qubits, got n = {n}")
     bound = GENUINE3_BOUND if kind == "genuine3" else GENUINE4_BOUND
     return make_verdict(kind, planar, bound, DETECTED_GENUINE, tol)
+
+
+def fidelity_witness_verdict(state, n: int, m: int, tol: Tolerances = DEFAULT_TOLERANCES) -> WitnessVerdict:
+    """The 'fidelity' verdict of ``criterion_verdict`` on a state of n qubits."""
+    if _check_type(state, _STATE_TYPES, "state").n_qubits != n:
+        raise DomainError(f"state has {state.n_qubits} qubits, expected {n}")
+    return criterion_verdict(state, "fidelity", m, tol)
+
+
+def _check_kind(kind: str, n: int, noise: str | None = None) -> None:
+    """Refuse an unknown kind, a qubit count it does not apply to (the genuine
+    kinds have one each) and, when given, a noise family it does not judge."""
+    if kind not in CRITERION_KINDS:
+        raise DomainError(f"criterion kind must be one of {CRITERION_KINDS}, got {kind!r}")
+    allowed = _KIND_NOISES.get(kind, _NOISE_FAMILIES)
+    if noise is not None and noise not in allowed:
+        raise DomainError(f"{kind} takes {' or '.join(allowed)} noise only, got {noise!r}")
+    required = {"genuine3": 3, "genuine4": 4}.get(kind, n)
+    if n != required:
+        raise DomainError(f"{kind} applies to exactly {required} qubits, got n = {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,44 +261,62 @@ def superradiance_intensity(state, i0: float = 1.0) -> float:
 # noise thresholds
 # ---------------------------------------------------------------------------
 
+# Closed forms by (kind, noise): roots of the margin on the noisy |N/2,N> (README)
+_CLOSED_THRESHOLDS = {
+    ("theorem2", "white"): lambda n: 1.0 / n,
+    ("theorem2", "psixy"): lambda n: 1.0,  # detection for every p < 1
+    ("genuine4", "white"): lambda n: (2.5 - sqrt(3.0)) / 4.0,
+    ("fidelity", "white"): lambda n: 0.5 * (n - 2) / ((n - 1) * (1.0 - 2.0 ** (-n))),
+}
+
+
 def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float:
-    """Closed-form noise ratio at which a criterion stops detecting the noisy
+    """Closed-form noise ratio at which a kind stops detecting the noisy
     half-excited Dicke state.
 
-    white noise: 'theorem2' -> 1/N (even N); 'genuine4' -> (5/2 - sqrt(3))/4
-    at N = 4.  psixy noise: 'theorem2' -> 1 (detection for every p < 1).
+    white noise: 'theorem2' -> 1/N; 'genuine4' -> (5/2 - sqrt(3))/4 at N = 4;
+    'fidelity' -> (1/2) (N-2) / ((N-1) (1 - 2^-N)).  psixy noise: 'theorem2'
+    -> 1 (detection for every p < 1).  Other pairs have only the numeric route.
     """
-    _check_int(n, "n", 2, even=True)  # the thresholds are those of |N/2,N>
-    if noise == "white":
-        if kind == "theorem2":
-            return 1.0 / n
-        if kind == "genuine4":
-            if n != 4:
-                raise DomainError("genuine4 threshold is defined for n = 4 only")
-            return (2.5 - sqrt(3.0)) / 4.0
-        raise DomainError(f"no white-noise threshold for kind {kind!r}")
-    if noise == "psixy":
-        if kind == "theorem2":
-            return 1.0
-        raise DomainError(f"no psixy-noise threshold for kind {kind!r}")
-    raise DomainError(f"noise family must be 'white' or 'psixy', got {noise!r}")
+    # thresholds are those of |N/2,N>, whose overlap bound N/(2(N-1)) holds from N = 4
+    _check_kind(kind, _check_int(n, "n", 4 if kind == "fidelity" else 2, even=True), noise)
+    if (kind, noise) not in _CLOSED_THRESHOLDS:
+        raise DomainError(f"no closed {noise}-noise threshold for kind {kind!r}")
+    return _CLOSED_THRESHOLDS[kind, noise](n)
 
 
 def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> float:
     """Noise threshold found by root-finding the verdict margin over p in [0,1].
 
-    Like ``fidelity_threshold_numeric``, it builds the noisy state and judges
-    it at each probe, independent of the closed formula.
+    Works for every pair a kind judges, independent of the closed formulas:
+    it builds the noisy state and judges it at each probe.  'crit2' takes the
+    shift 0 and 'fidelity' the excitation count N/2, those of |N/2,N>.
     """
-    _check_int(n, "n", 2, even=True)  # the thresholds are those of |N/2,N>
-    if kind not in ("theorem2", "genuine4"):
-        raise DomainError(f"numeric threshold supports 'theorem2'/'genuine4', got {kind!r}")
-    if noise not in ("white", "psixy"):
-        raise DomainError(f"noise family must be 'white' or 'psixy', got {noise!r}")
+    _check_kind(kind, _check_int(n, "n", 4 if kind == "fidelity" else 2, even=True), noise)
     target = dicke_state(n, n // 2)
+    m = n // 2 if kind == "fidelity" else 0
 
     def margin(p: float) -> float:
         rho = white_noise_mix(target, p) if noise == "white" else psixy_noise_mix(n, p)
-        return criterion_verdict(rho, kind).margin
+        return criterion_verdict(rho, kind, m).margin
 
     return _margin_crossing(margin)
+
+
+def fidelity_threshold_numeric(n: int) -> float:
+    """The white-noise threshold of the fidelity witness on |N/2,N>, by root-finding."""
+    return collective_threshold_numeric(n, "fidelity")
+
+
+def _margin_crossing(margin) -> float:
+    """Root of a margin function on [0, 1] that is positive at p = 0."""
+    lo, hi = margin(0.0), margin(1.0)
+    if lo <= 0:
+        raise DomainError("criterion does not detect the noiseless state; no threshold")
+    if hi > SOUNDNESS_TOL:
+        raise DomainError("margin stays positive on [0, 1]; no threshold to find")
+    if hi >= 0:
+        return 1.0  # crossing sits at the endpoint within roundoff
+    # the first step, the secant through the endpoints, is exact for a margin affine in p
+    return _safeguarded_root(lambda p: (-margin(p), None), 0.0, 1.0, lo / (lo - hi),
+                             xtol=ROOT_XTOL, last=(0.0, -lo))

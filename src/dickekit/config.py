@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, _check_real
+from .errors import _check_real
 
 # Dense statevectors/operators are capped at 12 qubits (4096-dim vectors,
 # 4096 x 4096 matrices); symmetric-sector computations scale to much larger N.
@@ -38,9 +38,3 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-def _check_tolerances(tol) -> Tolerances:
-    if not isinstance(tol, Tolerances):
-        raise DomainError(f"tol must be a Tolerances, got {tol!r}")
-    return tol

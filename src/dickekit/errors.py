@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the checks of scalar and
-sequence arguments that every entry point runs."""
+"""Exception types shared across the library, and the checks of scalar,
+sequence and record arguments that every entry point runs."""
 
 from math import isfinite
 
@@ -69,3 +69,11 @@ def _check_sequence(value, name: str) -> tuple:
     if isinstance(value, (list, tuple, range)) or (isinstance(value, np.ndarray) and value.ndim):
         return tuple(value)
     raise DomainError(f"{name} must be a sequence, got {type(value).__name__}")
+
+
+def _check_type(value, types: tuple, name: str):
+    """``value`` if it is an instance of one of ``types``; otherwise DomainError naming ``name``."""
+    if isinstance(value, types):
+        return value
+    names = " or ".join(t.__name__ for t in types)
+    raise DomainError(f"{name} must be a {names}, got {type(value).__name__}")

@@ -1,11 +1,12 @@
-"""Fidelity-based genuine-multipartite entanglement witnesses around Dicke states.
+"""The overlap bound and the Dicke fidelity behind the fidelity witness.
 
 The biseparable bound for the overlap with a target pure state is the largest
 squared Schmidt coefficient of the target over all bipartitions.  For the
 half-excited Dicke state |N/2,N> (even N >= 4) that maximum sits at the split
 with two qubits on one side and equals N / (2(N-1)); for the one-excitation
 state |1,N> it is (N-1)/N.  Any state whose Dicke fidelity exceeds the bound
-is genuinely N-partite entangled.
+is genuinely N-partite entangled: ``criterion_verdict`` kind 'fidelity'.
+``verify_appendix_inequality`` checks the bound's combinatorics exactly.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, Tolerances
 from .errors import DomainError, InvariantViolationError, _check_int
-from .oracle import _safeguarded_root
 from .states import (
     Bipartition,
     DensityMatrix,
@@ -28,9 +27,7 @@ from .states import (
     _dicke_amplitudes,
     dicke_state,
     schmidt_spectrum,
-    white_noise_mix,
 )
-from .verdicts import DETECTED_GENUINE, WitnessVerdict, make_verdict
 
 
 def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
@@ -62,21 +59,6 @@ def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
     raise DomainError(f"method must be 'exact' or 'svd', got {method!r}")
 
 
-def fidelity_witness_verdict(
-    state: "PureState | SymmetricState | Mixture | DensityMatrix",
-    n: int,
-    m: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> WitnessVerdict:
-    """Compare <m,N| rho |m,N> against the biseparable overlap bound."""
-    if not isinstance(state, (PureState, SymmetricState, Mixture, DensityMatrix)):
-        raise DomainError(f"unsupported state type {type(state).__name__}")
-    if state.n_qubits != n:
-        raise DomainError(f"state has {state.n_qubits} qubits, expected {n}")
-    bound = dicke_fidelity_bound(n, m)
-    return make_verdict("fidelity", _dicke_fidelity(state, m), bound, DETECTED_GENUINE, tol)
-
-
 def _dicke_fidelity(state: "PureState | SymmetricState | Mixture | DensityMatrix", m: int) -> float:
     """<m,N| rho |m,N>: |<m,N|psi>|^2 for a pure state; for a Mixture the
     weighted sum over its components plus the identity's share 2^-N."""
@@ -88,38 +70,6 @@ def _dicke_fidelity(state: "PureState | SymmetricState | Mixture | DensityMatrix
     if isinstance(state, DensityMatrix):
         return float(np.vdot(target, state.matrix @ target).real)
     return abs(np.vdot(target, state.amplitudes)) ** 2
-
-
-def fidelity_noise_threshold(n: int) -> float:
-    """White-noise ratio below which the fidelity witness still detects
-    |N/2,N>: (1/2) (N-2) / ((N-1) (1 - 2^-N)).  Even n >= 4 only."""
-    _check_int(n, "n", 4, even=True)
-    return 0.5 * (n - 2) / ((n - 1) * (1.0 - 2.0 ** (-n)))
-
-
-def fidelity_threshold_numeric(n: int) -> float:
-    """Noise threshold found by root-finding the witness margin over p in [0,1].
-
-    Independent of the closed formula: evaluates the full state-construction
-    and fidelity pipeline at each probe.
-    """
-    _check_int(n, "n", 4, even=True)
-    target = dicke_state(n, n // 2)
-    return _margin_crossing(lambda p: fidelity_witness_verdict(white_noise_mix(target, p), n, n // 2).margin)
-
-
-def _margin_crossing(margin) -> float:
-    """Root of a margin function on [0, 1] that is positive at p = 0."""
-    lo, hi = margin(0.0), margin(1.0)
-    if lo <= 0:
-        raise DomainError("criterion does not detect the noiseless state; no threshold")
-    if hi > SOUNDNESS_TOL:
-        raise DomainError("margin stays positive on [0, 1]; no threshold to find")
-    if hi >= 0:
-        return 1.0  # crossing sits at the endpoint within roundoff
-    # the first step, the secant through the endpoints, is exact for a margin affine in p
-    return _safeguarded_root(lambda p: (-margin(p), None), 0.0, 1.0, lo / (lo - hi),
-                             xtol=ROOT_XTOL, last=(0.0, -lo))
 
 
 # ---------------------------------------------------------------------------

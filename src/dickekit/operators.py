@@ -19,9 +19,9 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, _check_int, _check_real, _check_sequence
+from .errors import DomainError, InvariantViolationError, _check_int, _check_real, _check_sequence, _check_type
 from .states import (
-    DensityMatrix,
+    _STATE_TYPES,
     Mixture,
     PureState,
     SymmetricState,
@@ -139,14 +139,13 @@ def expectation(state, op) -> float:
     accept only these.  A Mixture takes a HermitianOperator's weighted sum
     over its components plus its identity weight times Tr(op)/2^N.
     """
+    _check_type(state, _STATE_TYPES, "state")
     if not isinstance(op, HermitianOperator):  # <J_l^p> is moments(state)[p - 1][l]
         return _form_sum(lambda axis, power: moments(state)[power - 1][AXES.index(axis)], op)
     if isinstance(state, Mixture):
         return state.average(lambda psi: expectation(psi, op), float(np.trace(op.matrix).real) / op.dimension)
     if isinstance(state, SymmetricState):
         raise DomainError("SymmetricState supports only collective forms and axis tags")
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise DomainError(f"unsupported state type {type(state).__name__}")
     if state.dimension != op.dimension:
         raise DomainError(f"dimension mismatch: state dim {state.dimension}, operator dim {op.dimension}")
     if isinstance(state, PureState):

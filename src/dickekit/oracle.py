@@ -23,7 +23,7 @@ from math import hypot, sqrt
 import numpy as np
 
 from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS
-from .errors import DomainError, InvariantViolationError, _check_int
+from .errors import DomainError, InvariantViolationError, _check_int, _check_type
 from .operators import AXES, PAULI, HermitianOperator, QuadraticForm
 from .states import (
     Bipartition,
@@ -290,6 +290,7 @@ def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
     |s(lambda)| = 1/2, or lambda = max(alpha) in its hard case (README, Lemma 1;
     More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
     """
+    _check_type(form, (QuadraticForm,), "form")
     _check_int(n, "n", 1)
     value, s = _ti_maximum(form, n)
     return OptimizationResult(value, BlochProduct(np.tile(s, (n, 1))), 1, 0)

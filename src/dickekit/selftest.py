@@ -16,6 +16,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .collective import (
+    _CLOSED_THRESHOLDS,
     GENUINE3_BOUND,
     GENUINE4_BOUND,
     analytic_eigenvalues,
@@ -29,12 +30,7 @@ from .collective import (
     theorem2_bound,
     theorem3_operators,
 )
-from .fidelity import (
-    dicke_fidelity_bound,
-    fidelity_noise_threshold,
-    fidelity_threshold_numeric,
-    verify_appendix_inequality,
-)
+from .fidelity import dicke_fidelity_bound, verify_appendix_inequality
 from .operators import HermitianOperator, QuadraticForm, collective_operator, expectation
 from .oracle import (
     max_eigenvalue,
@@ -223,14 +219,12 @@ def criterion_06_noise_thresholds() -> CheckResult:
     """Root-finding on verdict margins reproduces every closed-form threshold."""
     c = _Checks()
     t0 = time.perf_counter()
-    c.close("fidelity threshold n=4 (closed)", fidelity_noise_threshold(4), 16.0 / 45.0, 1e-12)
-    c.close("fidelity threshold n=4 (numeric)", fidelity_threshold_numeric(4), 16.0 / 45.0, 1e-9)
-    cases = [(n, "theorem2", "white", "1/n") for n in (4, 6, 8)]
-    cases += [(4, "genuine4", "white", "(5/2 - sqrt(3))/4"), (4, "theorem2", "psixy", "1")]
-    for n, kind, noise, formula in cases:
-        c.close(f"{kind} threshold n={n}, {noise} noise (numeric vs {formula})",
-                collective_threshold_numeric(n, kind, noise),
-                collective_noise_threshold(n, kind, noise), 1e-9)
+    c.close("fidelity threshold n=4 (closed)", collective_noise_threshold(4, "fidelity"), 16.0 / 45.0, 1e-12)
+    for kind, noise in _CLOSED_THRESHOLDS:
+        for n in (4,) if kind == "genuine4" else (4, 6, 8):
+            c.close(f"{kind} threshold n={n}, {noise} noise (numeric vs closed)",
+                    collective_threshold_numeric(n, kind, noise),
+                    collective_noise_threshold(n, kind, noise), 1e-9)
     verdict = criterion_verdict(psixy_noise_mix(4, 0.999), "theorem2")
     c.check(
         f"psixy noise at p = 0.999 still detected (margin {verdict.margin:.3g})",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DENSE_QUBIT_LIMIT, SYMMETRIC_QUBIT_LIMIT
 from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, TRACE_ATOL
-from .errors import DomainError, _check_int, _check_real, _check_sequence
+from .errors import DomainError, _check_int, _check_real, _check_sequence, _check_type
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -217,9 +217,8 @@ class Mixture(_State):
         components = _check_sequence(self.components, "Mixture components")
         if not components:
             raise DomainError("Mixture needs at least one pure component")
-        kind, n = type(components[0]), components[0].n_qubits
-        if kind not in (PureState, SymmetricState):
-            raise DomainError(f"Mixture components must be pure states, got {kind.__name__}")
+        kind = type(_check_type(components[0], (PureState, SymmetricState), "Mixture component"))
+        n = components[0].n_qubits
         if any(type(psi) is not kind or psi.n_qubits != n for psi in components):
             raise DomainError("Mixture components must be all PureState or all SymmetricState, on one N")
         weights = _check_sequence(self.weights, "Mixture weights")
@@ -256,6 +255,9 @@ class Mixture(_State):
         return DensityMatrix(n, self.average(projector, np.eye(2 ** n) / 2 ** n))
 
 
+_STATE_TYPES = (PureState, DensityMatrix, SymmetricState, Mixture)
+
+
 # ---------------------------------------------------------------------------
 # collective moments
 # ---------------------------------------------------------------------------
@@ -271,9 +273,7 @@ class Moments(NamedTuple):
 def moments(state) -> Moments:
     """The collective moments of a PureState, DensityMatrix, SymmetricState or
     Mixture, computed once per state object and kept on it."""
-    if not isinstance(state, _State):
-        raise DomainError(f"unsupported state type {type(state).__name__}")
-    return state._moments
+    return _check_type(state, _STATE_TYPES, "state")._moments
 
 
 def _collective_moments(state: _State) -> Moments:
@@ -396,7 +396,7 @@ def dicke_symmetric(n: int, m: int) -> SymmetricState:
 
 def symmetric_to_dense(state: SymmetricState) -> PureState:
     """Embed a symmetric-sector state into the full 2^N-dimensional space."""
-    n = state.n_qubits
+    n = _check_type(state, (SymmetricState,), "state").n_qubits
     _check_qubit_count(n)  # dense limit applies here
     dicke_amplitudes = np.array([1.0 / sqrt(comb(n, m)) for m in range(n + 1)])
     return PureState(n, (state.sector_amplitudes * dicke_amplitudes)[_excitation_counts(n)])
@@ -445,7 +445,7 @@ def psixy_symmetric(n: int, phi: float = 0.0) -> SymmetricState:
 def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition) -> PureState:
     """Pure state phi_a (x) phi_b with the factors placed on the qubits of
     ``split.side_a`` and ``split.side_b`` respectively."""
-    n = split.n_qubits
+    n = _check_type(split, (Bipartition,), "split").n_qubits
     _check_qubit_count(n)
     a = np.asarray(phi_a, dtype=complex)
     b = np.asarray(phi_b, dtype=complex)
@@ -485,7 +485,8 @@ def schmidt_spectrum(state: PureState, split: Bipartition) -> np.ndarray:
     """Squared singular values of the state reshaped along the bipartition,
     descending and read-only, numerically zero ones dropped.  For Dicke states
     this matches ``dicke_schmidt_squared``."""
-    if split.n_qubits != state.n_qubits:
+    _check_type(state, (PureState,), "state")
+    if _check_type(split, (Bipartition,), "split").n_qubits != state.n_qubits:
         raise DomainError(
             f"split is over {split.n_qubits} qubits but the state has {state.n_qubits}"
         )

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOLERANCES, Tolerances, _check_tolerances
-from .errors import DomainError
+from .config import DEFAULT_TOLERANCES, Tolerances
+from .errors import DomainError, _check_type
 
 DETECTED_NONE = "none"
 DETECTED_ENTANGLED = "entangled"
@@ -36,7 +36,7 @@ def make_verdict(
 ) -> WitnessVerdict:
     if detection_class not in (DETECTED_ENTANGLED, DETECTED_GENUINE):
         raise DomainError(f"detection_class must be a positive class, got {detection_class!r}")
-    _check_tolerances(tol)
+    _check_type(tol, (Tolerances,), "tol")
     margin = value - bound
     detected = detection_class if margin > tol.detection_tolerance else DETECTED_NONE
     return WitnessVerdict(criterion_id, float(value), float(bound), float(margin), detected)

@@ -48,13 +48,14 @@ ENTRY_POINTS = {
     "dicke_fidelity_bound.m": (lambda v: dk.dicke_fidelity_bound(4, v), "excitation count m must be"),
     "fidelity_witness_verdict.n": (lambda v: dk.fidelity_witness_verdict(_PURE, v, 1), "state has 2 qubits"),
     "fidelity_witness_verdict.m": (lambda v: dk.fidelity_witness_verdict(_PURE, 2, v), "excitation count m must be"),
-    "fidelity_noise_threshold.n": (lambda v: dk.fidelity_noise_threshold(v), "n must be"),
     "fidelity_threshold_numeric.n": (lambda v: dk.fidelity_threshold_numeric(v), "n must be"),
     "verify_appendix_inequality.n": (lambda v: dk.verify_appendix_inequality(v), "n must be"),
     "lemma1_bound.n": (lambda v: dk.lemma1_bound(dk.QuadraticForm(a=(1, 1, 0)), v), "n must be"),
     "criterion_verdict.crit2_m": (lambda v: dk.criterion_verdict(_PURE, "crit2", m=v), "crit2 shift m must be"),
     "superradiance_intensity.i0": (lambda v: dk.superradiance_intensity(_PURE, v), "i0 must be"),
     "collective_noise_threshold.n": (lambda v: dk.collective_noise_threshold(v, "theorem2"), "n must be"),
+    "collective_noise_threshold.fidelity_n": (lambda v: dk.collective_noise_threshold(v, "fidelity"),
+                                              "n must be"),
     "collective_threshold_numeric.n": (lambda v: dk.collective_threshold_numeric(v, "theorem2"), "n must be"),
     "analytic_eigenvalues.X": (lambda v: dk.analytic_eigenvalues("theorem3_eig", v), "theorem3_eig X must be"),
     "theorem3_operators.x1": (lambda v: dk.theorem3_operators(v, 0.0), "x1 must be"),
@@ -116,7 +117,7 @@ def test_a_tolerance_that_is_not_a_tolerances_record_is_refused(call, bad):
 
 @pytest.mark.parametrize("form", [(1, 1, 0), ((1, 1, 0), (0, 0, 0)), None, "x"])
 def test_lemma1_bound_refuses_what_is_not_a_quadratic_form(form):
-    with pytest.raises(dk.DomainError, match="expected a QuadraticForm"):
+    with pytest.raises(dk.DomainError, match="form must be a QuadraticForm"):
         dk.lemma1_bound(form, 3)
 
 
@@ -151,3 +152,49 @@ _NOT_SEQUENCES = {
 def test_a_container_argument_that_is_not_a_sequence_is_refused(call, message, bad):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
         call(bad)
+
+
+_SPLIT = dk.Bipartition(2, (1,))
+_STATES = "PureState or DensityMatrix or SymmetricState or Mixture"
+
+# argument: (call feeding it something that is not the record it needs, start of the refusal)
+_NOT_RECORDS = {
+    "criterion_verdict.state": (lambda v: dk.criterion_verdict(v, "theorem2"), f"state must be a {_STATES}"),
+    "criterion_verdict.fidelity_state": (lambda v: dk.criterion_verdict(v, "fidelity", 1),
+                                         f"state must be a {_STATES}"),
+    "fidelity_witness_verdict.state": (lambda v: dk.fidelity_witness_verdict(v, 2, 1), f"state must be a {_STATES}"),
+    "expectation.state": (lambda v: dk.expectation(v, _OP), f"state must be a {_STATES}"),
+    "expectation.form_state": (lambda v: dk.expectation(v, dk.QuadraticForm()), f"state must be a {_STATES}"),
+    "moments.state": (lambda v: dk.moments(v), f"state must be a {_STATES}"),
+    "superradiance_intensity.state": (lambda v: dk.superradiance_intensity(v), f"state must be a {_STATES}"),
+    "white_noise_mix.target": (lambda v: dk.white_noise_mix(v, 0.1),
+                               "Mixture component must be a PureState or SymmetricState"),
+    "symmetric_to_dense.state": (lambda v: dk.symmetric_to_dense(v), "state must be a SymmetricState"),
+    "assemble_bipartite.split": (lambda v: dk.assemble_bipartite([1, 0], [1, 0], v),
+                                 "split must be a Bipartition"),
+    "schmidt_spectrum.state": (lambda v: dk.schmidt_spectrum(v, _SPLIT), "state must be a PureState"),
+    "schmidt_spectrum.split": (lambda v: dk.schmidt_spectrum(_PURE, v), "split must be a Bipartition"),
+    "lemma1_bound.form": (lambda v: dk.lemma1_bound(v, 3), "form must be a QuadraticForm"),
+    "maximize_over_ti_product.form": (lambda v: dk.maximize_over_ti_product(v, 3), "form must be a QuadraticForm"),
+}
+
+
+@pytest.mark.parametrize("call, message, bad", [
+    pytest.param(call, message, bad, id=f"{name}-{value_id}")
+    for name, (call, message) in _NOT_RECORDS.items()
+    for value_id, bad in {"None": None, "float": 1.0, "tuple": (1, 1, 0), "str": "x",
+                          "tolerances": dk.DEFAULT_TOLERANCES}.items()
+])
+def test_a_record_argument_of_the_wrong_type_is_refused(call, message, bad):
+    with pytest.raises(dk.DomainError, match=re.escape(message)):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dk.schmidt_spectrum(dk.dicke_symmetric(2, 1), _SPLIT), "state must be a PureState, got SymmetricState"),
+    (lambda: dk.symmetric_to_dense(_PURE), "state must be a SymmetricState, got PureState"),
+    (lambda: dk.white_noise_mix(_PURE.to_density(), 0.1), "Mixture component must be a PureState or SymmetricState"),
+], ids=["schmidt_spectrum", "symmetric_to_dense", "white_noise_mix"])
+def test_a_state_of_another_backend_is_refused(call, message):
+    with pytest.raises(dk.DomainError, match=re.escape(message)):
+        call()

@@ -270,12 +270,64 @@ def test_every_tolerance_name_changes_some_command(capsys):
     (command, "--n", "4", *args, "--seed", "4")
     for command, *args in (("witness",), ("criterion", "--criterion", "theorem2"),
                            ("sweep-noise", "--criterion", "theorem2"))
-] + [("witness", "--n", "4", "--state", "dicke")])
+] + [("witness", "--n", "4", "--state", "dicke"), ("bound", "--n", "4", "--b", "1,2,3", "--m-signed", "1")])
 def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("criterion", "--n", "4", "--criterion", "theorem2", "--m-signed", "5"),
+     "criterion reads --m-signed only with --criterion crit2"),
+    (("sweep-noise", "--n", "4", "--criterion", "fidelity", "--m-signed", "3"),
+     "sweep-noise reads --m-signed only with --criterion crit2"),
+    (("witness", "--n", "4", "--phi", "0.3"), "witness reads --phi only with --noise psixy"),
+    (("criterion", "--n", "4", "--criterion", "theorem2", "--noise", "white", "--phi", "1"),
+     "criterion reads --phi only with --noise psixy"),
+    (("sweep-noise", "--n", "4", "--criterion", "theorem2", "--phi", "0"),
+     "sweep-noise reads --phi only with --noise psixy"),
+    # a noise family the kind does not take, once noise is mixed in
+    (("criterion", "--n", "4", "--criterion", "symmetric_jz", "--p", "1e-12"),
+     "symmetric_jz takes psixy noise only, got 'white'"),
+    (("sweep-noise", "--n", "4", "--criterion", "symmetric_jz"), "symmetric_jz takes psixy noise only"),
+    (("criterion", "--n", "3", "--criterion", "genuine3", "--noise", "psixy", "--p", "0.3"),
+     "genuine3 takes white noise only, got 'psixy'"),
+])
+def test_flags_a_command_does_not_read_for_the_given_values_exit_2_before_any_work(
+        capsys, monkeypatch, argv, message):
+    def refuse(_config):
+        raise AssertionError("a refused combination reached the command")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("criterion", "--n", "4", "--criterion", "symmetric_jz"),  # no noise mixed in
+    ("sweep-noise", "--n", "4", "--criterion", "symmetric_jz", "--grid", "0:0:2"),
+    ("sweep-noise", "--n", "4", "--criterion", "symmetric_jz", "--noise", "psixy", "--phi", "0.2"),
+    ("criterion", "--n", "3", "--criterion", "genuine3", "--p", "0.3"),
+    ("criterion", "--n", "4", "--criterion", "crit2", "--m-signed", "0", "--noise", "psixy", "--phi", "0"),
+    ("bound", "--n", "4", "--b", "0,0,-2"),
+    ("witness", "--n", "4", "--m", "2", "--noise", "psixy"),
+])
+def test_flags_read_for_the_given_values_still_run(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 0 and err == "" and out
+
+
+@pytest.mark.parametrize("flags", [
+    ("--n", "4"), ("--n", "4", "--p", "0.3", "--format", "csv"), ("--n", "6", "--m", "1", "--p", "0.2"),
+    ("--n", "4", "--p", "0.3", "--noise", "psixy", "--phi", "0.4"),
+    ("--n", "4", "--tolerance", "detection_tolerance=10"),
+])
+def test_criterion_fidelity_prints_the_witness_document(capsys, flags):
+    witness = run_cli(capsys, "witness", *flags)
+    assert witness[0] == 0
+    assert run_cli(capsys, "criterion", "--criterion", "fidelity", *flags) == witness
 
 
 # single-row documents, all written by one writer: (test id, argv)

@@ -284,38 +284,6 @@ def test_superradiance_of_separable_states_also_scales_quadratically():
     assert intensity == pytest.approx(n ** 2 / 4 + n / 4, rel=1e-12)
 
 
-def test_collective_noise_threshold_values():
-    assert dk.collective_noise_threshold(4, "theorem2") == pytest.approx(0.25)
-    assert dk.collective_noise_threshold(8, "theorem2") == pytest.approx(0.125)
-    assert dk.collective_noise_threshold(4, "genuine4") == pytest.approx((2.5 - sqrt(3)) / 4)
-    assert dk.collective_noise_threshold(4, "theorem2", noise="psixy") == pytest.approx(1.0)
-
-
-def test_collective_noise_threshold_errors():
-    with pytest.raises(dk.DomainError):
-        dk.collective_noise_threshold(3, "theorem2")
-    with pytest.raises(dk.DomainError):
-        dk.collective_noise_threshold(6, "genuine4")
-    with pytest.raises(dk.DomainError):
-        dk.collective_noise_threshold(4, "variance")
-    with pytest.raises(dk.DomainError):
-        dk.collective_noise_threshold(4, "theorem2", noise="pink")
-
-
-@pytest.mark.parametrize("n", [3, 5])
-def test_collective_threshold_numeric_refuses_odd_n(n):
-    for noise in ("white", "psixy"):
-        with pytest.raises(dk.DomainError, match=r"n must be an even integer >= 2, got %d" % n):
-            dk.collective_threshold_numeric(n, "theorem2", noise)
-
-
-def test_collective_threshold_numeric_agrees():
-    for n in range(4, 13, 2):
-        assert dk.collective_threshold_numeric(n, "theorem2") == pytest.approx(1.0 / n, abs=1e-12)
-        assert dk.collective_threshold_numeric(n, "theorem2", noise="psixy") == pytest.approx(1.0, abs=1e-12)
-    assert dk.collective_threshold_numeric(4, "genuine4") == pytest.approx((2.5 - sqrt(3)) / 4, abs=1e-12)
-
-
 def test_psixy_noise_detected_arbitrarily_close_to_one():
     verdict = dk.criterion_verdict(dk.psixy_noise_mix(4, 0.999), "theorem2")
     assert verdict.detected == dk.DETECTED_ENTANGLED

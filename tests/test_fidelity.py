@@ -1,11 +1,8 @@
-from math import sqrt
 
 import numpy as np
 import pytest
 
 import dickekit as dk
-from dickekit.config import SOUNDNESS_TOL
-from dickekit.fidelity import _margin_crossing
 
 
 def test_bound_examples():
@@ -103,69 +100,16 @@ def test_verdict_dimension_mismatch():
         dk.fidelity_witness_verdict(dk.dicke_state(3, 1), 4, 2)
 
 
-def test_noise_threshold_formula_values():
-    assert dk.fidelity_noise_threshold(4) == pytest.approx(16 / 45, abs=1e-12)
-    expected_8 = 0.5 * 6 / (7 * (1 - 2 ** -8))
-    assert dk.fidelity_noise_threshold(8) == pytest.approx(expected_8, abs=1e-12)
-    assert expected_8 == pytest.approx(0.430252, abs=1e-6)
-
-
-def test_noise_threshold_approaches_half():
-    values = [dk.fidelity_noise_threshold(n) for n in (4, 8, 16, 32, 64)]
-    assert all(v < 0.5 for v in values)
-    assert np.all(np.diff(values) > 0)
-    assert values[-1] > 0.49
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_noise_threshold_domain(n):
-    with pytest.raises(dk.DomainError):
-        dk.fidelity_noise_threshold(n)
-
-
-@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
-def test_noise_threshold_bisection_agrees(n):
-    assert dk.fidelity_threshold_numeric(n) == pytest.approx(
-        dk.fidelity_noise_threshold(n), abs=1e-12
-    )
-
-
-def _counted(margin):
-    """The margin with a list of the points it was evaluated at."""
-    calls = []
-
-    def counted(p):
-        calls.append(p)
-        return margin(p)
-
-    return counted, calls
-
-
-@pytest.mark.parametrize("margin, root, most", [
-    (lambda p: 0.3 - p, 0.3, 3),  # affine: the first secant lands on the root
-    (lambda p: 0.7 - p - 0.2 * p ** 2, (-1 + sqrt(1.56)) / 0.4, 10),
-])
-def test_margin_crossing_finds_the_root(margin, root, most):
-    counted, calls = _counted(margin)
-    assert _margin_crossing(counted) == pytest.approx(root, abs=1e-12)
-    assert len(calls) <= most
-
-
-@pytest.mark.parametrize("at_one", [0.0, 1e-12, SOUNDNESS_TOL])
-def test_margin_crossing_at_the_endpoint(at_one):
-    counted, calls = _counted(lambda p: (1.0 - p) + at_one * p)
-    assert _margin_crossing(counted) == 1.0
-    assert calls == [0.0, 1.0]
-
-
-@pytest.mark.parametrize("margin", [
-    lambda p: -p,  # the noiseless state is not detected
-    lambda p: 0.0,
-    lambda p: 1.0 - p + 2 * SOUNDNESS_TOL * p,  # still detected at p = 1
-])
-def test_margin_crossing_refuses_a_margin_without_a_crossing(margin):
-    with pytest.raises(dk.DomainError):
-        _margin_crossing(margin)
+@pytest.mark.parametrize("state", [
+    dk.white_noise_mix(dk.dicke_state(4, 2), 0.3), dk.psixy_noise_mix(4, 0.4, 0.2),
+    dk.dicke_symmetric(6, 3), dk.white_noise_mix(dk.dicke_state(4, 1), 0.2).to_density(),
+], ids=["white", "psixy", "symmetric", "density"])
+def test_fidelity_is_a_kind_of_criterion_verdict_that_reads_no_moments(state):
+    n = state.n_qubits
+    verdict = dk.criterion_verdict(state, "fidelity", n // 2)
+    assert verdict == dk.fidelity_witness_verdict(state, n, n // 2)
+    assert verdict.criterion_id == "fidelity" and verdict.bound == dk.dicke_fidelity_bound(n, n // 2)
+    assert "_moments" not in vars(state)  # the overlap needs no collective moment
 
 
 def test_margin_is_affine_with_single_crossing():

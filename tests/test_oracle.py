@@ -323,7 +323,7 @@ sys.meta_path.insert(0, RefuseScipy())
 import dickekit as dk
 from dickekit import cli
 
-assert abs(dk.fidelity_threshold_numeric(6) - dk.fidelity_noise_threshold(6)) <= 1e-12
+assert abs(dk.fidelity_threshold_numeric(6) - dk.collective_noise_threshold(6, "fidelity")) <= 1e-12
 assert abs(dk.collective_threshold_numeric(4, "genuine4") - (2.5 - 3 ** 0.5) / 4) <= 1e-12
 assert abs(dk.collective_threshold_numeric(6, "theorem2", "psixy") - 1.0) <= 1e-12
 assert dk.lemma1_bound(dk.QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, 0.0, -4.0)), 10) > 0
