@@ -260,7 +260,7 @@ def _noisy_state(args: argparse.Namespace, p: float):
 
 def _verdict(args: argparse.Namespace, p: float) -> WitnessVerdict:
     """The verdict of the chosen kind on the state at noise ratio p."""
-    m = args.m if args.criterion == "fidelity" else args.m_signed
+    m = args.m if args.criterion == "fidelity" else args.m_signed if args.criterion == "crit2" else None
     return criterion_verdict(_noisy_state(args, p), args.criterion, m=m, tol=args.tol)
 
 

@@ -91,9 +91,12 @@ def criterion_verdict(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> WitnessVerdict:
     """Evaluate one criterion on a pure, mixed, or symmetric state; ``m`` is
-    the shift of 'crit2' and the excitation count of 'fidelity'."""
+    the shift of 'crit2' and the excitation count of 'fidelity', and the
+    other kinds, which do not read it, refuse one."""
     n = _check_type(state, _STATE_TYPES, "state").n_qubits
     _check_kind(kind, n)
+    if m is not None and kind not in ("crit2", "fidelity"):
+        raise DomainError(f"{kind} does not read m")
     if kind == "fidelity":  # an overlap, not a collective moment
         bound = dicke_fidelity_bound(n, m)
         return make_verdict(kind, _dicke_fidelity(state, m), bound, DETECTED_GENUINE, tol)
@@ -294,7 +297,7 @@ def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> flo
     """
     _check_kind(kind, _check_int(n, "n", 4 if kind == "fidelity" else 2, even=True), noise)
     target = dicke_state(n, n // 2)
-    m = n // 2 if kind == "fidelity" else 0
+    m = {"fidelity": n // 2, "crit2": 0}.get(kind)
 
     def margin(p: float) -> float:
         rho = white_noise_mix(target, p) if noise == "white" else psixy_noise_mix(n, p)

@@ -83,6 +83,21 @@ def _excitation_counts(n: int) -> np.ndarray:
     return counts
 
 
+@lru_cache(maxsize=DENSE_QUBIT_LIMIT)
+def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit-flip partners of the 2^N basis labels, read-only and shared: row k
+    holds i ^ 2^k, and the int8 sign +1 or -1 as the qubit at bit k of label i
+    is excited or not (the sign sigma_y gives that row).  It holds no values:
+    callers scale by the exact -1/2 or i/2 themselves."""
+    labels = np.arange(2 ** n)
+    flips = 1 << np.arange(n)[:, None]
+    cols = labels ^ flips
+    signs = np.where(labels & flips, 1, -1).astype(np.int8)
+    cols.setflags(write=False)
+    signs.setflags(write=False)
+    return cols, signs
+
+
 def _check_qubit_count(n: int, limit: int = DENSE_QUBIT_LIMIT) -> None:
     if _check_int(n, "n_qubits", 1) > limit:
         raise DomainError(f"n_qubits = {n} exceeds the backend limit of {limit} qubits")
@@ -302,12 +317,13 @@ def _collective_moments(state: _State) -> Moments:
 
 def _dense_images(amps: np.ndarray, n: int):
     """J_x, J_y and J_z applied to 2^N dense amplitudes, yielded in turn (O(N 2^N)).
-    J_x and J_y flip one qubit per row of their tables, so they share one gather."""
-    cols, vals = _spin_rows(n, "x")
+    J_x = -(1/2) sum_k flipped_k and J_y = (i/2) sum_k sign_k flipped_k share one
+    gather along the flip table; scaling the sum, not each row, is exact."""
+    cols, signs = _flip_table(n)
     flipped = amps[cols]
-    yield (vals * flipped).sum(axis=0)
-    yield (_spin_rows(n, "y")[1] * flipped).sum(axis=0)
-    yield _spin_rows(n, "z")[1][0] * amps
+    yield -0.5 * flipped.sum(axis=0)
+    yield 0.5j * (signs * flipped).sum(axis=0)
+    yield (_excitation_counts(n) - 0.5 * n) * amps
 
 
 def _sector_images(amps: np.ndarray, n: int):
@@ -327,21 +343,20 @@ def _spin_rows(n: int, axis: str, power: int = 1) -> tuple[np.ndarray, np.ndarra
     """Row table of J_axis^power on N qubits: (J^power x)_i = sum_r vals[r, i] x[cols[r, i]].
 
     Row i of sigma_x or sigma_y on the qubit at bit k has its one entry in
-    column i ^ 2^k: -1 for sigma_x, and +i or -i for sigma_y as that qubit is
-    excited or not.  J_z is diagonal.  J^2 composes the table with itself, so
-    a table has at most N^2 rows of 2^N entries and no 4^N matrix is built.
+    column i ^ 2^k of the cached ``_flip_table``: -1 for sigma_x, and +i or -i
+    (its sign) for sigma_y.  J_z is diagonal.  J^2 composes the table with
+    itself, so a table has at most N^2 rows of 2^N entries and no 4^N matrix
+    is built.
     """
-    labels = np.arange(2 ** n)
     if axis == "z":  # (number of excited qubits) - N/2
-        cols, vals = labels[None, :], _excitation_counts(n)[None, :] - 0.5 * n
+        cols, vals = np.arange(2 ** n)[None, :], _excitation_counts(n)[None, :] - 0.5 * n
     else:
-        flips = 1 << np.arange(n)[:, None]
-        cols = labels ^ flips
-        vals = np.full(cols.shape, -0.5) if axis == "x" else np.where(labels & flips, 0.5j, -0.5j)
+        cols, signs = _flip_table(n)
+        vals = np.full(cols.shape, -0.5) if axis == "x" else signs * 0.5j
     if power == 2:  # (J^2 x)_i = sum_r vals[r, i] sum_s vals[s, c] x[cols[s, c]], c = cols[r, i]
         flat = cols.ravel()
         cols, vals = np.take(cols, flat, axis=1), np.take(vals, flat, axis=1) * vals.ravel()
-        cols, vals = cols.reshape(-1, labels.size), vals.reshape(-1, labels.size)
+        cols, vals = cols.reshape(-1, 2 ** n), vals.reshape(-1, 2 ** n)
     return cols, vals
 
 
@@ -379,10 +394,13 @@ def dicke_state(n: int, m: int) -> PureState:
     return PureState(n, _dicke_amplitudes(n, _check_int(m, "excitation count m", 0, n)))
 
 
+@lru_cache(maxsize=2 * DENSE_QUBIT_LIMIT)
 def _dicke_amplitudes(n: int, m: int) -> np.ndarray:
-    """The 2^N amplitudes of |m,N>, unchecked: callers have validated n and m."""
+    """The 2^N amplitudes of |m,N>, unchecked (callers have validated n and m)
+    and read-only, since every caller shares them."""
     amps = np.zeros(2 ** n, dtype=complex)
     amps[_excitation_counts(n) == m] = 1.0 / sqrt(comb(n, m))
+    amps.setflags(write=False)
     return amps
 
 
@@ -403,21 +421,27 @@ def symmetric_to_dense(state: SymmetricState) -> PureState:
 
 
 def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
-    """Tensor product of single-qubit states; the first factor is qubit 1 (MSB)."""
+    """Tensor product of single-qubit states; the first factor is qubit 1 (MSB).
+
+    Every qubit is checked, and the first bad one named, before any arithmetic
+    on it; the product grows one outer product per qubit."""
     qubit_states = _check_sequence(qubit_states, "product_state qubit states")
     if len(qubit_states) == 0:
         raise DomainError("product_state needs at least one qubit")
-    amps = np.array([1.0], dtype=complex)
-    for q in qubit_states:
-        v = np.asarray(q, dtype=complex)
-        if v.shape != (2,):
-            raise DomainError(f"single-qubit state must have shape (2,), got {v.shape}")
-        norm = np.linalg.norm(v)  # checked before any arithmetic on v can warn
-        if not isfinite(norm) or norm == 0.0:
-            raise DomainError(f"single-qubit state {v} is zero or has non-finite amplitudes")
-        amps = np.kron(amps, v)
-    amps = amps / np.linalg.norm(amps)
-    return PureState(len(qubit_states), amps)
+    vectors = [np.asarray(q, dtype=complex) for q in qubit_states]
+    # a zero or non-finite qubit ahead of the first misshapen one is the first bad qubit
+    shaped = next((k for k, v in enumerate(vectors) if v.shape != (2,)), len(vectors))
+    flat = np.array(vectors[:shaped]).reshape(shaped, 2).view(float)  # re, im interleaved
+    norms = np.sqrt(np.vecdot(flat, flat))
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        raise DomainError(f"single-qubit state {vectors[bad[0]]} is zero or has non-finite amplitudes")
+    if shaped < len(vectors):
+        raise DomainError(f"single-qubit state must have shape (2,), got {vectors[shaped].shape}")
+    amps = np.ones(1, dtype=complex)
+    for v in vectors:
+        amps = np.multiply.outer(amps, v).ravel()
+    return PureState(len(vectors), amps / np.linalg.norm(amps))
 
 
 def psixy_state(n: int, phi: float = 0.0) -> PureState:

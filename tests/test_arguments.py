@@ -17,6 +17,8 @@ BAD_VALUES = {
 }
 
 _PURE = dk.dicke_state(2, 1)
+# the criterion kinds that read no m, each with a qubit count it applies to
+_KINDS_WITHOUT_M = {"theorem2": 2, "variance": 2, "symmetric_jz": 2, "genuine3": 3, "genuine4": 4}
 _OP = dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 0)))
 
 # argument: (call feeding it the bad value, start of the refusal)
@@ -52,6 +54,9 @@ ENTRY_POINTS = {
     "verify_appendix_inequality.n": (lambda v: dk.verify_appendix_inequality(v), "n must be"),
     "lemma1_bound.n": (lambda v: dk.lemma1_bound(dk.QuadraticForm(a=(1, 1, 0)), v), "n must be"),
     "criterion_verdict.crit2_m": (lambda v: dk.criterion_verdict(_PURE, "crit2", m=v), "crit2 shift m must be"),
+    **{f"criterion_verdict.{kind}_m": (lambda v, kind=kind, n=n: dk.criterion_verdict(dk.dicke_state(n, 1), kind, m=v),
+                                       f"{kind} does not read m")
+       for kind, n in _KINDS_WITHOUT_M.items()},
     "superradiance_intensity.i0": (lambda v: dk.superradiance_intensity(_PURE, v), "i0 must be"),
     "collective_noise_threshold.n": (lambda v: dk.collective_noise_threshold(v, "theorem2"), "n must be"),
     "collective_noise_threshold.fidelity_n": (lambda v: dk.collective_noise_threshold(v, "fidelity"),
@@ -84,8 +89,9 @@ ENTRY_POINTS = {
 }
 
 
-# None is the default of these: infer n from the operator
-_NONE_ALLOWED = {"maximize_over_product_states.n", "maximize_over_biseparable.n"}
+# None is the default of these: infer n from the operator, or read no m
+_NONE_ALLOWED = {"maximize_over_product_states.n", "maximize_over_biseparable.n",
+                 *(f"criterion_verdict.{kind}_m" for kind in _KINDS_WITHOUT_M)}
 
 
 @pytest.mark.filterwarnings("error")  # refused before any arithmetic can warn

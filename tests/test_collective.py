@@ -116,8 +116,10 @@ def test_no_argument_lets_symmetric_jz_judge_a_state_outside_the_maximal_spin_se
     state = dk.product_state([[1, 0], [0, 1]])
     loosest = dk.Tolerances(**{f.name: 1e9 for f in fields(dk.Tolerances)})
     for tol in (dk.DEFAULT_TOLERANCES, loosest):
-        for m in (None, 0, 1):
-            with pytest.raises(dk.DomainError, match="needs a maximal-spin state"):
+        with pytest.raises(dk.DomainError, match="needs a maximal-spin state"):
+            dk.criterion_verdict(state, "symmetric_jz", tol=tol)
+        for m in (0, 1):  # symmetric_jz reads no m, so it refuses one first
+            with pytest.raises(dk.DomainError, match="symmetric_jz does not read m"):
                 dk.criterion_verdict(state, "symmetric_jz", m=m, tol=tol)
 
 

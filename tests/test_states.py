@@ -1,4 +1,6 @@
+import functools
 import itertools
+import re
 from math import comb, sqrt
 
 import numpy as np
@@ -383,6 +385,54 @@ def test_assemble_bipartite_interleaves_qubits():
 def test_product_state_validates_before_normalizing(bad):
     with pytest.raises(dk.DomainError, match="zero or has non-finite"):
         dk.product_state([[1.0, 0.0], bad])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_product_state_matches_a_kron_chain_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):  # unnormalised complex qubits, normalised once at the end
+        qubits = list(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+        reference = functools.reduce(np.kron, [np.array([1.0], dtype=complex)] + qubits)
+        reference = reference / np.linalg.norm(reference)
+        assert dk.product_state(qubits).amplitudes.tobytes() == reference.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("qubits, message", [
+    ([[1, 0], [1, 2, 3], [0, 0]], "must have shape (2,), got (3,)"),
+    ([[1, 0], [[1, 0]], [1, 2, 3]], "must have shape (2,), got (1, 2)"),
+    ([[1, 0], [0, 0], [1, 2, 3]], "state [0.+0.j 0.+0.j] is zero"),
+    ([[1, 0], [0, 0], [np.nan, 1]], "state [0.+0.j 0.+0.j] is zero"),
+    ([[1, 0], [np.nan, 1], [0, 0]], "state [nan+0.j  1.+0.j] is zero"),
+    ([[1, 0], [1, np.inf], [1, 2, 3]], "state [ 1.+0.j inf+0.j] is zero"),
+], ids=["shape", "shape-2d", "zero-before-shape", "zero-before-nan", "nan-before-zero", "inf-before-shape"])
+def test_product_state_names_the_first_bad_qubit(qubits, message):
+    with pytest.raises(dk.DomainError, match=re.escape(message)):
+        dk.product_state(qubits)
+
+
+def test_shared_tables_are_cached_and_read_only():
+    tables = {
+        "excitation counts": lambda: (dk.states._excitation_counts(6),),
+        "flip table": lambda: dk.states._flip_table(6),
+        "Dicke amplitudes": lambda: (dk.states._dicke_amplitudes(6, 2),),
+    }
+    for name, table in tables.items():
+        first, second = table(), table()
+        for a, b in zip(first, second):
+            assert a is b, name
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[0] = 0
+    cols, signs = dk.states._flip_table(6)
+    assert cols.shape == signs.shape == (6, 64) and signs.dtype == np.int8
+
+
+def test_dicke_state_copies_the_shared_amplitudes():
+    state = dk.dicke_state(6, 2)
+    cached = dk.states._dicke_amplitudes(6, 2)
+    assert state.amplitudes is not cached and not np.shares_memory(state.amplitudes, cached)
+    assert state.amplitudes.tobytes() == cached.tobytes()
 
 
 @pytest.mark.parametrize("n", [True, 0, 2.0])
