@@ -296,10 +296,10 @@ def _collective_moments(state: _State) -> Moments:
     if isinstance(state, Mixture):  # the identity's share: Tr(J_l)/2^N = 0 and Tr(J_l^2)/2^N = N/4
         table = state.average(lambda psi: np.array(moments(psi)), np.array([[0.0] * 3, [n / 4.0] * 3]))
         return Moments(*map(tuple, table.tolist()))
+    if isinstance(state, SymmetricState):
+        return _sector_moments(state.sector_amplitudes, n)
     if isinstance(state, PureState):
         amps, images = state.amplitudes, _dense_images(state.amplitudes, n)
-    elif isinstance(state, SymmetricState):
-        amps, images = state.sector_amplitudes, _sector_images(state.sector_amplitudes, n)
     else:  # a DensityMatrix: Tr(rho J^p) = sum_i (J^p rho)_ii, gathered along the row table
         diagonal = np.arange(2 ** n)
 
@@ -326,17 +326,24 @@ def _dense_images(amps: np.ndarray, n: int):
     yield (_excitation_counts(n) - 0.5 * n) * amps
 
 
-def _sector_images(amps: np.ndarray, n: int):
-    """J_x, J_y and J_z applied to maximal-spin sector amplitudes, yielded in turn (O(N)).
-    J_x and J_y share the coupling (1/2) sqrt((m+1)(N-m)) of excitations m and m+1."""
-    m = np.arange(n + 1)
-    coupling = 0.5 * np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-    for raise_coeff in (-1.0, 1j):  # J_x = -(J_+ + J_-)/2 and J_y = i(J_+ - J_-)/2
-        image = np.zeros_like(amps)
-        image[1:] += raise_coeff * coupling * amps[:-1]
-        image[:-1] += np.conj(raise_coeff) * coupling * amps[1:]
-        yield image
-    yield (m - n / 2.0) * amps
+def _sector_moments(amps: np.ndarray, n: int) -> Moments:
+    """Moments of maximal-spin sector amplitudes a_m in O(N), from p_m = |a_m|^2,
+    z_m = m - N/2 and two ladder sums: <J_+> = sum_m c_m a*_{m+1} a_m, with c_m =
+    sqrt((m+1)(N-m)), and <J_+^2> = sum_m c_m c_{m+1} a*_{m+2} a_m.  J_x = -(J_+ + J_-)/2
+    and J_y = i(J_+ - J_-)/2 give <J_x> = -Re<J_+> and <J_y> = -Im<J_+>, and since
+    J_+J_- + J_-J_+ = 2(J^2 - J_z^2) in the sector, <J_x^2> and <J_y^2> are
+    (J(J+1) sum p - <J_z^2>)/2 +- Re<J_+^2>/2.  A Dicke state's moments are exact."""
+    m = np.arange(n + 1.0)
+    z = m - 0.5 * n
+    p = amps.real ** 2 + amps.imag ** 2
+    coupling = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+    raised = np.vdot(amps[1:], coupling * amps[:-1])
+    raised2 = float(np.vdot(amps[2:], coupling[:-1] * coupling[1:] * amps[:-2]).real)
+    jz, jz2 = float(p @ z), float(p @ (z * z))
+    planar = (0.5 * n * (0.5 * n + 1.0) * float(p.sum()) - jz2) / 2.0
+    # 0.0 - x, not -x: a zero first moment stays +0.0
+    first = (0.0 - float(raised.real), 0.0 - float(raised.imag), jz)
+    return Moments(first, (planar + raised2 / 2.0, planar - raised2 / 2.0, jz2))
 
 
 def _spin_rows(n: int, axis: str, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -423,8 +430,8 @@ def symmetric_to_dense(state: SymmetricState) -> PureState:
 def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     """Tensor product of single-qubit states; the first factor is qubit 1 (MSB).
 
-    Every qubit is checked, and the first bad one named, before any arithmetic
-    on it; the product grows one outer product per qubit."""
+    Every qubit is checked, and the first bad one named, before its products
+    are formed; the product grows one outer product per qubit."""
     qubit_states = _check_sequence(qubit_states, "product_state qubit states")
     if len(qubit_states) == 0:
         raise DomainError("product_state needs at least one qubit")
@@ -432,6 +439,9 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     # a zero or non-finite qubit ahead of the first misshapen one is the first bad qubit
     shaped = next((k for k, v in enumerate(vectors) if v.shape != (2,)), len(vectors))
     flat = np.array(vectors[:shaped]).reshape(shaped, 2).view(float)  # re, im interleaved
+    # the exact power of two that brings each qubit's largest entry into [1/2, 1)
+    # keeps its squared norm in range; zero, NaN and inf qubits are left as they are
+    flat = np.ldexp(flat, -np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1][:, None])
     norms = np.sqrt(np.vecdot(flat, flat))
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
     if bad.size:
@@ -439,7 +449,7 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     if shaped < len(vectors):
         raise DomainError(f"single-qubit state must have shape (2,), got {vectors[shaped].shape}")
     amps = np.ones(1, dtype=complex)
-    for v in vectors:
+    for v in flat.view(complex):
         amps = np.multiply.outer(amps, v).ravel()
     return PureState(len(vectors), amps / np.linalg.norm(amps))
 

@@ -141,8 +141,9 @@ def test_density_moments_match_the_trace_against_kron_chains(n):
 
 
 def test_each_state_builds_each_components_images_once(monkeypatch):
+    # a dense component's images, or a sector component's ladder-sum moments
     builds = []
-    for name in ("_dense_images", "_sector_images"):
+    for name in ("_dense_images", "_sector_moments"):
         def counted(amps, n, build=getattr(dk.states, name)):
             builds.append(id(amps))
             return build(amps, n)
@@ -211,6 +212,40 @@ def test_sector_total_spin_identity(n):
     state = dk.SymmetricState(n, amps / np.linalg.norm(amps))
     total = dk.expectation(state, dk.QuadraticForm(a=(1, 1, 1)))
     assert total == pytest.approx((n / 2) * (n / 2 + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sector_ladder_sums_match_the_dense_images(n):
+    rng = np.random.default_rng(n)
+    scale = 1e-12 * max(1.0, (n / 2) * (n / 2 + 1))
+    for _ in range(10):
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        state = dk.SymmetricState(n, amps / np.linalg.norm(amps))
+        sector, dense = dk.moments(state), dk.moments(dk.symmetric_to_dense(state))
+        np.testing.assert_allclose(np.array(sector), np.array(dense), rtol=0, atol=scale)
+
+
+def _exact_dicke_moments(n, m):
+    state = dk.dicke_symmetric(n, m)
+    (jx, jy, jz), (jx2, jy2, jz2) = dk.moments(state)
+    z, spin = m - n / 2, (n / 2) * (n / 2 + 1)
+    # +0.0, not -0.0: the sign shows in every document that prints them
+    assert (np.copysign(1.0, jx), np.copysign(1.0, jy)) == (1.0, 1.0) and jx == jy == 0.0, (n, m)
+    assert (jz, jz2) == (z, z * z), (n, m)
+    assert jx2 == jy2 == (spin - z * z) / 2, (n, m)
+    assert dk.superradiance_intensity(state) == spin - z * z + z, (n, m)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_dicke_sector_moments_are_exact(n):
+    for m in range(n + 1):
+        _exact_dicke_moments(n, m)
+
+
+def test_dicke_sector_moments_are_exact_at_the_sector_limit():
+    n = dk.config.SYMMETRIC_QUBIT_LIMIT
+    for m in (0, 1, 2, 1234, n // 2 - 1, n // 2, n // 2 + 1, 7777, n - 1, n):
+        _exact_dicke_moments(n, m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 10])

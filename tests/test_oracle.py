@@ -1,6 +1,8 @@
+import os
 import subprocess
 import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,8 +334,11 @@ assert cli.main(["selftest", "--only", "6"]) == 0
 
 
 def test_library_runs_without_scipy():
-    # every scipy import raises, so any use of scipy on these paths fails the run
-    run = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True)
+    # every scipy import raises, so any use of scipy on these paths fails the run;
+    # the child imports the dickekit this process imported, installed or not
+    path = [str(Path(dk.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
 
 

@@ -397,6 +397,13 @@ def test_product_state_matches_a_kron_chain_bit_for_bit(n):
         assert dk.product_state(qubits).amplitudes.tobytes() == reference.tobytes()
 
 
+@pytest.mark.filterwarnings("error")  # 1e200 squared overflows: a warning means an unscaled norm
+@pytest.mark.parametrize("tiny_or_huge", [1e-200, 1e200, 5e-324, 1.7e308])
+def test_product_state_accepts_a_qubit_whose_squared_norm_leaves_the_float_range(tiny_or_huge):
+    state = dk.product_state([[tiny_or_huge, 0], [1, 1]])
+    np.testing.assert_allclose(state.amplitudes, [2 ** -0.5, 2 ** -0.5, 0, 0], rtol=1e-15, atol=0)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("qubits, message", [
     ([[1, 0], [1, 2, 3], [0, 0]], "must have shape (2,), got (3,)"),

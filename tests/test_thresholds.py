@@ -96,6 +96,14 @@ def test_a_size_without_a_threshold_is_refused(route, n, kind, noise, message):
         route(n, kind, noise)
 
 
+@pytest.mark.parametrize("k", range(1, 14))
+def test_theorem2_calls_white_noise_at_its_threshold_undetected(k):
+    # at p = 1/N the margin is exactly zero: N a power of two keeps every term exact
+    n = 2 ** k
+    verdict = dk.criterion_verdict(dk.white_noise_mix(dk.dicke_symmetric(n, n // 2), 2.0 ** -k), "theorem2")
+    assert verdict.margin == 0.0 and verdict.detected == "none"
+
+
 def test_fidelity_threshold_approaches_half():
     values = [dk.collective_noise_threshold(n, "fidelity") for n in (4, 8, 16, 32, 64)]
     assert values[0] == pytest.approx(16 / 45, abs=1e-15)
