@@ -77,7 +77,7 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
     its hard case.
     """
     _check_type(form, (QuadraticForm,), "form")
-    _check_int(n, "n", 1)
+    _check_int(n, "n", 1, 2 ** 53)  # the form is evaluated with N as a float, exact to 2^53
     if form.is_linear_free:
         a = form.a
         return sum(a) * n / 4.0 + max(a) * (n / 2.0) * (n / 2.0 - 0.5)

@@ -119,10 +119,13 @@ def collective_operator(n: int, which: "QuadraticForm | str") -> HermitianOperat
         np.add.at(out, (cols + dim * np.arange(dim)).ravel(), vals.ravel())  # exact: sums of +-1/4
         return out.reshape(dim, dim)
 
-    mat = np.zeros((dim, dim), dtype=complex) + _form_sum(matrix, which)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mat = np.zeros((dim, dim), dtype=complex) + _form_sum(matrix, which)
     try:
         return HermitianOperator(dim, mat)
-    except DomainError as exc:  # assembly of Hermitian pieces can only fail via a bug
+    except DomainError as exc:  # Hermitian pieces fail only when large coefficients overflow, or via a bug
+        if not np.isfinite(mat).all():
+            raise DomainError(f"collective operator on {n} qubits leaves the float range: {exc}") from exc
         raise InvariantViolationError(f"collective operator assembly is not Hermitian: {exc}") from exc
 
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from math import hypot, sqrt
+from math import hypot, isfinite, sqrt
 
 import numpy as np
 
-from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS
+from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS, SYMMETRIC_QUBIT_LIMIT
 from .errors import DomainError, InvariantViolationError, _check_int, _check_type
 from .operators import AXES, PAULI, HermitianOperator, QuadraticForm
 from .states import (
@@ -291,7 +291,7 @@ def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
     More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
     """
     _check_type(form, (QuadraticForm,), "form")
-    _check_int(n, "n", 1)
+    _check_int(n, "n", 1, SYMMETRIC_QUBIT_LIMIT)  # the argument holds one Bloch vector per qubit
     value, s = _ti_maximum(form, n)
     return OptimizationResult(value, BlochProduct(np.tile(s, (n, 1))), 1, 0)
 
@@ -302,6 +302,8 @@ def _ti_maximum(form: QuadraticForm, n: int) -> tuple[float, np.ndarray]:
     # a subnormal beta on a top axis would put the root below the normal range
     # (the Newton slope overflows); flushing it moves the value by < 1e-307
     beta = [n * x if abs(n * x) >= _TINY else 0.0 for x in form.b]
+    if not isfinite(2.0 * (max(alpha) + hypot(*beta))):  # bounds every 2 (gap_l + mu) the solver forms
+        raise DomainError(f"{form} on {n} qubits leaves the float range of the tensor-power solver")
     gaps = [max(alpha) - x for x in alpha]  # lambda - alpha_l = gap_l + mu, mu = lambda - max(alpha)
     mu = _secular_root(gaps, beta)
     s = _secular_point(gaps, beta, mu)
@@ -444,11 +446,8 @@ def maximize_over_biseparable(
 
     tensor = mat.reshape([2] * (2 * n))
     for split in _bipartitions(n, _is_permutation_invariant(mat, n)):
-        axes_a = [q - 1 for q in split.side_a]
-        axes_b = [q - 1 for q in split.side_b]
-        perm = axes_a + axes_b
-        d_a, d_b = 2 ** len(axes_a), 2 ** len(axes_b)
-        w = tensor.transpose(perm + [n + p for p in perm]).reshape(d_a, d_b, d_a, d_b)
+        axes, d_a, d_b = split.axes, 2 ** len(split.side_a), 2 ** len(split.side_b)
+        w = tensor.transpose(axes + tuple(n + q for q in axes)).reshape(d_a, d_b, d_a, d_b)
         w_l = w.reshape(-1, d_b)
         w_k = np.ascontiguousarray(w.transpose(0, 1, 3, 2)).reshape(-1, d_a)
         search.run(lambda rng: _haar_pair(rng, d_a, d_b), partial(_bisep_sweep, w_l, w_k), split)
@@ -483,11 +482,12 @@ def _biseparable_block(rng: np.random.Generator, n: int, size: int) -> np.ndarra
         rows_of.setdefault(mask, []).append(i)
     amps = np.empty((size, dim), dtype=complex)
     for mask, rows in rows_of.items():
-        order = [q for q in range(n) if mask >> q & 1] + [q for q in range(n) if not mask >> q & 1]
+        # the axis rule of Bipartition.axes, read off the mask: side A's qubits, then side B's
+        axes = [q for q in range(n) if mask >> q & 1] + [q for q in range(n) if not mask >> q & 1]
         d_a = 2 ** mask.bit_count()
         pair = _outer_rows(*_haar_pairs(np.stack([draws[i] for i in rows]), d_a, dim // d_a))
-        axes = [0] + [1 + order.index(q) for q in range(n)]  # back to qubit order
-        amps[rows] = pair.reshape([len(rows)] + [2] * n).transpose(axes).reshape(len(rows), dim)
+        back = [0, *(1 + i for i in sorted(range(n), key=axes.__getitem__))]  # argsort: back to qubit order
+        amps[rows] = pair.reshape([len(rows)] + [2] * n).transpose(back).reshape(len(rows), dim)
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
@@ -500,7 +500,7 @@ def _density_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 
 _SAMPLERS = {  # kind: (block function, its largest array per sample in floats, state type)
     "pure": (_pure_block, lambda n: 2 ** (n + 1), PureState),
-    "product": (_product_block, lambda n: max(4 * n, 2 ** (n + 1)), PureState),
+    "product": (_product_block, lambda n: 2 ** (n + 1), PureState),
     "biseparable": (_biseparable_block, lambda n: 2 ** (n + 1), PureState),
     "density": (_density_block, lambda n: 2 ** (2 * n + 1), DensityMatrix),
 }

@@ -296,7 +296,8 @@ def criterion_09_separable_reduction() -> CheckResult:
     # minimizing J^2 over two-qubit product states is NOT a tensor-power
     # problem: the optimum is an anti-aligned pair with <J^2> = 1, strictly
     # below the tensor-power value 2.
-    j2 = collective_operator(2, QuadraticForm(a=(1.0, 1.0, 1.0)))
+    total_spin = QuadraticForm(a=(1.0, 1.0, 1.0))
+    j2 = collective_operator(2, total_spin)
     neg = HermitianOperator(4, -j2.matrix)
     res = maximize_over_product_states(neg, restarts=64, seed=0)
     min_product = -res.value
@@ -304,7 +305,7 @@ def criterion_09_separable_reduction() -> CheckResult:
     thetas = np.linspace(0, np.pi, 181)
     phis = np.linspace(0, 2 * np.pi, 181)
     ti_min = min(
-        ti_objective(QuadraticForm(a=(1.0, 1.0, 1.0)), 2,
+        ti_objective(total_spin, 2,
                      0.5 * np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)]))
         for t in thetas for p in phis
     )

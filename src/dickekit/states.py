@@ -75,27 +75,20 @@ def _check_hermitian(mat: np.ndarray, kind: str) -> None:
 
 
 @lru_cache(maxsize=DENSE_QUBIT_LIMIT)
-def _excitation_counts(n: int) -> np.ndarray:
-    """Number of excited qubits (set bits) in each of the 2^N basis labels,
-    read-only, since every caller shares it."""
-    counts = ((np.arange(2 ** n) >> np.arange(n)[:, None]) & 1).sum(axis=0)
-    counts.setflags(write=False)
-    return counts
-
-
-@lru_cache(maxsize=DENSE_QUBIT_LIMIT)
-def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-flip partners of the 2^N basis labels, read-only and shared: row k
-    holds i ^ 2^k, and the int8 sign +1 or -1 as the qubit at bit k of label i
-    is excited or not (the sign sigma_y gives that row).  It holds no values:
-    callers scale by the exact -1/2 or i/2 themselves."""
+def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The labelling facts of the 2^N basis labels, read-only and shared, all
+    read off one bit matrix labels & 2^k: row k holds the bit-flip partner
+    i ^ 2^k and the int8 sign +1 or -1 as the qubit at bit k of label i is
+    excited or not (the sign sigma_y gives that row); the third array counts
+    each label's excited qubits.  It holds no values: callers scale by the
+    exact -1/2 or i/2 themselves."""
     labels = np.arange(2 ** n)
     flips = 1 << np.arange(n)[:, None]
-    cols = labels ^ flips
-    signs = np.where(labels & flips, 1, -1).astype(np.int8)
-    cols.setflags(write=False)
-    signs.setflags(write=False)
-    return cols, signs
+    excited = (labels & flips) != 0
+    table = labels ^ flips, np.where(excited, 1, -1).astype(np.int8), excited.sum(axis=0)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def _check_qubit_count(n: int, limit: int = DENSE_QUBIT_LIMIT) -> None:
@@ -319,11 +312,11 @@ def _dense_images(amps: np.ndarray, n: int):
     """J_x, J_y and J_z applied to 2^N dense amplitudes, yielded in turn (O(N 2^N)).
     J_x = -(1/2) sum_k flipped_k and J_y = (i/2) sum_k sign_k flipped_k share one
     gather along the flip table; scaling the sum, not each row, is exact."""
-    cols, signs = _flip_table(n)
+    cols, signs, counts = _flip_table(n)
     flipped = amps[cols]
     yield -0.5 * flipped.sum(axis=0)
     yield 0.5j * (signs * flipped).sum(axis=0)
-    yield (_excitation_counts(n) - 0.5 * n) * amps
+    yield (counts - 0.5 * n) * amps
 
 
 def _sector_moments(amps: np.ndarray, n: int) -> Moments:
@@ -355,10 +348,10 @@ def _spin_rows(n: int, axis: str, power: int = 1) -> tuple[np.ndarray, np.ndarra
     itself, so a table has at most N^2 rows of 2^N entries and no 4^N matrix
     is built.
     """
+    cols, signs, counts = _flip_table(n)
     if axis == "z":  # (number of excited qubits) - N/2
-        cols, vals = np.arange(2 ** n)[None, :], _excitation_counts(n)[None, :] - 0.5 * n
+        cols, vals = np.arange(2 ** n)[None, :], counts[None, :] - 0.5 * n
     else:
-        cols, signs = _flip_table(n)
         vals = np.full(cols.shape, -0.5) if axis == "x" else signs * 0.5j
     if power == 2:  # (J^2 x)_i = sum_r vals[r, i] sum_s vals[s, c] x[cols[s, c]], c = cols[r, i]
         flat = cols.ravel()
@@ -389,6 +382,11 @@ class Bipartition:
         in_a = set(self.side_a)
         return tuple(q for q in range(1, self.n_qubits + 1) if q not in in_a)
 
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """Tensor axes of side A's qubits, then of side B's: qubit q is axis q - 1."""
+        return tuple(q - 1 for q in self.side_a + self.side_b)
+
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -406,7 +404,7 @@ def _dicke_amplitudes(n: int, m: int) -> np.ndarray:
     """The 2^N amplitudes of |m,N>, unchecked (callers have validated n and m)
     and read-only, since every caller shares them."""
     amps = np.zeros(2 ** n, dtype=complex)
-    amps[_excitation_counts(n) == m] = 1.0 / sqrt(comb(n, m))
+    amps[_flip_table(n)[2] == m] = 1.0 / sqrt(comb(n, m))
     amps.setflags(write=False)
     return amps
 
@@ -424,7 +422,7 @@ def symmetric_to_dense(state: SymmetricState) -> PureState:
     n = _check_type(state, (SymmetricState,), "state").n_qubits
     _check_qubit_count(n)  # dense limit applies here
     dicke_amplitudes = np.array([1.0 / sqrt(comb(n, m)) for m in range(n + 1)])
-    return PureState(n, (state.sector_amplitudes * dicke_amplitudes)[_excitation_counts(n)])
+    return PureState(n, (state.sector_amplitudes * dicke_amplitudes)[_flip_table(n)[2]])
 
 
 def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
@@ -485,10 +483,8 @@ def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition)
     b = np.asarray(phi_b, dtype=complex)
     if a.shape != (2 ** len(split.side_a),) or b.shape != (2 ** len(split.side_b),):
         raise DomainError("assemble_bipartite: factor dimensions do not match the split")
-    order = list(split.side_a) + list(split.side_b)  # 1-based labels, axis order of the outer product
-    tensor = np.outer(a, b).reshape([2] * n)
-    perm = [order.index(q) for q in range(1, n + 1)]
-    amps = np.transpose(tensor, perm).reshape(-1)
+    tensor = np.outer(a, b).reshape([2] * n)  # its axes are split.axes
+    amps = np.transpose(tensor, np.argsort(split.axes)).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     return PureState(n, amps)
 
@@ -525,8 +521,7 @@ def schmidt_spectrum(state: PureState, split: Bipartition) -> np.ndarray:
             f"split is over {split.n_qubits} qubits but the state has {state.n_qubits}"
         )
     n = state.n_qubits
-    axes = [q - 1 for q in split.side_a] + [q - 1 for q in split.side_b]
-    matrix = state.amplitudes.reshape([2] * n).transpose(axes)
+    matrix = state.amplitudes.reshape([2] * n).transpose(split.axes)
     matrix = matrix.reshape(2 ** len(split.side_a), 2 ** len(split.side_b))
     singular = np.linalg.svd(matrix, compute_uv=False)
     squared = np.sort(singular ** 2)[::-1]

@@ -1,10 +1,14 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dickekit as dk
 
@@ -194,6 +198,21 @@ def test_psixy_noise_needs_half_excitation(capsys):
                                 "--p", "0.5")
     assert status == 0
     assert json.loads(out)["value"] == pytest.approx(0.5 + 0.5 * 6 / 16)  # |<2,4|psixy>|^2 = 6/16
+
+
+def test_bound_past_the_float_count_exits_2(capsys):
+    status, out, err = run_cli(capsys, "bound", "--n", "9" * 400)
+    assert status == 2 and out == "" and "n must be an integer in [1, 9007199254740992]" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    *(("oracle", mode, "--n", "2", "--a", "1e308,1e308,1e308") for mode in ("eigmax", "product-max", "bisep-max")),
+    ("bound", "--n", "10", "--a", "1e308,0,0", "--b", "1,0,0"),
+])
+def test_a_form_beyond_the_float_range_exits_2(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and "leaves the float range" in err
 
 
 @pytest.mark.filterwarnings("error")  # refused before any arithmetic can warn
@@ -472,3 +491,103 @@ def test_every_subcommand_runs_in_both_formats(capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["selftest", "--only", "7", "--format", fmt])
         assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit contract, drawn from the parser itself
+# ---------------------------------------------------------------------------
+
+# the largest --n each command is drawn with, so each run stays small
+_N_CAP = {"dicke": 8, "witness": 8, "criterion": 8, "sweep-noise": 8, "oracle": 6,
+          "bound": 10_000, "intensity": 10_000, "verify-appendix": 64}
+
+
+_BAD = ["", "nan", "inf", "-inf", "1e308", "-1e308", "1e309", "-1", "0", "1.5", "x", "1,2", "0:1", "=1"]
+
+
+def _triple(part):
+    return st.lists(part, min_size=3, max_size=3).map(",".join)
+
+
+_GARBAGE = st.one_of(
+    st.sampled_from(_BAD),
+    st.integers(16, 400).map(lambda e: str(10 ** e)),  # past every size cap and, from 1e309, the float range
+    st.text(max_size=6),
+    _triple(st.sampled_from(_BAD + ["1", "0.5"])),
+)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+_GRID = st.tuples(st.floats(0, 1), st.floats(0, 1), st.integers(2, 50)).map(
+    lambda g: f"{min(g[:2])!r}:{max(g[:2])!r}:{g[2]}")
+
+# valid values of every flag that takes a value and has no choices, by dest
+_VALID = {
+    "m": st.integers(0, 8).map(str),
+    "m_signed": st.integers(-10, 10).map(str),
+    "p": _floats(0, 1),
+    "phi": _floats(-10, 10),
+    "i0": _floats(0, 10),
+    "seed": st.integers(0, 2 ** 64).map(str),
+    "restarts": st.integers(1, 8).map(str),
+    "a": _triple(_floats(0, 2)),
+    "b": _triple(_floats(-2, 2)),
+    "grid": _GRID,
+    "tol": st.tuples(st.sampled_from([f.name for f in fields(dk.Tolerances)]), _floats(0, 1)).map("=".join),
+}
+
+
+def _value(command: str, action: argparse.Action, garbage: bool):
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    valid = st.integers(0, _N_CAP[command]).map(str) if action.dest == "n" else _VALID[action.dest]
+    return st.one_of(valid, valid, _GARBAGE) if garbage else valid
+
+
+(_SUBPARSERS,) = [a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand other than selftest, its required flags and a subset of
+    the others; in half the command lines some values are garbage."""
+    command = draw(st.sampled_from(sorted(set(_SUBPARSERS) - {"selftest"})))
+    garbage = draw(st.booleans())
+    argv = [command]
+    for action in _SUBPARSERS[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:  # a positional
+            argv.append(draw(_value(command, action, garbage)))
+        elif action.required or draw(st.booleans()):
+            argv += [action.option_strings[0], draw(_value(command, action, garbage))]
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a JSON document")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+def test_every_drawn_command_line_exits_0_with_a_document_or_2_with_an_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse refused the command line
+            status = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if status == 0:
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
+        if (fmt or ("csv" if argv[0] == "sweep-noise" else "json")) == "json":
+            assert isinstance(json.loads(out, parse_constant=_no_constant), dict), argv
+        else:
+            header, *rows = list(csv.reader(io.StringIO(out)))
+            assert rows and all(len(row) == len(header) for row in rows), argv
+    else:
+        assert status == 2, (argv, status, err)
+        assert out == "" and "error:" in err.splitlines()[-1], (argv, err)

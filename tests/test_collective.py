@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from math import sqrt
 
@@ -22,6 +23,32 @@ def test_lemma1_with_linear_terms():
     # axis relabeling of the same problem
     form = dk.QuadraticForm(a=(1, 0, 0), b=(1, 0, 0))
     assert dk.lemma1_bound(form, 2) == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("b", [(0, 0, 0), (1, 0, 0)])
+def test_separable_maxima_refuse_a_qubit_count_past_their_limits(b):
+    form = dk.QuadraticForm(a=(1, 1, 0), b=b)
+    # the bound is a float, which counts qubits exactly up to 2^53
+    assert np.isfinite(dk.lemma1_bound(form, 2 ** 53))
+    for n in (2 ** 53 + 1, 10 ** 400):  # the larger one raised OverflowError
+        with pytest.raises(dk.DomainError, match=re.escape("n must be an integer in [1, 9007199254740992]")):
+            dk.lemma1_bound(form, n)
+    # the maximizer's argument holds one Bloch vector per qubit
+    assert dk.maximize_over_ti_product(form, 10_000).argument.n_qubits == 10_000
+    with pytest.raises(dk.DomainError, match=re.escape("n must be an integer in [1, 10000]")):
+        dk.maximize_over_ti_product(form, 10_001)
+
+
+@pytest.mark.parametrize("a, b, n", [
+    ((0.0, 3.1e300, 0.0), (-0.2, 2.9e260, 0.0), 10 ** 4),  # the root-finder met NaN
+    ((0.6, 0.0, 3.1e306), (3.7e264, -3.6e288, 0.0), 10),  # no gap was zero in the hard case
+    ((1.5, 8.1e278, 0.0), (-2.4e296, 0.6, 1.7e308), 1),  # 2 mu overflowed, and 1/|s| divided by zero
+])
+def test_tensor_power_solver_refuses_a_form_beyond_the_float_range(a, b, n):
+    form = dk.QuadraticForm(a=a, b=b)
+    for solve in (dk.lemma1_bound, dk.maximize_over_ti_product):
+        with pytest.raises(dk.DomainError, match="leaves the float range"):
+            solve(form, n)
 
 
 def test_lemma1_interior_linear_optimum():

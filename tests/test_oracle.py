@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -340,6 +341,19 @@ def test_library_runs_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
+
+
+def test_oracles_import_no_closed_form_module():
+    # the oracles are the independent routes to the closed bounds in collective
+    # and fidelity, so they may not import them, in any import form
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."), (alias.name for alias in node.names))
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert {"config", "errors", "operators", "states"} <= imported
+    assert not imported & {"collective", "fidelity"}
 
 
 def test_root_finder_raises_at_its_step_cap():

@@ -420,7 +420,6 @@ def test_product_state_names_the_first_bad_qubit(qubits, message):
 
 def test_shared_tables_are_cached_and_read_only():
     tables = {
-        "excitation counts": lambda: (dk.states._excitation_counts(6),),
         "flip table": lambda: dk.states._flip_table(6),
         "Dicke amplitudes": lambda: (dk.states._dicke_amplitudes(6, 2),),
     }
@@ -431,8 +430,9 @@ def test_shared_tables_are_cached_and_read_only():
             assert not a.flags.writeable, name
             with pytest.raises(ValueError):
                 a[0] = 0
-    cols, signs = dk.states._flip_table(6)
+    cols, signs, counts = dk.states._flip_table(6)
     assert cols.shape == signs.shape == (6, 64) and signs.dtype == np.int8
+    assert counts.tolist() == [i.bit_count() for i in range(64)]
 
 
 def test_dicke_state_copies_the_shared_amplitudes():
