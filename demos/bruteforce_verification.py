@@ -40,7 +40,7 @@ print("=" * 72)
 print("The reduction to tensor powers holds for maxima only")
 print("=" * 72)
 j2 = dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 1)))
-negated = dk.HermitianOperator(4, -j2.matrix)
+negated = dk.HermitianOperator(-j2.matrix)
 result = dk.maximize_over_product_states(negated, restarts=32, seed=0)
 print(f"  min of <J^2> over two-qubit product states = {-result.value:.6f}")
 print(f"  min over tensor powers = 2.0 (any Bloch direction)")
@@ -60,7 +60,7 @@ print(f"  4-qubit per-partition caps: {dk.theorem3_partition_bounds()}")
 print()
 print("Maximal biseparable overlap with |2,4> (the fidelity-witness bound):")
 target = dk.dicke_state(4, 2).amplitudes
-projector = dk.HermitianOperator(16, np.outer(target, target.conj()))
+projector = dk.HermitianOperator(np.outer(target, target.conj()))
 result = dk.maximize_over_biseparable(projector, restarts=64, seed=0)
 print(f"  optimizer = {result.value:.9f}   closed bound = {dk.dicke_fidelity_bound(4, 2):.9f}")
 

@@ -21,6 +21,7 @@ from . import selftest
 from .collective import (
     _NOISE_FAMILIES,
     CRITERION_KINDS,
+    WitnessVerdict,
     _check_kind,
     criterion_verdict,
     lemma1_bound,
@@ -32,7 +33,6 @@ from .fidelity import verify_appendix_inequality
 from .operators import QuadraticForm, collective_operator
 from .oracle import max_eigenvalue, maximize_over_biseparable, maximize_over_product_states
 from .states import dicke_state, dicke_symmetric, psixy_noise_mix, white_noise_mix
-from .verdicts import WitnessVerdict
 
 # Caps on sizes taken from the command line, checked before any work starts.
 MAX_RESTARTS = 10_000

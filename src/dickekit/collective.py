@@ -35,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, SYMMETRY_ATOL, Tolerances
-from .errors import DomainError, _check_int, _check_real, _check_type
+from .errors import DomainError, _check_int, _check_real, _check_sequence, _check_type
 from .fidelity import _dicke_fidelity, dicke_fidelity_bound
 from .operators import (
     HermitianOperator,
@@ -51,7 +51,6 @@ from .operators import (
 )
 from .oracle import _safeguarded_root, _ti_maximum
 from .states import _STATE_TYPES, DensityMatrix, PureState, dicke_state, moments, psixy_noise_mix, white_noise_mix
-from .verdicts import DETECTED_ENTANGLED, DETECTED_GENUINE, WitnessVerdict, make_verdict
 
 CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4", "fidelity")
 _NOISE_FAMILIES = ("white", "psixy")
@@ -61,6 +60,33 @@ _KIND_NOISES = {"symmetric_jz": ("psixy",), "genuine3": ("white",)}
 
 GENUINE3_BOUND = 2.0 + sqrt(5.0) / 2.0
 GENUINE4_BOUND = 3.5 + sqrt(3.0)
+
+DETECTED_NONE = "none"
+DETECTED_ENTANGLED = "entangled"
+DETECTED_GENUINE = "genuine_multipartite"
+
+
+@dataclass(frozen=True)
+class WitnessVerdict:
+    """Outcome of one criterion evaluation.
+
+    ``margin`` is always ``value - bound``; ``detected`` is non-trivial exactly
+    when the margin strictly exceeds the detection tolerance in force.
+    """
+
+    criterion_id: str
+    value: float
+    bound: float
+    margin: float
+    detected: str
+
+
+def _verdict(criterion_id: str, value: float, bound: float, detection_class: str,
+             tol: Tolerances) -> WitnessVerdict:
+    """The verdict of a criterion whose violation certifies ``detection_class``."""
+    margin = value - bound
+    detected = detection_class if margin > tol.detection_tolerance else DETECTED_NONE
+    return WitnessVerdict(criterion_id, float(value), float(bound), float(margin), detected)
 
 
 def theorem2_bound(n: int) -> float:
@@ -78,10 +104,13 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
     """
     _check_type(form, (QuadraticForm,), "form")
     _check_int(n, "n", 1, 2 ** 53)  # the form is evaluated with N as a float, exact to 2^53
-    if form.is_linear_free:
-        a = form.a
-        return sum(a) * n / 4.0 + max(a) * (n / 2.0) * (n / 2.0 - 0.5)
-    return _ti_maximum(form, n)[0]
+    if not form.is_linear_free:
+        return _ti_maximum(form, n)[0]
+    a = form.a
+    bound = sum(a) * n / 4.0 + max(a) * (n / 2.0) * (n / 2.0 - 0.5)
+    if not isfinite(bound):
+        raise DomainError(f"{form} on {n} qubits leaves the float range of the closed form")
+    return bound
 
 
 def criterion_verdict(
@@ -97,15 +126,16 @@ def criterion_verdict(
     _check_kind(kind, n)
     if m is not None and kind not in ("crit2", "fidelity"):
         raise DomainError(f"{kind} does not read m")
+    _check_type(tol, (Tolerances,), "tol")
     if kind == "fidelity":  # an overlap, not a collective moment
         bound = dicke_fidelity_bound(n, m)
-        return make_verdict(kind, _dicke_fidelity(state, m), bound, DETECTED_GENUINE, tol)
+        return _verdict(kind, _dicke_fidelity(state, m), bound, DETECTED_GENUINE, tol)
     (jx, jy, _jz), (jx2, jy2, jz2) = moments(state)
     planar = jx2 + jy2
     if kind == "theorem2":
-        return make_verdict(kind, planar, theorem2_bound(n), DETECTED_ENTANGLED, tol)
+        return _verdict(kind, planar, theorem2_bound(n), DETECTED_ENTANGLED, tol)
     if kind == "variance":
-        return make_verdict(kind, planar - jx ** 2 - jy ** 2, theorem2_bound(n), DETECTED_ENTANGLED, tol)
+        return _verdict(kind, planar - jx ** 2 - jy ** 2, theorem2_bound(n), DETECTED_ENTANGLED, tol)
     if kind == "symmetric_jz":
         total = planar + jz2
         maximal = (n / 2.0) * (n / 2.0 + 1.0)
@@ -113,20 +143,21 @@ def criterion_verdict(
             raise DomainError(
                 f"symmetric_jz needs a maximal-spin state: <J^2> = {total:.12g}, expected {maximal:.12g}"
             )
-        return make_verdict(kind, n / 4.0 - jz2, 0.0, DETECTED_ENTANGLED, tol)
+        return _verdict(kind, n / 4.0 - jz2, 0.0, DETECTED_ENTANGLED, tol)
     if kind == "crit2":
         _check_int(m, "crit2 shift m")
         # the exact integer -2m, which QuadraticForm refuses beyond the float range
         form = QuadraticForm(a=(1.0, 1.0, 0.0), b=(0.0, 0.0, -2 * int(m)))
         value = expectation(state, form)
-        return make_verdict(f"crit2(m={int(m)})", value, lemma1_bound(form, n), DETECTED_ENTANGLED, tol)
+        return _verdict(f"crit2(m={int(m)})", value, lemma1_bound(form, n), DETECTED_ENTANGLED, tol)
     # genuine multipartite criteria
     bound = GENUINE3_BOUND if kind == "genuine3" else GENUINE4_BOUND
-    return make_verdict(kind, planar, bound, DETECTED_GENUINE, tol)
+    return _verdict(kind, planar, bound, DETECTED_GENUINE, tol)
 
 
 def fidelity_witness_verdict(state, n: int, m: int, tol: Tolerances = DEFAULT_TOLERANCES) -> WitnessVerdict:
-    """The 'fidelity' verdict of ``criterion_verdict`` on a state of n qubits."""
+    """The 'fidelity' verdict of ``criterion_verdict`` on a state of n qubits.
+    Kept because the benchmark calls it, until ROADMAP item 1 moves those calls."""
     if _check_type(state, _STATE_TYPES, "state").n_qubits != n:
         raise DomainError(f"state has {state.n_qubits} qubits, expected {n}")
     return criterion_verdict(state, "fidelity", m, tol)
@@ -155,7 +186,7 @@ def lemma2_operators() -> tuple[HermitianOperator, HermitianOperator, HermitianO
     m1 = np.kron(PAULI["x"], PAULI["x"]) + np.kron(PAULI["y"], PAULI["y"])
     m2 = single_site(PAULI["x"], 1, 2) + single_site(PAULI["x"], 2, 2)
     m3 = single_site(PAULI["y"], 1, 2) + single_site(PAULI["y"], 2, 2)
-    return tuple(HermitianOperator(4, m) for m in (m1, m2, m3))
+    return tuple(HermitianOperator(m) for m in (m1, m2, m3))
 
 
 @lru_cache(maxsize=1)
@@ -193,7 +224,7 @@ def theorem3_operators(x1: float = 1.0, y1: float = 0.0) -> tuple[HermitianOpera
         r += single_site(PAULI["x"], i, 3) @ single_site(PAULI["x"], j, 3)
         r += single_site(PAULI["y"], i, 3) @ single_site(PAULI["y"], j, 3)
     combo = x1 * qx + y1 * qy + r
-    return tuple(HermitianOperator(8, m) for m in (qx, qy, r, combo))
+    return tuple(HermitianOperator(m) for m in (qx, qy, r, combo))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +241,11 @@ def analytic_eigenvalues(family: str, params) -> np.ndarray:
     x1 Qx + y1 Qy + R with X = sqrt(x1^2 + y1^2), with multiplicities.
     """
     if family == "lemma2_eig":
-        v = np.asarray(params, dtype=float)
+        v = np.array([_check_real(x, "lemma2_eig direction n_l")
+                      for x in _check_sequence(params, "lemma2_eig direction")])
         if v.shape != (3,):
             raise DomainError(f"lemma2_eig needs a 3-vector, got shape {v.shape}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
             raise DomainError(f"direction vector must be unit length, |n| = {np.linalg.norm(v):.12g}")
         n1, n2, n3 = v
         root = sqrt(n1 ** 2 + 4 * n2 ** 2 + 4 * n3 ** 2)
@@ -307,7 +339,8 @@ def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> flo
 
 
 def fidelity_threshold_numeric(n: int) -> float:
-    """The white-noise threshold of the fidelity witness on |N/2,N>, by root-finding."""
+    """The white-noise threshold of the fidelity witness on |N/2,N>, by root-finding.
+    Kept because the benchmark calls it, until ROADMAP item 1 moves those calls."""
     return collective_threshold_numeric(n, "fidelity")
 
 

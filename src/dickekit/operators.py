@@ -43,20 +43,21 @@ AXES = ("x", "y", "z")
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense Hermitian observable."""
+    """Dense Hermitian observable; its dimension is that of its square matrix."""
 
-    dimension: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = _check_int(self.dimension, "HermitianOperator dimension")
-        if mat.shape != (d, d):
-            raise DomainError(f"HermitianOperator: expected shape ({d}, {d}), got {mat.shape}")
+        mat = np.array(self.matrix, dtype=complex)  # a copy, frozen below
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DomainError(f"HermitianOperator needs a square matrix, got shape {mat.shape}")
         _check_hermitian(mat, "HermitianOperator matrix")
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def collective_operator(n: int, which: "QuadraticForm | str") -> HermitianOperat
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         mat = np.zeros((dim, dim), dtype=complex) + _form_sum(matrix, which)
     try:
-        return HermitianOperator(dim, mat)
+        return HermitianOperator(mat)
     except DomainError as exc:  # Hermitian pieces fail only when large coefficients overflow, or via a bug
         if not np.isfinite(mat).all():
             raise DomainError(f"collective operator on {n} qubits leaves the float range: {exc}") from exc

@@ -50,11 +50,13 @@ class BlochProduct:
     vectors: np.ndarray  # shape (N, 3), |s| <= 1/2
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=float).copy()
+        if np.asarray(self.vectors).dtype == bool:
+            raise DomainError("Bloch vectors must hold numbers, got a bool array")
+        vecs = np.array(self.vectors, dtype=float)  # a copy, frozen below
         if vecs.ndim != 2 or vecs.shape[1] != 3 or vecs.shape[0] < 1:
             raise DomainError(f"BlochProduct needs shape (N, 3), got {vecs.shape}")
         lengths = np.linalg.norm(vecs, axis=1)
-        if np.any(lengths > 0.5 + 1e-10):
+        if not np.all(lengths <= 0.5 + 1e-10):  # NaN fails too
             raise DomainError(f"Bloch vectors must have length <= 1/2, max is {lengths.max():.12g}")
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
@@ -67,7 +69,7 @@ class BlochProduct:
         """Reconstruct the pure product state (requires |s| = 1/2 per qubit)."""
         qubits = []
         for s in self.vectors:
-            if abs(np.linalg.norm(s) - 0.5) > 1e-10:
+            if not abs(np.linalg.norm(s) - 0.5) <= 1e-10:
                 raise DomainError("only unit-length (pure) Bloch vectors embed into a PureState")
             h = s[0] * PAULI["x"] + s[1] * PAULI["y"] + s[2] * PAULI["z"]
             _vals, vecs = np.linalg.eigh(h)
@@ -108,22 +110,16 @@ class OptimizationResult:
     values: tuple[float, ...] = ()
 
 
-def _as_matrix(op, n: int | None = None) -> tuple[np.ndarray, int]:
-    """Validate a Hermitian input and return (matrix, n_qubits); a raw array
-    goes through the ``HermitianOperator`` checks."""
-    if not isinstance(op, HermitianOperator):
-        mat = np.asarray(op, dtype=complex)
-        op = HermitianOperator(len(mat) if mat.ndim else 0, mat)
-    dim = op.matrix.shape[0]
-    inferred = dim.bit_length() - 1
-    if 2 ** inferred != dim:
-        raise DomainError(f"operator dimension {dim} is not a power of two")
-    if n is not None and _check_int(n, "n", 1) != inferred:
-        raise DomainError(f"operator dimension {dim} does not match n = {n}")
-    return op.matrix, inferred
+def _as_matrix(op) -> tuple[np.ndarray, int]:
+    """The matrix of a ``HermitianOperator`` on qubits, and their number."""
+    dim = _check_type(op, (HermitianOperator,), "op").dimension
+    n = dim.bit_length() - 1
+    if n < 1 or 2 ** n != dim:  # a 1 x 1 operator acts on no qubit to search over
+        raise DomainError(f"operator dimension {dim} is not 2^n for a qubit count n >= 1")
+    return op.matrix, n
 
 
-def max_eigenvalue(op) -> float:
+def max_eigenvalue(op: HermitianOperator) -> float:
     """Largest eigenvalue of a Hermitian operator (dense solver)."""
     mat, _n = _as_matrix(op)
     return float(np.linalg.eigvalsh(mat)[-1])
@@ -253,8 +249,8 @@ def _product_sweep(mat: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
 
 
 def maximize_over_product_states(
-    op,
-    n: int | None = None,
+    op: HermitianOperator,
+    *,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> OptimizationResult:
@@ -262,7 +258,7 @@ def maximize_over_product_states(
     seeded Haar-random starts followed by cyclic exact single-qubit updates,
     all restarts stepped in lockstep."""
     search = _Search(restarts, seed)
-    mat, n = _as_matrix(op, n)
+    mat, n = _as_matrix(op)
     search.run(lambda rng: (_haar_rows(rng, n, 2),), partial(_product_sweep, mat))
     (qubits,) = search.factors
     bloch = np.array([[float(np.vdot(q, PAULI[a] @ q).real) / 2.0 for a in AXES] for q in qubits])
@@ -276,6 +272,8 @@ def maximize_over_product_states(
 def ti_objective(form: QuadraticForm, n: int, s: np.ndarray) -> float:
     """Value of the quadratic collective form on |psi(s)>^(x N):
     sum(a) N/4 + N(N-1) sum_l a_l s_l^2 + N sum_l b_l s_l."""
+    _check_type(form, (QuadraticForm,), "form")
+    _check_int(n, "n", 1, 2 ** 53)  # N is a float in the sum, exact to 2^53
     a = np.asarray(form.a)
     b = np.asarray(form.b)
     return float(a.sum() * n / 4.0 + n * (n - 1) * (a @ (s * s)) + n * (b @ s))
@@ -425,8 +423,8 @@ def _bisep_sweep(w_l: np.ndarray, w_k: np.ndarray, factors: list[np.ndarray]) ->
 
 
 def maximize_over_biseparable(
-    op,
-    n: int | None = None,
+    op: HermitianOperator,
+    *,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> OptimizationResult:
@@ -438,7 +436,7 @@ def maximize_over_biseparable(
     all qubit transpositions, only split sizes are enumerated.
     """
     search = _Search(restarts, seed)
-    mat, n = _as_matrix(op, n)
+    mat, n = _as_matrix(op)
     if n < 2:
         raise DomainError("biseparable maximization needs at least two qubits")
     if n > _BISEP_QUBIT_LIMIT:

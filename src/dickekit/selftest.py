@@ -112,7 +112,7 @@ def criterion_02_biseparable_overlap() -> CheckResult:
     c = _Checks()
     t0 = time.perf_counter()
     target = dicke_state(4, 2).amplitudes
-    projector = HermitianOperator(16, np.outer(target, target.conj()))
+    projector = HermitianOperator(np.outer(target, target.conj()))
     search = maximize_over_biseparable(projector, restarts=64, seed=0)
     value = search.value
     c.check(
@@ -298,7 +298,7 @@ def criterion_09_separable_reduction() -> CheckResult:
     # below the tensor-power value 2.
     total_spin = QuadraticForm(a=(1.0, 1.0, 1.0))
     j2 = collective_operator(2, total_spin)
-    neg = HermitianOperator(4, -j2.matrix)
+    neg = HermitianOperator(-j2.matrix)
     res = maximize_over_product_states(neg, restarts=64, seed=0)
     min_product = -res.value
     _check_converged(c, "product maxima of the 100 forms and of -J^2", searches + [res])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dickekit as dk
+from dickekit.oracle import ti_objective
 
 BAD_VALUES = {
     "True": True, "np_True": np.True_, "nan": float("nan"), "inf": float("inf"),
@@ -63,24 +64,26 @@ ENTRY_POINTS = {
                                               "n must be"),
     "collective_threshold_numeric.n": (lambda v: dk.collective_threshold_numeric(v, "theorem2"), "n must be"),
     "analytic_eigenvalues.X": (lambda v: dk.analytic_eigenvalues("theorem3_eig", v), "theorem3_eig X must be"),
+    "analytic_eigenvalues.n_l": (lambda v: dk.analytic_eigenvalues("lemma2_eig", (v, 0, 0)),
+                                 "lemma2_eig direction n_l must be"),
     "theorem3_operators.x1": (lambda v: dk.theorem3_operators(v, 0.0), "x1 must be"),
     "theorem3_operators.y1": (lambda v: dk.theorem3_operators(1.0, v), "y1 must be"),
     "QuadraticForm.a": (lambda v: dk.QuadraticForm(a=(v, 1, 0)), "quadratic coefficient a_l must be"),
     "QuadraticForm.b": (lambda v: dk.QuadraticForm(b=(0, 0, v)), "linear coefficient b_l must be"),
-    "HermitianOperator.dimension": (lambda v: dk.HermitianOperator(v, [[1]]), "HermitianOperator dimension must be"),
     "single_site.qubit": (lambda v: dk.single_site(dk.SIGMA_X, v, 2), "qubit label must be"),
     "single_site.n": (lambda v: dk.single_site(dk.SIGMA_X, 1, v), "n must be"),
     "collective_operator.n": (lambda v: dk.collective_operator(v, "x"), "n_qubits must be"),
-    "maximize_over_product_states.n": (lambda v: dk.maximize_over_product_states(_OP, n=v), "n must be"),
     "maximize_over_product_states.restarts": (lambda v: dk.maximize_over_product_states(_OP, restarts=v),
                                               "restarts must be"),
     "maximize_over_product_states.seed": (lambda v: dk.maximize_over_product_states(_OP, seed=v), "seed must be"),
-    "maximize_over_biseparable.n": (lambda v: dk.maximize_over_biseparable(_OP, n=v), "n must be"),
     "maximize_over_biseparable.restarts": (lambda v: dk.maximize_over_biseparable(_OP, restarts=v),
                                            "restarts must be"),
     "maximize_over_biseparable.seed": (lambda v: dk.maximize_over_biseparable(_OP, seed=v), "seed must be"),
     "maximize_over_ti_product.n": (lambda v: dk.maximize_over_ti_product(dk.QuadraticForm(a=(1, 1, 0)), v),
                                    "n must be"),
+    "ti_objective.n": (lambda v: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), v, np.zeros(3)), "n must be"),
+    # every component the same, so a bool vector has a bool dtype
+    "BlochProduct.vectors": (lambda v: dk.BlochProduct([[v, v, v]]), "Bloch vectors must"),
     "sample_random_states.n": (lambda v: next(dk.sample_random_states("pure", v, 1)), "n_qubits must be"),
     "sample_random_states.count": (lambda v: next(dk.sample_random_states("pure", 2, v)), "count must be"),
     "sample_random_states.seed": (lambda v: next(dk.sample_random_states("pure", 2, 1, seed=v)), "seed must be"),
@@ -89,9 +92,8 @@ ENTRY_POINTS = {
 }
 
 
-# None is the default of these: infer n from the operator, or read no m
-_NONE_ALLOWED = {"maximize_over_product_states.n", "maximize_over_biseparable.n",
-                 *(f"criterion_verdict.{kind}_m" for kind in _KINDS_WITHOUT_M)}
+# None is the default of these: read no m
+_NONE_ALLOWED = {f"criterion_verdict.{kind}_m" for kind in _KINDS_WITHOUT_M}
 
 
 @pytest.mark.filterwarnings("error")  # refused before any arithmetic can warn
@@ -111,11 +113,10 @@ _BAD_RECORDS = {"float": 0.0, "None": None, "dict": {"detection_tolerance": 0.0}
 
 @pytest.mark.parametrize("bad", _BAD_RECORDS.values(), ids=_BAD_RECORDS.keys())
 @pytest.mark.parametrize("call", [
-    lambda tol: dk.make_verdict("x", 1.0, 0.0, dk.DETECTED_ENTANGLED, tol),
     lambda tol: dk.criterion_verdict(_PURE, "theorem2", tol=tol),
     lambda tol: dk.criterion_verdict(dk.dicke_symmetric(4, 2), "symmetric_jz", tol=tol),
     lambda tol: dk.fidelity_witness_verdict(_PURE, 2, 1, tol=tol),
-], ids=["make_verdict", "theorem2", "symmetric_jz", "fidelity"])
+], ids=["theorem2", "symmetric_jz", "fidelity"])
 def test_a_tolerance_that_is_not_a_tolerances_record_is_refused(call, bad):
     with pytest.raises(dk.DomainError, match="tol must be a Tolerances"):
         call(bad)
@@ -182,6 +183,10 @@ _NOT_RECORDS = {
     "schmidt_spectrum.split": (lambda v: dk.schmidt_spectrum(_PURE, v), "split must be a Bipartition"),
     "lemma1_bound.form": (lambda v: dk.lemma1_bound(v, 3), "form must be a QuadraticForm"),
     "maximize_over_ti_product.form": (lambda v: dk.maximize_over_ti_product(v, 3), "form must be a QuadraticForm"),
+    "ti_objective.form": (lambda v: ti_objective(v, 3, np.zeros(3)), "form must be a QuadraticForm"),
+    "max_eigenvalue.op": (lambda v: dk.max_eigenvalue(v), "op must be a HermitianOperator"),
+    "maximize_over_product_states.op": (lambda v: dk.maximize_over_product_states(v), "op must be a HermitianOperator"),
+    "maximize_over_biseparable.op": (lambda v: dk.maximize_over_biseparable(v), "op must be a HermitianOperator"),
 }
 
 

@@ -209,6 +209,7 @@ def test_bound_past_the_float_count_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     *(("oracle", mode, "--n", "2", "--a", "1e308,1e308,1e308") for mode in ("eigmax", "product-max", "bisep-max")),
     ("bound", "--n", "10", "--a", "1e308,0,0", "--b", "1,0,0"),
+    ("bound", "--n", "10", "--a", "1e308,0,0"),
 ])
 def test_a_form_beyond_the_float_range_exits_2(capsys, argv):
     status, out, err = run_cli(capsys, *argv)

@@ -23,6 +23,10 @@ def test_lemma1_with_linear_terms():
     # axis relabeling of the same problem
     form = dk.QuadraticForm(a=(1, 0, 0), b=(1, 0, 0))
     assert dk.lemma1_bound(form, 2) == pytest.approx(2.0, abs=1e-8)
+    # past the symmetric-state limit: N/2 + N(N-1)/4 + N/(4(N-1)), at sz = 1/(2(N-1))
+    n = 10 ** 6
+    form = dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, 1))
+    assert dk.lemma1_bound(form, n) == pytest.approx(n / 2 + n * (n - 1) / 4 + n / (4 * (n - 1)), rel=1e-12)
 
 
 @pytest.mark.parametrize("b", [(0, 0, 0), (1, 0, 0)])
@@ -43,6 +47,7 @@ def test_separable_maxima_refuse_a_qubit_count_past_their_limits(b):
     ((0.0, 3.1e300, 0.0), (-0.2, 2.9e260, 0.0), 10 ** 4),  # the root-finder met NaN
     ((0.6, 0.0, 3.1e306), (3.7e264, -3.6e288, 0.0), 10),  # no gap was zero in the hard case
     ((1.5, 8.1e278, 0.0), (-2.4e296, 0.6, 1.7e308), 1),  # 2 mu overflowed, and 1/|s| divided by zero
+    ((1e308, 0.0, 0.0), (0.0, 0.0, 0.0), 10),  # the linear-free closed form returned inf
 ])
 def test_tensor_power_solver_refuses_a_form_beyond_the_float_range(a, b, n):
     form = dk.QuadraticForm(a=a, b=b)
@@ -89,18 +94,13 @@ def test_theorem2_at_exact_threshold_noise():
     assert verdict.detected == dk.DETECTED_NONE
 
 
-def test_make_verdict_refuses_a_non_detection_class():
-    for cls in (dk.DETECTED_NONE, "bogus"):
-        with pytest.raises(dk.DomainError):
-            dk.make_verdict("x", 1.0, 0.0, cls)
-
-
-def test_make_verdict_reads_its_threshold_from_tolerances():
-    assert dk.make_verdict("x", 2.0, 1.0, dk.DETECTED_ENTANGLED).detected == dk.DETECTED_ENTANGLED
-    strict = dk.Tolerances(detection_tolerance=1.0)
-    assert dk.make_verdict("x", 2.0, 1.0, dk.DETECTED_ENTANGLED, tol=strict).detected == dk.DETECTED_NONE
+def test_criterion_verdict_reads_its_threshold_from_tolerances():
+    state = dk.dicke_state(4, 2)  # theorem2 margin 6 - 5 = 1
+    assert dk.criterion_verdict(state, "theorem2").detected == dk.DETECTED_ENTANGLED
+    strict = dk.Tolerances(detection_tolerance=1.5)
+    assert dk.criterion_verdict(state, "theorem2", tol=strict).detected == dk.DETECTED_NONE
     with pytest.raises(dk.DomainError):  # a NaN threshold never reaches the comparison
-        dk.make_verdict("x", 2.0, 1.0, dk.DETECTED_ENTANGLED, tol=dk.Tolerances(detection_tolerance=float("nan")))
+        dk.criterion_verdict(state, "theorem2", tol=dk.Tolerances(detection_tolerance=float("nan")))
 
 
 def test_theorem2_saturated_by_equatorial_product():

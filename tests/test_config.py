@@ -28,7 +28,7 @@ def test_tolerances_store_floats():
 
 
 @pytest.mark.parametrize("func, reads_tol", [
-    (dk.make_verdict, True), (dk.criterion_verdict, True), (dk.fidelity_witness_verdict, True),
+    (dk.criterion_verdict, True), (dk.fidelity_witness_verdict, True),
     (dk.maximize_over_product_states, False), (dk.maximize_over_biseparable, False),
     (dk.lemma1_bound, False), (dk.fidelity_threshold_numeric, False),
     (dk.collective_threshold_numeric, False),

@@ -149,6 +149,6 @@ def test_appendix_domain_errors(n):
 @pytest.mark.parametrize("n,restarts", [(4, 64), (6, 8)])
 def test_biseparable_overlap_never_exceeds_bound(n, restarts):
     target = dk.dicke_state(n, n // 2).amplitudes
-    projector = dk.HermitianOperator(2 ** n, np.outer(target, target.conj()))
+    projector = dk.HermitianOperator(np.outer(target, target.conj()))
     best = dk.maximize_over_biseparable(projector, restarts=restarts, seed=0).value
     assert best <= dk.dicke_fidelity_bound(n, n // 2) + 1e-9

@@ -183,13 +183,12 @@ def test_density_expectation_allocates_less_than_one_dense_matrix():
 
 
 def test_hermitian_operator_validation():
-    with pytest.raises(dk.DomainError):
-        dk.HermitianOperator(2, [[0, 1], [0, 0]])
-    with pytest.raises(dk.DomainError):
-        dk.HermitianOperator(3, np.eye(2))
-    for dimension in (True, 4.0):  # not an int, though it compares equal to the shape
-        with pytest.raises(dk.DomainError):
-            dk.HermitianOperator(dimension, np.eye(int(dimension)))
+    assert dk.HermitianOperator(np.eye(3)).dimension == 3  # read from the matrix
+    with pytest.raises(dk.DomainError, match="not Hermitian"):
+        dk.HermitianOperator([[0, 1], [0, 0]])
+    for shape in ((2,), (2, 3), (2, 2, 2), ()):
+        with pytest.raises(dk.DomainError, match="needs a square matrix"):
+            dk.HermitianOperator(np.zeros(shape))
 
 
 @pytest.mark.filterwarnings("error")  # the residual must not warn on inf - inf
@@ -198,11 +197,11 @@ def test_hermitian_operator_rejects_non_finite_entries(bad):
     diagonal = np.eye(4, dtype=complex)
     diagonal[0, 0] = bad
     with pytest.raises(dk.DomainError, match="non-finite"):
-        dk.HermitianOperator(4, diagonal)
+        dk.HermitianOperator(diagonal)
     paired = np.zeros((4, 4), dtype=complex)
     paired[0, 1], paired[1, 0] = bad, np.conj(bad)
     with pytest.raises(dk.DomainError, match="non-finite"):
-        dk.HermitianOperator(4, paired)
+        dk.HermitianOperator(paired)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 200, 2000])

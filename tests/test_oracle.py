@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from math import sqrt
@@ -23,31 +24,24 @@ def test_max_eigenvalue_examples():
     assert dk.max_eigenvalue(combo) == pytest.approx(3 + 2 * sqrt(3), abs=1e-10)
 
 
-def test_max_eigenvalue_rejects_non_hermitian():
-    with pytest.raises(dk.DomainError):
-        dk.max_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+@pytest.mark.parametrize("oracle_call", [dk.max_eigenvalue, dk.maximize_over_product_states,
+                                         dk.maximize_over_biseparable])
+def test_oracles_take_only_a_hermitian_operator_on_qubits(oracle_call):
+    op = dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 0)))
+    with pytest.raises(dk.DomainError, match="op must be a HermitianOperator, got ndarray"):
+        oracle_call(np.array(op.matrix))  # the checks a raw array would skip live in HermitianOperator
+    for dim in (0, 1, 3, 6):  # a 1 x 1 operator once crashed the product search
+        with pytest.raises(dk.DomainError, match=re.escape(f"operator dimension {dim} is not 2^n")):
+            oracle_call(dk.HermitianOperator(np.eye(dim)))
 
 
-def test_raw_arrays_take_the_hermitian_operator_checks():
-    op = dk.collective_operator(3, dk.QuadraticForm(a=(1, 1, 0)))
-    raw = np.array(op.matrix)
-    assert dk.max_eigenvalue(raw) == dk.max_eigenvalue(op)
-    assert dk.maximize_over_product_states(raw, seed=2).value == dk.maximize_over_product_states(op, seed=2).value
-    for bad in ([1.0, 0.0], 1.0, np.eye(3), np.zeros((0, 0))):
-        with pytest.raises(dk.DomainError):
-            dk.max_eigenvalue(bad)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_oracles_refuse_non_finite_raw_arrays(bad):
-    # a NaN or inf on the diagonal once passed the Hermiticity test and gave 1.0
-    mat = np.eye(4, dtype=complex)
-    mat[0, 0] = bad
-    with pytest.raises(dk.DomainError, match="non-finite"):
-        dk.max_eigenvalue(mat)
-    with pytest.raises(dk.DomainError, match="non-finite"):
-        dk.maximize_over_product_states(mat, restarts=2)
+@pytest.mark.parametrize("search", [dk.maximize_over_product_states, dk.maximize_over_biseparable])
+def test_searches_take_restarts_and_seed_by_keyword_only(search):
+    # the qubit count comes from the operator, and a positional 3 is no silent restart count
+    op = dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 0)))
+    for call in (lambda: search(op, 3), lambda: search(op, 3, 0), lambda: search(op, n=2)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_product_max_attains_separable_bounds():
@@ -200,8 +194,6 @@ def test_sweep_cap_is_reported_as_not_converged(search, monkeypatch):
 
 def test_product_max_validations():
     op = dk.collective_operator(2, "z")
-    with pytest.raises(dk.DomainError):
-        dk.maximize_over_product_states(op, n=3)
     for restarts in (0, True, 2.0):
         with pytest.raises(dk.DomainError):
             dk.maximize_over_product_states(op, restarts=restarts)
@@ -390,7 +382,7 @@ def test_bisep_max_four_qubits_prefers_one_three_split():
 
 def test_bisep_max_on_projector():
     target = dk.dicke_state(4, 2).amplitudes
-    projector = dk.HermitianOperator(16, np.outer(target, target.conj()))
+    projector = dk.HermitianOperator(np.outer(target, target.conj()))
     result = dk.maximize_over_biseparable(projector, seed=0)
     assert result.value == pytest.approx(2 / 3, abs=1e-9)
     rebuilt = result.argument.to_state()
@@ -399,11 +391,9 @@ def test_bisep_max_on_projector():
 
 def test_bisep_max_validations():
     with pytest.raises(dk.DomainError):
-        dk.maximize_over_biseparable(dk.collective_operator(2, "z"), n=3)
+        dk.maximize_over_biseparable(dk.HermitianOperator(np.eye(2)))  # single qubit has no split
     with pytest.raises(dk.DomainError):
-        dk.maximize_over_biseparable(np.eye(2))  # single qubit has no split
-    with pytest.raises(dk.DomainError):
-        dk.maximize_over_biseparable(np.eye(2 ** 9), n=9)
+        dk.maximize_over_biseparable(dk.HermitianOperator(np.eye(2 ** 9)))
 
 
 def test_bisep_max_is_deterministic():
@@ -475,7 +465,7 @@ def test_total_spin_minimization_is_not_a_tensor_power_problem():
     # the product-state minimum of <J^2> for two qubits is the anti-aligned
     # pair at value 1; every tensor-power state sits at 2
     j2 = dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 1)))
-    negated = dk.HermitianOperator(4, -j2.matrix)
+    negated = dk.HermitianOperator(-j2.matrix)
     result = dk.maximize_over_product_states(negated, restarts=32, seed=0)
     minimum = -result.value
     assert minimum == pytest.approx(1.0, abs=1e-6)
