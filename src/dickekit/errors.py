@@ -1,5 +1,5 @@
 """Exception types shared across the library, and the checks of scalar,
-sequence and record arguments that every entry point runs."""
+array, sequence and record arguments that every entry point runs."""
 
 from math import isfinite
 
@@ -24,6 +24,7 @@ class InvariantViolationError(DickekitError, RuntimeError):
 # np.floating.
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
+_NUMBERS = _REALS + (complex, np.complexfloating)
 
 
 def _refuse(name: str, kind: str, value, lo, hi, strict: bool = False) -> DomainError:
@@ -60,6 +61,18 @@ def _check_real(value, name: str, lo=None, hi=None, strict: bool = False) -> flo
                 and (hi is None or x <= hi)):
             return x
     raise _refuse(name, "a finite number", value, lo, hi, strict)
+
+
+def _check_numeric(value, name: str, real: bool = False) -> np.ndarray:
+    """``value`` as an array if it holds numbers (only real ones with ``real``):
+    a numeric dtype, or an object array of Python or NumPy numbers, never bools,
+    strings or bytes, which NumPy would parse or cast; otherwise DomainError naming ``name``."""
+    arr = np.asarray(value)
+    kinds, types = ("iuf", _REALS) if real else ("iufc", _NUMBERS)
+    if arr.dtype.kind in kinds or (arr.dtype.kind == "O" and all(
+            isinstance(x, types) and not isinstance(x, bool) for x in arr.flat)):
+        return arr
+    raise DomainError(f"{name} must hold {'real ' if real else ''}numbers, got dtype {arr.dtype.name}")
 
 
 def _check_sequence(value, name: str) -> tuple:

@@ -12,8 +12,8 @@ is genuinely N-partite entangled: ``criterion_verdict`` kind 'fidelity'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lgamma
 
 import numpy as np
 
@@ -34,20 +34,14 @@ def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
     """Maximal squared overlap of |m,N> with biseparable pure states.
 
     method='exact' takes the closed-form squared Schmidt coefficients
-    C(N1,k) C(N-N1,m-k) / C(N,m) in exact integer arithmetic; each row in k is
-    hypergeometric, so only its mode k = floor((N1+1)(m+1)/(N+2)) is taken (a
-    tie leaves k - 1 with the same value).  method='svd' sweeps all split sizes
-    with a dense singular value decomposition.  The two must agree to tight
-    tolerance, which the test suite enforces.
+    C(N1,k) C(N-N1,m-k) / C(N,m) (``_exact_bound``).  method='svd' sweeps all
+    split sizes with a dense singular value decomposition.  The two must agree
+    to tight tolerance, which the test suite enforces.
     """
     _check_int(n, "n", 2)  # a bipartition needs two qubits
     _check_int(m, "excitation count m", 0, n)
     if method == "exact":
-        best = 0
-        for n1 in range(1, n // 2 + 1):
-            k = (n1 + 1) * (m + 1) // (n + 2)  # a mode of the row, always a valid k
-            best = max(best, comb(n1, k) * comb(n - n1, m - k))
-        return float(Fraction(best, comb(n, m)))
+        return _exact_bound(n, m)
     if method == "svd":
         state = dicke_state(n, m)
         best = 0.0
@@ -57,6 +51,24 @@ def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
             best = max(best, float(schmidt_spectrum(state, split)[0]))
         return best
     raise DomainError(f"method must be 'exact' or 'svd', got {method!r}")
+
+
+@lru_cache(maxsize=256)
+def _exact_bound(n: int, m: int) -> float:
+    """The largest C(N1,k) C(N-N1,m-k) / C(N,m), kept per (N, m): a noise sweep
+    asks for the same bound at every point.  Each row in k is hypergeometric,
+    so only its mode k = floor((N1+1)(m+1)/(N+2)) is taken (a tie leaves k - 1
+    with the same value).  The modes are ranked in log space by lgamma, and
+    only those within 1e-9 relative of the top, far beyond lgamma's error, are
+    compared in exact integers; the quotient of two ints is correctly rounded."""
+    n1 = np.arange(1, n // 2 + 1)
+    k = (n1 + 1) * (m + 1) // (n + 2)  # a mode of each row, always a valid k
+    log_fact = np.array([lgamma(i + 1.0) for i in range(n + 1)])
+    log_g = (log_fact[n1] - log_fact[k] - log_fact[n1 - k]
+             + log_fact[n - n1] - log_fact[m - k] - log_fact[n - n1 - m + k])
+    near = np.flatnonzero(log_g >= log_g.max() - 1e-9)
+    best = max(comb(a, b) * comb(n - a, m - b) for a, b in zip(n1[near].tolist(), k[near].tolist()))
+    return best / comb(n, m)
 
 
 def _dicke_fidelity(state: "PureState | SymmetricState | Mixture | DensityMatrix", m: int) -> float:
@@ -124,15 +136,16 @@ def verify_appendix_inequality(n: int) -> AppendixReport:
         max(v for (n1, _k), v in table.items() if n1 == size) for size in range(1, half + 1)
     )
     for n1 in range(4, half + 1, 2):
-        ratio = Fraction(h_values[n1 - 1], h_values[n1 - 3])
-        closed = Fraction((n1 - 1) * (n - n1 + 2), n1 * (n - n1 + 1))
-        if ratio != closed:
+        # the ratios h / h_prev and top / bottom, compared by cross-multiplying
+        h, h_prev = h_values[n1 - 1], h_values[n1 - 3]
+        top, bottom = (n1 - 1) * (n - n1 + 2), n1 * (n - n1 + 1)
+        if h * bottom != h_prev * top:
             raise InvariantViolationError(
                 f"even split-size ratio mismatch for n = {n}, N1 = {n1}: "
-                f"h ratio {ratio} != {closed}"
+                f"h ratio {h}/{h_prev} != {top}/{bottom}"
             )
-        if ratio > 1:
+        if h > h_prev:
             raise InvariantViolationError(
-                f"split-size maxima not decreasing for n = {n}, N1 = {n1}: ratio {ratio} > 1"
+                f"split-size maxima not decreasing for n = {n}, N1 = {n1}: ratio {h}/{h_prev} > 1"
             )
     return AppendixReport(int(n), table, (2, 1), h_values)

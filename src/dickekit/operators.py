@@ -19,7 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, _check_int, _check_real, _check_sequence, _check_type
+from .errors import (DomainError, InvariantViolationError, _check_int, _check_numeric, _check_real,
+                     _check_sequence, _check_type)
 from .states import (
     _STATE_TYPES,
     Mixture,
@@ -48,7 +49,8 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)  # a copy, frozen below
+        mat = _check_numeric(self.matrix, "HermitianOperator matrix")
+        mat = np.array(mat, dtype=complex)  # a copy, frozen below
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DomainError(f"HermitianOperator needs a square matrix, got shape {mat.shape}")
         _check_hermitian(mat, "HermitianOperator matrix")

@@ -23,7 +23,7 @@ from math import hypot, isfinite, sqrt
 import numpy as np
 
 from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS, SYMMETRIC_QUBIT_LIMIT
-from .errors import DomainError, InvariantViolationError, _check_int, _check_type
+from .errors import DomainError, InvariantViolationError, _check_int, _check_numeric, _check_type
 from .operators import AXES, PAULI, HermitianOperator, QuadraticForm
 from .states import (
     Bipartition,
@@ -50,9 +50,8 @@ class BlochProduct:
     vectors: np.ndarray  # shape (N, 3), |s| <= 1/2
 
     def __post_init__(self):
-        if np.asarray(self.vectors).dtype == bool:
-            raise DomainError("Bloch vectors must hold numbers, got a bool array")
-        vecs = np.array(self.vectors, dtype=float)  # a copy, frozen below
+        vecs = _check_numeric(self.vectors, "Bloch vectors", real=True)
+        vecs = np.array(vecs, dtype=float)  # a copy, frozen below
         if vecs.ndim != 2 or vecs.shape[1] != 3 or vecs.shape[0] < 1:
             raise DomainError(f"BlochProduct needs shape (N, 3), got {vecs.shape}")
         lengths = np.linalg.norm(vecs, axis=1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DENSE_QUBIT_LIMIT, SYMMETRIC_QUBIT_LIMIT
 from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, TRACE_ATOL
-from .errors import DomainError, _check_int, _check_real, _check_sequence, _check_type
+from .errors import DomainError, _check_int, _check_numeric, _check_real, _check_sequence, _check_type
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -115,7 +115,8 @@ class _ArrayState(_State):
 
     def __post_init__(self):
         _check_qubit_count(self.n_qubits, self._limit)
-        data = np.asarray(getattr(self, self._field), dtype=complex)
+        data = getattr(self, self._field)
+        data = np.asarray(_check_numeric(data, f"{type(self).__name__} {self._field}"), dtype=complex)
         object.__setattr__(self, self._field, self._checked(self.n_qubits, data, data.shape))
 
     @classmethod
@@ -124,7 +125,7 @@ class _ArrayState(_State):
         of one read-only checked copy; a bad entry is refused before any state
         is built."""
         _check_qubit_count(n, cls._limit)
-        stack = np.asarray(stack, dtype=complex)
+        stack = np.asarray(_check_numeric(stack, f"{cls.__name__} {cls._field}"), dtype=complex)
         states = []
         for data in cls._checked(n, stack, stack.shape[1:]):
             state = object.__new__(cls)
@@ -326,17 +327,29 @@ def _sector_moments(amps: np.ndarray, n: int) -> Moments:
     and J_y = i(J_+ - J_-)/2 give <J_x> = -Re<J_+> and <J_y> = -Im<J_+>, and since
     J_+J_- + J_-J_+ = 2(J^2 - J_z^2) in the sector, <J_x^2> and <J_y^2> are
     (J(J+1) sum p - <J_z^2>)/2 +- Re<J_+^2>/2.  A Dicke state's moments are exact."""
-    m = np.arange(n + 1.0)
-    z = m - 0.5 * n
+    z, z2, coupling, coupling2 = _sector_ladder(n)
     p = amps.real ** 2 + amps.imag ** 2
-    coupling = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
     raised = np.vdot(amps[1:], coupling * amps[:-1])
-    raised2 = float(np.vdot(amps[2:], coupling[:-1] * coupling[1:] * amps[:-2]).real)
-    jz, jz2 = float(p @ z), float(p @ (z * z))
+    raised2 = float(np.vdot(amps[2:], coupling2 * amps[:-2]).real)
+    jz, jz2 = float(p @ z), float(p @ z2)
     planar = (0.5 * n * (0.5 * n + 1.0) * float(p.sum()) - jz2) / 2.0
     # 0.0 - x, not -x: a zero first moment stays +0.0
     first = (0.0 - float(raised.real), 0.0 - float(raised.imag), jz)
     return Moments(first, (planar + raised2 / 2.0, planar - raised2 / 2.0, jz2))
+
+
+@lru_cache(maxsize=4)
+def _sector_ladder(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The state-free arrays of ``_sector_moments`` on N qubits, read-only and
+    shared: z_m = m - N/2, z_m^2, c_m = sqrt((m+1)(N-m)) and c_m c_{m+1}.
+    Four entries hold at most 1.3 MB at the symmetric limit."""
+    m = np.arange(n + 1.0)
+    z = m - 0.5 * n
+    coupling = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+    table = z, z * z, coupling, coupling[:-1] * coupling[1:]
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def _spin_rows(n: int, axis: str, power: int = 1) -> tuple[np.ndarray, np.ndarray]:

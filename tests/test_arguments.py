@@ -108,6 +108,71 @@ def test_bad_scalar_arguments_raise_domain_error(call, message, bad):
         call(bad)
 
 
+# argument: (call on an array, the 0/1 entries of an input it accepts, start of the refusal)
+_ARRAY_ENTRY_POINTS = {
+    "PureState.amplitudes": (lambda v: dk.PureState(1, v), [1, 0], "PureState amplitudes must hold numbers"),
+    "DensityMatrix.matrix": (lambda v: dk.DensityMatrix(1, v), [[1, 0], [0, 0]],
+                             "DensityMatrix matrix must hold numbers"),
+    "SymmetricState.sector_amplitudes": (lambda v: dk.SymmetricState(2, v), [1, 0, 0],
+                                         "SymmetricState sector_amplitudes must hold numbers"),
+    "SymmetricState.stack": (lambda v: dk.SymmetricState._from_stack(2, v), [[1, 0, 0], [0, 0, 1]],
+                             "SymmetricState sector_amplitudes must hold numbers"),
+    "HermitianOperator.matrix": (lambda v: dk.HermitianOperator(v), [[1, 0], [0, 1]],
+                                 "HermitianOperator matrix must hold numbers"),
+    "BlochProduct.vectors": (lambda v: dk.BlochProduct(v), [[0, 0, 0], [0, 0, 0]],
+                             "Bloch vectors must hold real numbers"),
+}
+# each the accepted input's entries in a form NumPy would otherwise parse or cast
+_NOT_NUMBERS = {
+    "bool": lambda a: a != 0,
+    "str": lambda a: a.astype(str),
+    "str-list": lambda a: a.astype(str).tolist(),
+    "bytes": lambda a: a.astype(bytes),
+    "object-str": lambda a: a.astype(str).astype(object),
+    "object-bool": lambda a: (a != 0).astype(object),
+    "object-None": lambda a: np.where(a == 0, None, a),
+}
+
+
+@pytest.mark.filterwarnings("error")  # refused before NumPy parses or casts the array
+@pytest.mark.parametrize("call, entries, message, to_bad", [
+    pytest.param(call, entries, message, to_bad, id=f"{name}-{bad_id}")
+    for name, (call, entries, message) in _ARRAY_ENTRY_POINTS.items()
+    for bad_id, to_bad in _NOT_NUMBERS.items()
+])
+def test_an_array_that_does_not_hold_numbers_is_refused(call, entries, message, to_bad):
+    with pytest.raises(dk.DomainError, match=re.escape(message)):
+        call(to_bad(np.array(entries)))
+
+
+_AS_NUMBERS = {
+    "int": lambda a: a,
+    "float-list": lambda a: a.astype(float).tolist(),
+    "complex": lambda a: a.astype(complex),
+    "object-int": lambda a: a.astype(object),
+    "object-float32": lambda a: np.array([np.float32(x) for x in a.ravel()], dtype=object).reshape(a.shape),
+    "object-complex": lambda a: a.astype(complex).astype(object),
+}
+_COMPLEX = {"complex", "object-complex"}
+
+
+@pytest.mark.parametrize("call, entries, as_numbers", [
+    pytest.param(call, entries, as_numbers, id=f"{name}-{numbers_id}")
+    for name, (call, entries, _message) in _ARRAY_ENTRY_POINTS.items()
+    for numbers_id, as_numbers in _AS_NUMBERS.items()
+    if not (name == "BlochProduct.vectors" and numbers_id in _COMPLEX)
+])
+def test_an_array_of_numbers_is_accepted_whatever_its_numeric_dtype(call, entries, as_numbers):
+    call(as_numbers(np.array(entries)))
+
+
+@pytest.mark.filterwarnings("error")  # not cast to real with a ComplexWarning
+@pytest.mark.parametrize("numbers_id", sorted(_COMPLEX))
+def test_bloch_vectors_refuse_complex_entries(numbers_id):
+    with pytest.raises(dk.DomainError, match="Bloch vectors must hold real numbers, got dtype"):
+        dk.BlochProduct(_AS_NUMBERS[numbers_id](np.zeros((1, 3))))
+
+
 _BAD_RECORDS = {"float": 0.0, "None": None, "dict": {"detection_tolerance": 0.0}}
 
 

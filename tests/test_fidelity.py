@@ -1,4 +1,10 @@
 
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,7 +45,6 @@ def test_exact_and_svd_agree_everywhere():
 def test_exact_bound_matches_the_exhaustive_table():
     # reference: every (N1, k) entry of the squared Schmidt table, exactly
     from fractions import Fraction
-    from math import comb
 
     for n in range(2, 40):
         for m in range(n + 1):
@@ -49,6 +54,55 @@ def test_exact_bound_matches_the_exhaustive_table():
                 for k in range(max(0, m - (n - n1)), min(n1, m) + 1)
             )
             assert dk.dicke_fidelity_bound(n, m) == float(best), (n, m)
+
+
+def _mode_integer_bound(n, m):
+    """The exact bound from every split-size row's mode in big integers, with no
+    log-space ranking: C(N1,k) C(N-N1,m-k) / C(N,m) at k = (N1+1)(m+1) // (N+2)."""
+    best = 0
+    for n1 in range(1, n // 2 + 1):
+        k = (n1 + 1) * (m + 1) // (n + 2)
+        best = max(best, comb(n1, k) * comb(n - n1, m - k))
+    return best / comb(n, m)
+
+
+@pytest.mark.parametrize("n", [*range(40, 161, 8), 999, 2000])
+def test_log_space_ranking_picks_the_integer_maximum(n):
+    ms = range(n + 1) if n <= 160 else sorted({0, 1, 2, 3, n // 7, n // 3, n // 2, n - 1, n})
+    for m in ms:
+        assert dk.dicke_fidelity_bound(n, m) == _mode_integer_bound(n, m), (n, m)
+
+
+def test_exact_bound_is_kept_per_size_and_count():
+    dk.fidelity._exact_bound.cache_clear()
+    assert dk.dicke_fidelity_bound(8, 4) == dk.dicke_fidelity_bound(np.int64(8), np.int64(4)) == 4 / 7
+    assert dk.fidelity._exact_bound.cache_info().hits == 1
+
+
+def test_exact_bound_at_the_symmetric_limit():
+    n = 10_000
+    assert dk.dicke_fidelity_bound(n, n // 2) == n / (2 * (n - 1))
+    assert dk.dicke_fidelity_bound(n, 1) == (n - 1) / n
+    assert dk.dicke_fidelity_bound(n, 0) == dk.dicke_fidelity_bound(n, n) == 1.0  # every row ties
+
+
+_NO_FRACTIONS = """
+import sys
+
+import dickekit
+from dickekit import cli, selftest
+
+loaded = {"fractions", "decimal"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    # the child imports the dickekit this process imported, installed or not
+    path = [str(Path(dk.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", _NO_FRACTIONS], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
 
 
 def test_exact_bound_at_large_n():

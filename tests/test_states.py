@@ -422,6 +422,7 @@ def test_shared_tables_are_cached_and_read_only():
     tables = {
         "flip table": lambda: dk.states._flip_table(6),
         "Dicke amplitudes": lambda: (dk.states._dicke_amplitudes(6, 2),),
+        "sector ladder": lambda: dk.states._sector_ladder(6),
     }
     for name, table in tables.items():
         first, second = table(), table()
@@ -433,6 +434,77 @@ def test_shared_tables_are_cached_and_read_only():
     cols, signs, counts = dk.states._flip_table(6)
     assert cols.shape == signs.shape == (6, 64) and signs.dtype == np.int8
     assert counts.tolist() == [i.bit_count() for i in range(64)]
+
+
+def test_sector_ladder_holds_the_four_state_free_arrays():
+    z, z2, coupling, coupling2 = dk.states._sector_ladder(6)
+    assert z.tolist() == [m - 3.0 for m in range(7)] and z2.tolist() == (z * z).tolist()
+    assert coupling.tolist() == [sqrt((m + 1) * (6 - m)) for m in range(6)]
+    assert coupling2.tolist() == (coupling[:-1] * coupling[1:]).tolist()
+    assert dk.states._sector_ladder.cache_info().maxsize == 4
+
+
+def _per_call_sector_moments(amps, n):
+    """``_sector_moments`` with its N-only arrays rebuilt on every call, as it
+    was before the cached ladder table; the reference of the tests below."""
+    m = np.arange(n + 1.0)
+    z = m - 0.5 * n
+    p = amps.real ** 2 + amps.imag ** 2
+    coupling = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+    raised = np.vdot(amps[1:], coupling * amps[:-1])
+    raised2 = float(np.vdot(amps[2:], coupling[:-1] * coupling[1:] * amps[:-2]).real)
+    jz, jz2 = float(p @ z), float(p @ (z * z))
+    planar = (0.5 * n * (0.5 * n + 1.0) * float(p.sum()) - jz2) / 2.0
+    first = (0.0 - float(raised.real), 0.0 - float(raised.imag), jz)
+    return dk.Moments(first, (planar + raised2 / 2.0, planar - raised2 / 2.0, jz2))
+
+
+def _symmetric_outputs(state):
+    """Moments, every collective verdict (or its refusal) and two intensities,
+    as exact float hex strings."""
+    first, second = dk.moments(state)
+    out = [x.hex() for x in first + second]
+    for kind in ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4"):
+        try:
+            v = dk.criterion_verdict(state, kind, m=1 if kind == "crit2" else None)
+            out.append((v.value.hex(), v.bound.hex(), v.margin.hex(), v.detected))
+        except dk.DomainError as refusal:
+            out.append(str(refusal))
+    return out + [dk.superradiance_intensity(state).hex(), dk.superradiance_intensity(state, 0.37).hex()]
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 999, 1000, 4097, 10_000])
+def test_sector_moments_from_the_ladder_table_are_bit_identical(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    m = int(rng.integers(0, n + 1))
+    vectors = [v / np.linalg.norm(v) for v in rng.normal(size=(2, n + 1)) + 1j * rng.normal(size=(2, n + 1))]
+    builders = [
+        lambda: dk.dicke_symmetric(n, m),
+        *(lambda phi=phi: dk.psixy_symmetric(n, phi) for phi in (0.0, 0.7, 1.3, float(rng.uniform(0, 2 * np.pi)))),
+        *(lambda v=v: dk.SymmetricState(n, v) for v in vectors),
+        lambda: dk.white_noise_mix(dk.dicke_symmetric(n, n // 2), 1.0 / n),
+        lambda: dk.white_noise_mix(dk.psixy_symmetric(n, 0.7), 0.3),
+        lambda: dk.Mixture((dk.SymmetricState(n, vectors[0]), dk.dicke_symmetric(n, m)), (0.4, 0.5), 0.1),
+    ]
+    cached = [_symmetric_outputs(build()) for build in builders]
+    monkeypatch.setattr(dk.states, "_sector_moments", _per_call_sector_moments)
+    assert [_symmetric_outputs(build()) for build in builders] == cached  # fresh states: no moments kept
+
+
+def test_sector_moments_allocate_under_three_sector_vectors():
+    import tracemalloc
+
+    n = 10_000
+    amps = dk.psixy_symmetric(n, 0.7).sector_amplitudes
+    dk.states._sector_moments(amps, n)  # the ladder table is built here, once
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        dk.states._sector_moments(amps, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * amps.nbytes, peak / amps.nbytes
 
 
 def test_dicke_state_copies_the_shared_amplitudes():
