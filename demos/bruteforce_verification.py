@@ -71,7 +71,7 @@ print("=" * 72)
 direction = np.array([1 / np.sqrt(3), np.sqrt(2 / 3), 0.0])
 m1, m2, m3 = (op.matrix for op in dk.lemma2_operators())
 dense = np.sort(np.linalg.eigvalsh(direction[0] * m1 + direction[1] * m2 + direction[2] * m3))
-analytic = np.sort(dk.analytic_eigenvalues("lemma2_eig", direction))
+analytic = np.sort(dk.lemma2_eigenvalues(direction))
 print(f"  pair family at the optimal direction:  dense {np.round(dense, 9).tolist()}")
 print(f"                                      analytic {np.round(analytic, 9).tolist()}")
 print(f"  sqrt(16/3) = {np.sqrt(16 / 3):.9f}")

@@ -231,33 +231,29 @@ def theorem3_operators(x1: float = 1.0, y1: float = 0.0) -> tuple[HermitianOpera
 # analytic eigenvalue families
 # ---------------------------------------------------------------------------
 
-def analytic_eigenvalues(family: str, params) -> np.ndarray:
-    """Closed-form spectra used in the genuine-multipartite bound proofs.
+def lemma2_eigenvalues(direction) -> np.ndarray:
+    """The four eigenvalues of n1 M1 + n2 M2 + n3 M3 for a unit 3-vector n:
+    {0, -2 n1, n1 +- sqrt(n1^2 + 4 n2^2 + 4 n3^2)} (Lemma 2)."""
+    v = np.array([_check_real(x, "lemma2 direction n_l")
+                  for x in _check_sequence(direction, "lemma2 direction")])
+    if v.shape != (3,):
+        raise DomainError(f"lemma2 direction needs a 3-vector, got shape {v.shape}")
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+        raise DomainError(f"direction vector must be unit length, |n| = {np.linalg.norm(v):.12g}")
+    n1, n2, n3 = v
+    root = sqrt(n1 ** 2 + 4 * n2 ** 2 + 4 * n3 ** 2)
+    return np.array([0.0, -2 * n1, n1 + root, n1 - root])
 
-    'lemma2_eig' takes a unit 3-vector n and returns the four eigenvalues of
-    n1 M1 + n2 M2 + n3 M3: {0, -2 n1, n1 +- sqrt(n1^2 + 4 n2^2 + 4 n3^2)}.
 
-    'theorem3_eig' takes X in [0, 1] and returns the eight eigenvalues of
-    x1 Qx + y1 Qy + R with X = sqrt(x1^2 + y1^2), with multiplicities.
-    """
-    if family == "lemma2_eig":
-        v = np.array([_check_real(x, "lemma2_eig direction n_l")
-                      for x in _check_sequence(params, "lemma2_eig direction")])
-        if v.shape != (3,):
-            raise DomainError(f"lemma2_eig needs a 3-vector, got shape {v.shape}")
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
-            raise DomainError(f"direction vector must be unit length, |n| = {np.linalg.norm(v):.12g}")
-        n1, n2, n3 = v
-        root = sqrt(n1 ** 2 + 4 * n2 ** 2 + 4 * n3 ** 2)
-        return np.array([0.0, -2 * n1, n1 + root, n1 - root])
-    if family == "theorem3_eig":
-        x = _check_real(params, "theorem3_eig X", 0, 1)
-        rp = 2.0 * sqrt(1.0 + x + x * x)
-        rm = 2.0 * sqrt(1.0 - x + x * x)
-        return np.array(
-            [-2 + x, -2 + x, -2 - x, -2 - x, 2 + x + rp, 2 + x - rp, 2 - x + rm, 2 - x - rm]
-        )
-    raise DomainError(f"unknown eigenvalue family {family!r}")
+def theorem3_eigenvalues(x: float) -> np.ndarray:
+    """The eight eigenvalues of x1 Qx + y1 Qy + R, with multiplicities, for
+    X = sqrt(x1^2 + y1^2) in [0, 1] (Theorem 3)."""
+    x = _check_real(x, "theorem3 X", 0, 1)
+    rp = 2.0 * sqrt(1.0 + x + x * x)
+    rm = 2.0 * sqrt(1.0 - x + x * x)
+    return np.array(
+        [-2 + x, -2 + x, -2 - x, -2 - x, 2 + x + rp, 2 + x - rp, 2 - x + rm, 2 - x - rm]
+    )
 
 
 @dataclass(frozen=True)

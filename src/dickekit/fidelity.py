@@ -17,40 +17,18 @@ from math import comb, lgamma
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, _check_int
-from .states import (
-    Bipartition,
-    DensityMatrix,
-    Mixture,
-    PureState,
-    SymmetricState,
-    _dicke_amplitudes,
-    dicke_state,
-    schmidt_spectrum,
-)
+from .errors import InvariantViolationError, _check_int
+from .states import DensityMatrix, Mixture, PureState, SymmetricState, _dicke_amplitudes
 
 
-def dicke_fidelity_bound(n: int, m: int, method: str = "exact") -> float:
-    """Maximal squared overlap of |m,N> with biseparable pure states.
-
-    method='exact' takes the closed-form squared Schmidt coefficients
-    C(N1,k) C(N-N1,m-k) / C(N,m) (``_exact_bound``).  method='svd' sweeps all
-    split sizes with a dense singular value decomposition.  The two must agree
-    to tight tolerance, which the test suite enforces.
-    """
+def dicke_fidelity_bound(n: int, m: int) -> float:
+    """Maximal squared overlap of |m,N> with biseparable pure states: the
+    largest closed-form squared Schmidt coefficient C(N1,k) C(N-N1,m-k) / C(N,m)
+    (``_exact_bound``).  ``oracle.max_biseparable_overlap`` is the independent
+    SVD route to the same number, which the test suite holds it to."""
     _check_int(n, "n", 2)  # a bipartition needs two qubits
     _check_int(m, "excitation count m", 0, n)
-    if method == "exact":
-        return _exact_bound(n, m)
-    if method == "svd":
-        state = dicke_state(n, m)
-        best = 0.0
-        # permutation invariance: only the split size matters
-        for n1 in range(1, n // 2 + 1):
-            split = Bipartition(n, tuple(range(1, n1 + 1)))
-            best = max(best, float(schmidt_spectrum(state, split)[0]))
-        return best
-    raise DomainError(f"method must be 'exact' or 'svd', got {method!r}")
+    return _exact_bound(n, m)
 
 
 @lru_cache(maxsize=256)

@@ -2,8 +2,9 @@
 
 Every closed-form bound in the library has an independent numeric route
 through this module: dense eigensolving, alternating exact updates over
-product or biseparable pure states, and a direct single-Bloch-vector
-maximizer for translationally invariant product states.
+product or biseparable pure states, a Schmidt-coefficient sweep over every
+bipartition of a pure target, and a direct single-Bloch-vector maximizer for
+translationally invariant product states.
 
 Restart r draws its start from its own counter-derived substream
 ``default_rng([seed, r])``.  The alternating searches step their restarts in
@@ -32,6 +33,7 @@ from .states import (
     _check_qubit_count,
     assemble_bipartite,
     product_state,
+    schmidt_spectrum,
 )
 
 _BISEP_QUBIT_LIMIT = 8  # general pure-state pairs get expensive beyond this
@@ -449,6 +451,16 @@ def maximize_over_biseparable(
         w_k = np.ascontiguousarray(w.transpose(0, 1, 3, 2)).reshape(-1, d_a)
         search.run(lambda rng: _haar_pair(rng, d_a, d_b), partial(_bisep_sweep, w_l, w_k), split)
     return search.result(BiseparableArgument(search.label, *search.factors))
+
+
+def max_biseparable_overlap(state: PureState) -> float:
+    """Largest squared overlap of a pure target with biseparable pure states:
+    its largest squared Schmidt coefficient over every bipartition, by SVD.
+    Assumes no symmetry; the independent route to ``dicke_fidelity_bound``."""
+    n = _check_type(state, (PureState,), "state").n_qubits
+    if n < 2:
+        raise DomainError("a biseparable overlap needs at least two qubits")
+    return max(float(schmidt_spectrum(state, split)[0]) for split in _bipartitions(n, False))
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,22 @@ from .collective import (
     _CLOSED_THRESHOLDS,
     GENUINE3_BOUND,
     GENUINE4_BOUND,
-    analytic_eigenvalues,
     collective_noise_threshold,
     collective_threshold_numeric,
     criterion_verdict,
     lemma1_bound,
+    lemma2_eigenvalues,
     lemma2_operators,
     lemma2_vector_norm,
     superradiance_intensity,
     theorem2_bound,
+    theorem3_eigenvalues,
     theorem3_operators,
 )
 from .fidelity import dicke_fidelity_bound, verify_appendix_inequality
 from .operators import HermitianOperator, QuadraticForm, collective_operator, expectation
 from .oracle import (
+    max_biseparable_overlap,
     max_eigenvalue,
     maximize_over_biseparable,
     maximize_over_product_states,
@@ -100,8 +102,8 @@ def criterion_01_fidelity_bounds() -> CheckResult:
     for n in (4, 6, 8):
         t_n = time.perf_counter()
         formula = n / (2.0 * (n - 1))
-        c.close(f"exact bound n={n}", dicke_fidelity_bound(n, n // 2, "exact"), formula, 1e-10)
-        c.close(f"svd bound n={n}", dicke_fidelity_bound(n, n // 2, "svd"), formula, 1e-10)
+        c.close(f"exact bound n={n}", dicke_fidelity_bound(n, n // 2), formula, 1e-10)
+        c.close(f"svd bound n={n}", max_biseparable_overlap(dicke_state(n, n // 2)), formula, 1e-10)
         per_n = time.perf_counter() - t_n
         c.check(f"n={n} computed in {per_n:.3f}s < 1s", per_n < 1.0)
     return _finish(1, "fidelity bounds: closed form vs SVD sweep", c, t0, 3.0)
@@ -186,7 +188,7 @@ def criterion_05_eigenvalue_formulas() -> CheckResult:
         nvec = rng.normal(size=3)
         nvec /= np.linalg.norm(nvec)
         dense = np.sort(np.linalg.eigvalsh(nvec[0] * m1 + nvec[1] * m2 + nvec[2] * m3))
-        analytic = np.sort(analytic_eigenvalues("lemma2_eig", nvec))
+        analytic = np.sort(lemma2_eigenvalues(nvec))
         worst = max(worst, np.abs(dense - analytic).max())
     c.check(f"pair family: 100 draws vs dense, worst diff {worst:.3g} <= 1e-10", worst <= 1e-10)
     worst = 0.0
@@ -196,7 +198,7 @@ def criterion_05_eigenvalue_formulas() -> CheckResult:
         x1, y1 = radius * np.cos(angle), radius * np.sin(angle)
         combo = theorem3_operators(x1, y1)[3]
         dense = np.sort(np.linalg.eigvalsh(combo.matrix))
-        analytic = np.sort(analytic_eigenvalues("theorem3_eig", radius))
+        analytic = np.sort(theorem3_eigenvalues(radius))
         worst = max(worst, np.abs(dense - analytic).max())
     c.check(f"triple family: 100 draws vs dense, worst diff {worst:.3g} <= 1e-10", worst <= 1e-10)
 
@@ -209,9 +211,9 @@ def criterion_05_eigenvalue_formulas() -> CheckResult:
     )
     best_dir = np.array([1.0 / sqrt(3.0), sqrt(2.0 / 3.0), 0.0])
     c.close("pair maximum attained at n1 = 1/sqrt(3)",
-            analytic_eigenvalues("lemma2_eig", best_dir).max(), sqrt(16.0 / 3.0), 1e-12)
+            lemma2_eigenvalues(best_dir).max(), sqrt(16.0 / 3.0), 1e-12)
     c.close("triple maximum at X=1",
-            analytic_eigenvalues("theorem3_eig", 1.0).max(), 3.0 + 2.0 * sqrt(3.0), 1e-12)
+            theorem3_eigenvalues(1.0).max(), 3.0 + 2.0 * sqrt(3.0), 1e-12)
     return _finish(5, "analytic eigenvalue families", c, t0, 5.0)
 
 

@@ -446,7 +446,7 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     qubit_states = _check_sequence(qubit_states, "product_state qubit states")
     if len(qubit_states) == 0:
         raise DomainError("product_state needs at least one qubit")
-    vectors = [np.asarray(q, dtype=complex) for q in qubit_states]
+    vectors = [np.asarray(_check_numeric(q, "single-qubit state"), dtype=complex) for q in qubit_states]
     # a zero or non-finite qubit ahead of the first misshapen one is the first bad qubit
     shaped = next((k for k, v in enumerate(vectors) if v.shape != (2,)), len(vectors))
     flat = np.array(vectors[:shaped]).reshape(shaped, 2).view(float)  # re, im interleaved
@@ -492,8 +492,8 @@ def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition)
     ``split.side_a`` and ``split.side_b`` respectively."""
     n = _check_type(split, (Bipartition,), "split").n_qubits
     _check_qubit_count(n)
-    a = np.asarray(phi_a, dtype=complex)
-    b = np.asarray(phi_b, dtype=complex)
+    a = np.asarray(_check_numeric(phi_a, "assemble_bipartite factor phi_a"), dtype=complex)
+    b = np.asarray(_check_numeric(phi_b, "assemble_bipartite factor phi_b"), dtype=complex)
     if a.shape != (2 ** len(split.side_a),) or b.shape != (2 ** len(split.side_b),):
         raise DomainError("assemble_bipartite: factor dimensions do not match the split")
     tensor = np.outer(a, b).reshape([2] * n)  # its axes are split.axes
@@ -526,8 +526,7 @@ def psixy_noise_mix(n: int, p: float, phi: float = 0.0) -> Mixture:
 
 def schmidt_spectrum(state: PureState, split: Bipartition) -> np.ndarray:
     """Squared singular values of the state reshaped along the bipartition,
-    descending and read-only, numerically zero ones dropped.  For Dicke states
-    this matches ``dicke_schmidt_squared``."""
+    descending and read-only, numerically zero ones dropped."""
     _check_type(state, (PureState,), "state")
     if _check_type(split, (Bipartition,), "split").n_qubits != state.n_qubits:
         raise DomainError(
@@ -543,15 +542,3 @@ def schmidt_spectrum(state: PureState, split: Bipartition) -> np.ndarray:
     squared.setflags(write=False)
     return squared
 
-
-def dicke_schmidt_squared(n: int, m: int, n1: int) -> np.ndarray:
-    """Closed-form squared Schmidt coefficients of |m,N> for a split with N1
-    qubits on one side: C(N1,k) C(N-N1,m-k) / C(N,m) over valid k, descending."""
-    _check_int(n, "n", 2)
-    _check_int(n1, "split size n1", 1, n - 1)
-    _check_int(m, "excitation count m", 0, n)
-    total = comb(n, m)
-    k_lo = max(0, m - (n - n1))
-    k_hi = min(n1, m)
-    vals = [comb(n1, k) * comb(n - n1, m - k) / total for k in range(k_lo, k_hi + 1)]
-    return np.sort(np.array(vals, dtype=float))[::-1]

@@ -21,6 +21,7 @@ _PURE = dk.dicke_state(2, 1)
 # the criterion kinds that read no m, each with a qubit count it applies to
 _KINDS_WITHOUT_M = {"theorem2": 2, "variance": 2, "symmetric_jz": 2, "genuine3": 3, "genuine4": 4}
 _OP = dk.collective_operator(2, dk.QuadraticForm(a=(1, 1, 0)))
+_SPLIT = dk.Bipartition(2, (1,))
 
 # argument: (call feeding it the bad value, start of the refusal)
 ENTRY_POINTS = {
@@ -44,9 +45,6 @@ ENTRY_POINTS = {
     "psixy_noise_mix.n": (lambda v: dk.psixy_noise_mix(v, 0.5), "n_qubits must be"),
     "psixy_noise_mix.p": (lambda v: dk.psixy_noise_mix(4, v), "noise ratio p must be"),
     "psixy_noise_mix.phi": (lambda v: dk.psixy_noise_mix(4, 0.5, v), "psixy phase must be"),
-    "dicke_schmidt_squared.n": (lambda v: dk.dicke_schmidt_squared(v, 1, 1), "n must be"),
-    "dicke_schmidt_squared.m": (lambda v: dk.dicke_schmidt_squared(4, v, 1), "excitation count m must be"),
-    "dicke_schmidt_squared.n1": (lambda v: dk.dicke_schmidt_squared(4, 2, v), "split size n1 must be"),
     "dicke_fidelity_bound.n": (lambda v: dk.dicke_fidelity_bound(v, 1), "n must be"),
     "dicke_fidelity_bound.m": (lambda v: dk.dicke_fidelity_bound(4, v), "excitation count m must be"),
     "fidelity_witness_verdict.n": (lambda v: dk.fidelity_witness_verdict(_PURE, v, 1), "state has 2 qubits"),
@@ -63,9 +61,8 @@ ENTRY_POINTS = {
     "collective_noise_threshold.fidelity_n": (lambda v: dk.collective_noise_threshold(v, "fidelity"),
                                               "n must be"),
     "collective_threshold_numeric.n": (lambda v: dk.collective_threshold_numeric(v, "theorem2"), "n must be"),
-    "analytic_eigenvalues.X": (lambda v: dk.analytic_eigenvalues("theorem3_eig", v), "theorem3_eig X must be"),
-    "analytic_eigenvalues.n_l": (lambda v: dk.analytic_eigenvalues("lemma2_eig", (v, 0, 0)),
-                                 "lemma2_eig direction n_l must be"),
+    "theorem3_eigenvalues.X": (lambda v: dk.theorem3_eigenvalues(v), "theorem3 X must be"),
+    "lemma2_eigenvalues.n_l": (lambda v: dk.lemma2_eigenvalues((v, 0, 0)), "lemma2 direction n_l must be"),
     "theorem3_operators.x1": (lambda v: dk.theorem3_operators(v, 0.0), "x1 must be"),
     "theorem3_operators.y1": (lambda v: dk.theorem3_operators(1.0, v), "y1 must be"),
     "QuadraticForm.a": (lambda v: dk.QuadraticForm(a=(v, 1, 0)), "quadratic coefficient a_l must be"),
@@ -121,6 +118,12 @@ _ARRAY_ENTRY_POINTS = {
                                  "HermitianOperator matrix must hold numbers"),
     "BlochProduct.vectors": (lambda v: dk.BlochProduct(v), [[0, 0, 0], [0, 0, 0]],
                              "Bloch vectors must hold real numbers"),
+    "product_state.qubit_states": (lambda v: dk.product_state(v), [[1, 0], [0, 1]],
+                                   "single-qubit state must hold numbers"),
+    "assemble_bipartite.phi_a": (lambda v: dk.assemble_bipartite(v, [1, 0], _SPLIT), [1, 0],
+                                 "assemble_bipartite factor phi_a must hold numbers"),
+    "assemble_bipartite.phi_b": (lambda v: dk.assemble_bipartite([1, 0], v, _SPLIT), [0, 1],
+                                 "assemble_bipartite factor phi_b must hold numbers"),
 }
 # each the accepted input's entries in a form NumPy would otherwise parse or cast
 _NOT_NUMBERS = {
@@ -143,6 +146,20 @@ _NOT_NUMBERS = {
 def test_an_array_that_does_not_hold_numbers_is_refused(call, entries, message, to_bad):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
         call(to_bad(np.array(entries)))
+
+
+# mixed qubits or factors, each refused by its own check, not parsed as |0>
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    (lambda: dk.product_state([["1", "0"], [True, False]]), "single-qubit state must hold numbers"),
+    (lambda: dk.product_state([[True, False]]), "single-qubit state must hold numbers"),
+    (lambda: dk.product_state([[1, 0], [b"1", b"0"]]), "single-qubit state must hold numbers"),
+    (lambda: dk.assemble_bipartite(["1", "0"], [True, False], _SPLIT), "factor phi_a must hold numbers"),
+    (lambda: dk.assemble_bipartite([1, 0], [b"1", b"0"], _SPLIT), "factor phi_b must hold numbers"),
+], ids=["product-str-bool", "product-bool", "product-int-bytes", "bipartite-str-bool", "bipartite-int-bytes"])
+def test_qubits_and_factors_that_do_not_hold_numbers_are_refused(call, message):
+    with pytest.raises(dk.DomainError, match=message):
+        call()
 
 
 _AS_NUMBERS = {
@@ -226,7 +243,6 @@ def test_a_container_argument_that_is_not_a_sequence_is_refused(call, message, b
         call(bad)
 
 
-_SPLIT = dk.Bipartition(2, (1,))
 _STATES = "PureState or DensityMatrix or SymmetricState or Mixture"
 
 # argument: (call feeding it something that is not the record it needs, start of the refusal)

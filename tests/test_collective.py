@@ -252,21 +252,19 @@ def test_lemma2_vector_norm_needs_two_qubits():
         dk.lemma2_vector_norm(dk.white_noise_mix(dk.dicke_state(3, 1), 1.0).to_density())
 
 
-def test_analytic_eigenvalues_pair_family():
-    vals = dk.analytic_eigenvalues("lemma2_eig", (1.0, 0.0, 0.0))
+def test_lemma2_eigenvalues():
+    vals = dk.lemma2_eigenvalues((1.0, 0.0, 0.0))
     assert sorted(vals) == pytest.approx([-2, 0, 0, 2])
     with pytest.raises(dk.DomainError):
-        dk.analytic_eigenvalues("lemma2_eig", (1.0, 1.0, 0.0))
+        dk.lemma2_eigenvalues((1.0, 1.0, 0.0))
 
 
-def test_analytic_eigenvalues_triple_family():
-    vals = dk.analytic_eigenvalues("theorem3_eig", 0.0)
+def test_theorem3_eigenvalues():
+    vals = dk.theorem3_eigenvalues(0.0)
     assert sorted(vals) == pytest.approx([-2, -2, -2, -2, 0, 0, 4, 4])
-    assert dk.analytic_eigenvalues("theorem3_eig", 1.0).max() == pytest.approx(3 + 2 * sqrt(3))
+    assert dk.theorem3_eigenvalues(1.0).max() == pytest.approx(3 + 2 * sqrt(3))
     with pytest.raises(dk.DomainError):
-        dk.analytic_eigenvalues("theorem3_eig", 1.5)
-    with pytest.raises(dk.DomainError):
-        dk.analytic_eigenvalues("unknown", 0.5)
+        dk.theorem3_eigenvalues(1.5)
 
 
 @settings(deadline=None, max_examples=25)
@@ -277,12 +275,12 @@ def test_analytic_matches_dense_diagonalization(seed):
     nvec /= np.linalg.norm(nvec)
     m1, m2, m3 = (op.matrix for op in dk.lemma2_operators())
     dense = np.sort(np.linalg.eigvalsh(nvec[0] * m1 + nvec[1] * m2 + nvec[2] * m3))
-    assert np.allclose(dense, np.sort(dk.analytic_eigenvalues("lemma2_eig", nvec)), atol=1e-10)
+    assert np.allclose(dense, np.sort(dk.lemma2_eigenvalues(nvec)), atol=1e-10)
     radius = rng.uniform(0, 1)
     angle = rng.uniform(0, 2 * np.pi)
     combo = dk.theorem3_operators(radius * np.cos(angle), radius * np.sin(angle))[3]
     dense = np.sort(np.linalg.eigvalsh(combo.matrix))
-    assert np.allclose(dense, np.sort(dk.analytic_eigenvalues("theorem3_eig", radius)), atol=1e-10)
+    assert np.allclose(dense, np.sort(dk.theorem3_eigenvalues(radius)), atol=1e-10)
 
 
 def test_partition_bounds_record():

@@ -1,4 +1,5 @@
 import ast
+import re
 import runpy
 from pathlib import Path
 
@@ -32,3 +33,21 @@ def test_bench_and_demos_read_only_the_exported_surface():
     assert {"criterion_verdict", "fidelity_witness_verdict", "fidelity_threshold_numeric"} <= read
     assert sorted(read - set(dickekit.__all__)) == []
     assert [name for name in dickekit.__all__ if not hasattr(dickekit, name)] == []
+
+
+def _names_read(path):
+    """The names a module loads, bare or as an attribute; a definition or an
+    assignment is no read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_export_is_read_outside_the_tests():
+    # an export that only the tests read is surface with no user: delete it
+    package = [path for path in (ROOT / "src" / "dickekit").glob("*.py") if path.name != "__init__.py"]
+    read = set().union(*map(_names_read, package + DEMOS + sorted((ROOT / "bench").glob("*.py"))))
+    read |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    assert sorted(set(dickekit.__all__) - read) == []

@@ -20,7 +20,7 @@ def test_bound_examples():
 def test_half_excited_closed_form():
     for n in (4, 6, 8, 10):
         assert dk.dicke_fidelity_bound(n, n // 2) == pytest.approx(n / (2 * (n - 1)), abs=1e-10)
-        assert dk.dicke_fidelity_bound(n, n // 2, "svd") == pytest.approx(
+        assert dk.max_biseparable_overlap(dk.dicke_state(n, n // 2)) == pytest.approx(
             n / (2 * (n - 1)), abs=1e-10
         )
 
@@ -32,14 +32,6 @@ def test_single_excitation_closed_form():
 
 def test_two_qubits_fall_back_to_half():
     assert dk.dicke_fidelity_bound(2, 1) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_exact_and_svd_agree_everywhere():
-    for n in range(2, 9):
-        for m in range(n + 1):
-            exact = dk.dicke_fidelity_bound(n, m, "exact")
-            svd = dk.dicke_fidelity_bound(n, m, "svd")
-            assert exact == pytest.approx(svd, abs=1e-10), (n, m)
 
 
 def test_exact_bound_matches_the_exhaustive_table():
@@ -115,11 +107,6 @@ def test_exact_bound_at_large_n():
 def test_bound_domain_errors(n, m):
     with pytest.raises(dk.DomainError):
         dk.dicke_fidelity_bound(n, m)
-
-
-def test_bound_rejects_unknown_method():
-    with pytest.raises(dk.DomainError):
-        dk.dicke_fidelity_bound(4, 2, "auto")
 
 
 def test_verdict_on_pure_target():

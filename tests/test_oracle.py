@@ -403,6 +403,35 @@ def test_bisep_max_is_deterministic():
     assert first.value == second.value
 
 
+def test_biseparable_overlap_matches_the_closed_dicke_bound():
+    for n in range(2, 9):
+        for m in range(n + 1):
+            overlap = dk.max_biseparable_overlap(dk.dicke_state(n, m))
+            assert overlap == pytest.approx(dk.dicke_fidelity_bound(n, m), abs=1e-10), (n, m)
+
+
+def test_biseparable_overlap_of_a_product_state_is_one():
+    state = dk.product_state([[1, 0], [1, 1j], [0.6, 0.8], [1, -1]])
+    assert dk.max_biseparable_overlap(state) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_biseparable_overlap_agrees_with_the_biseparable_search():
+    # two independent oracles of one quantity on a target with no symmetry
+    target = next(dk.sample_random_states("pure", 4, 1, seed=0))
+    overlap = dk.max_biseparable_overlap(target)
+    projector = dk.HermitianOperator(np.outer(target.amplitudes, target.amplitudes.conj()))
+    value = dk.maximize_over_biseparable(projector, restarts=64, seed=0).value
+    assert overlap - 1e-6 <= value <= overlap + 1e-9
+
+
+@pytest.mark.parametrize("state", [
+    dk.dicke_symmetric(4, 2), dk.white_noise_mix(dk.dicke_state(2, 1), 0.5).to_density(), dk.dicke_state(1, 1),
+], ids=["symmetric", "density", "one-qubit"])
+def test_biseparable_overlap_needs_a_dense_pure_state_of_two_qubits(state):
+    with pytest.raises(dk.DomainError):
+        dk.max_biseparable_overlap(state)
+
+
 def test_sampling_is_deterministic_and_typed():
     a = [s.amplitudes for s in dk.sample_random_states("pure", 3, 4, seed=9)]
     b = [s.amplitudes for s in dk.sample_random_states("pure", 3, 4, seed=9)]
