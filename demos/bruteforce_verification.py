@@ -75,7 +75,9 @@ analytic = np.sort(dk.lemma2_eigenvalues(direction))
 print(f"  pair family at the optimal direction:  dense {np.round(dense, 9).tolist()}")
 print(f"                                      analytic {np.round(analytic, 9).tolist()}")
 print(f"  sqrt(16/3) = {np.sqrt(16 / 3):.9f}")
-combo = dk.theorem3_operators(1.0, 0.0)[3]
+qx, qy, r = (op.matrix for op in dk.theorem3_operators())
+x1, y1 = 1.0, 0.0
+combo = dk.HermitianOperator(x1 * qx + y1 * qy + r)
 print(f"  triple family at X = 1: max dense = {dk.max_eigenvalue(combo):.9f}"
       f"  vs 3 + 2 sqrt(3) = {3 + 2 * np.sqrt(3):.9f}")
 

@@ -42,13 +42,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, SYMMETRY_ATOL, Tolerances
 from .errors import DomainError, _check_int, _check_real, _check_sequence, _check_type
 from .fidelity import _dicke_fidelity, dicke_fidelity_bound
-from .operators import (
-    HermitianOperator,
-    QuadraticForm,
-    expectation,
-    single_site,
-    PAULI,
-)
+from .operators import HermitianOperator, QuadraticForm, collective_operator, expectation
 from .oracle import _safeguarded_root, _ti_maximum
 from .states import _STATE_TYPES, DensityMatrix, PureState, dicke_state, moments, psixy_noise_mix, white_noise_mix
 
@@ -177,16 +171,21 @@ def _check_kind(kind: str, n: int, noise: str | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lemma 2 and its operators (two-qubit planar moments)
+# Lemma 2 and Theorem 3 operators (planar moments on two and three qubits)
 # ---------------------------------------------------------------------------
+
+def _planar_triple(n: int) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
+    """2 Jx, 2 Jy and 2 (Jx^2 + Jy^2) - N on n qubits: the sums of sx and of sy
+    over the qubits, and of sx sx + sy sy over the qubit pairs."""
+    jx, jy, xy = (collective_operator(n, which).matrix for which in ("x", "y", QuadraticForm(a=(1, 1, 0))))
+    return tuple(HermitianOperator(m) for m in (2 * jx, 2 * jy, 2 * xy - n * np.eye(2 ** n)))
+
 
 @lru_cache(maxsize=1)
 def lemma2_operators() -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """M1 = sx sx + sy sy; M2 = sx (x) 1 + 1 (x) sx; M3 likewise for y."""
-    m1 = np.kron(PAULI["x"], PAULI["x"]) + np.kron(PAULI["y"], PAULI["y"])
-    m2 = single_site(PAULI["x"], 1, 2) + single_site(PAULI["x"], 2, 2)
-    m3 = single_site(PAULI["y"], 1, 2) + single_site(PAULI["y"], 2, 2)
-    return tuple(HermitianOperator(m) for m in (m1, m2, m3))
+    """M1 = sx sx + sy sy = 2 (Jx^2 + Jy^2) - 2, M2 = 2 Jx and M3 = 2 Jy on two qubits."""
+    m2, m3, m1 = _planar_triple(2)
+    return m1, m2, m3
 
 
 @lru_cache(maxsize=1)
@@ -199,8 +198,8 @@ def _lemma2_stack() -> np.ndarray:
 
 def lemma2_vector_norm(state) -> float:
     """<M1>^2 + <M2>^2 + <M3>^2 for a two-qubit state; at most 16/3."""
-    if not isinstance(state, (PureState, DensityMatrix)) or state.n_qubits != 2:
-        raise DomainError("lemma2_vector_norm needs a two-qubit state")
+    if _check_type(state, (PureState, DensityMatrix), "state").n_qubits != 2:
+        raise DomainError(f"lemma2_vector_norm needs a two-qubit state, got n = {state.n_qubits}")
     stack = _lemma2_stack()
     if isinstance(state, PureState):  # <psi|M_k|psi>
         psi = state.amplitudes
@@ -210,21 +209,11 @@ def lemma2_vector_norm(state) -> float:
     return float(values.real @ values.real)
 
 
-def theorem3_operators(x1: float = 1.0, y1: float = 0.0) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator, HermitianOperator]:
-    """(Qx, Qy, R, x1 Qx + y1 Qy + R) on three qubits.
-
-    Qa sums sigma_a over the three qubits; R sums the planar pair correlators
-    sx sx + sy sy over the three pairs.
-    """
-    x1, y1 = _check_real(x1, "x1"), _check_real(y1, "y1")
-    qx = sum(single_site(PAULI["x"], q, 3) for q in (1, 2, 3))
-    qy = sum(single_site(PAULI["y"], q, 3) for q in (1, 2, 3))
-    r = np.zeros((8, 8), dtype=complex)
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        r += single_site(PAULI["x"], i, 3) @ single_site(PAULI["x"], j, 3)
-        r += single_site(PAULI["y"], i, 3) @ single_site(PAULI["y"], j, 3)
-    combo = x1 * qx + y1 * qy + r
-    return tuple(HermitianOperator(m) for m in (qx, qy, r, combo))
+@lru_cache(maxsize=1)
+def theorem3_operators() -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
+    """(Qx, Qy, R) on three qubits: Qa sums sigma_a over the qubits and R sums
+    sx sx + sy sy over the three pairs; Theorem 3 reads x1 Qx + y1 Qy + R."""
+    return _planar_triple(3)
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,18 @@ def _check_real(value, name: str, lo=None, hi=None, strict: bool = False) -> flo
 def _check_numeric(value, name: str, real: bool = False) -> np.ndarray:
     """``value`` as an array if it holds numbers (only real ones with ``real``):
     a numeric dtype, or an object array of Python or NumPy numbers, never bools,
-    strings or bytes, which NumPy would parse or cast; otherwise DomainError naming ``name``."""
-    arr = np.asarray(value)
+    strings or bytes, which NumPy would parse or cast, and never a ragged nesting;
+    otherwise DomainError naming ``name``."""
+    numbers = "real numbers" if real else "numbers"
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # NumPy's "inhomogeneous shape"
+        raise DomainError(f"{name} must hold {numbers} in a rectangular array, got ragged nesting") from exc
     kinds, types = ("iuf", _REALS) if real else ("iufc", _NUMBERS)
     if arr.dtype.kind in kinds or (arr.dtype.kind == "O" and all(
             isinstance(x, types) and not isinstance(x, bool) for x in arr.flat)):
         return arr
-    raise DomainError(f"{name} must hold {'real ' if real else ''}numbers, got dtype {arr.dtype.name}")
+    raise DomainError(f"{name} must hold {numbers}, got dtype {arr.dtype.name}")
 
 
 def _check_sequence(value, name: str) -> tuple:

@@ -15,12 +15,10 @@ read from the state's collective moments (``states.moments``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .errors import (DomainError, InvariantViolationError, _check_int, _check_numeric, _check_real,
-                     _check_sequence, _check_type)
+from .errors import DomainError, InvariantViolationError, _check_numeric, _check_real, _check_sequence, _check_type
 from .states import (
     _STATE_TYPES,
     Mixture,
@@ -81,13 +79,6 @@ class QuadraticForm:
     @property
     def is_linear_free(self) -> bool:
         return all(x == 0.0 for x in self.b)
-
-
-def single_site(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Embed a single-qubit operator on 1-based ``qubit`` into N qubits."""
-    _check_int(n, "n", 1)
-    _check_int(qubit, "qubit label", 1, n)
-    return reduce(np.kron, [op if k == qubit else np.eye(2, dtype=complex) for k in range(1, n + 1)])
 
 
 def _form_sum(term, which: "QuadraticForm | str"):

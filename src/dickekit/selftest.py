@@ -191,13 +191,13 @@ def criterion_05_eigenvalue_formulas() -> CheckResult:
         analytic = np.sort(lemma2_eigenvalues(nvec))
         worst = max(worst, np.abs(dense - analytic).max())
     c.check(f"pair family: 100 draws vs dense, worst diff {worst:.3g} <= 1e-10", worst <= 1e-10)
+    qx, qy, r = (op.matrix for op in theorem3_operators())
     worst = 0.0
     for _ in range(100):
         radius = rng.uniform(0.0, 1.0)
         angle = rng.uniform(0.0, 2 * np.pi)
         x1, y1 = radius * np.cos(angle), radius * np.sin(angle)
-        combo = theorem3_operators(x1, y1)[3]
-        dense = np.sort(np.linalg.eigvalsh(combo.matrix))
+        dense = np.sort(np.linalg.eigvalsh(x1 * qx + y1 * qy + r))
         analytic = np.sort(theorem3_eigenvalues(radius))
         worst = max(worst, np.abs(dense - analytic).max())
     c.check(f"triple family: 100 draws vs dense, worst diff {worst:.3g} <= 1e-10", worst <= 1e-10)

@@ -63,12 +63,8 @@ ENTRY_POINTS = {
     "collective_threshold_numeric.n": (lambda v: dk.collective_threshold_numeric(v, "theorem2"), "n must be"),
     "theorem3_eigenvalues.X": (lambda v: dk.theorem3_eigenvalues(v), "theorem3 X must be"),
     "lemma2_eigenvalues.n_l": (lambda v: dk.lemma2_eigenvalues((v, 0, 0)), "lemma2 direction n_l must be"),
-    "theorem3_operators.x1": (lambda v: dk.theorem3_operators(v, 0.0), "x1 must be"),
-    "theorem3_operators.y1": (lambda v: dk.theorem3_operators(1.0, v), "y1 must be"),
     "QuadraticForm.a": (lambda v: dk.QuadraticForm(a=(v, 1, 0)), "quadratic coefficient a_l must be"),
     "QuadraticForm.b": (lambda v: dk.QuadraticForm(b=(0, 0, v)), "linear coefficient b_l must be"),
-    "single_site.qubit": (lambda v: dk.single_site(dk.SIGMA_X, v, 2), "qubit label must be"),
-    "single_site.n": (lambda v: dk.single_site(dk.SIGMA_X, 1, v), "n must be"),
     "collective_operator.n": (lambda v: dk.collective_operator(v, "x"), "n_qubits must be"),
     "maximize_over_product_states.restarts": (lambda v: dk.maximize_over_product_states(_OP, restarts=v),
                                               "restarts must be"),
@@ -125,7 +121,18 @@ _ARRAY_ENTRY_POINTS = {
     "assemble_bipartite.phi_b": (lambda v: dk.assemble_bipartite([1, 0], v, _SPLIT), [0, 1],
                                  "assemble_bipartite factor phi_b must hold numbers"),
 }
-# each the accepted input's entries in a form NumPy would otherwise parse or cast
+
+
+def _ragged(a):
+    """The accepted entries with the last one nested a level deeper: [1, [0]] for [1, 0]."""
+    nested = a.tolist()
+    innermost = nested if a.ndim == 1 else nested[-1]
+    innermost[-1] = [innermost[-1]]
+    return nested
+
+
+# each the accepted input's entries in a form NumPy would otherwise parse or cast,
+# or, ragged, refuse to make an array of
 _NOT_NUMBERS = {
     "bool": lambda a: a != 0,
     "str": lambda a: a.astype(str),
@@ -134,6 +141,7 @@ _NOT_NUMBERS = {
     "object-str": lambda a: a.astype(str).astype(object),
     "object-bool": lambda a: (a != 0).astype(object),
     "object-None": lambda a: np.where(a == 0, None, a),
+    "ragged": _ragged,
 }
 
 
@@ -265,6 +273,7 @@ _NOT_RECORDS = {
     "lemma1_bound.form": (lambda v: dk.lemma1_bound(v, 3), "form must be a QuadraticForm"),
     "maximize_over_ti_product.form": (lambda v: dk.maximize_over_ti_product(v, 3), "form must be a QuadraticForm"),
     "ti_objective.form": (lambda v: ti_objective(v, 3, np.zeros(3)), "form must be a QuadraticForm"),
+    "lemma2_vector_norm.state": (lambda v: dk.lemma2_vector_norm(v), "state must be a PureState or DensityMatrix"),
     "max_eigenvalue.op": (lambda v: dk.max_eigenvalue(v), "op must be a HermitianOperator"),
     "maximize_over_product_states.op": (lambda v: dk.maximize_over_product_states(v), "op must be a HermitianOperator"),
     "maximize_over_biseparable.op": (lambda v: dk.maximize_over_biseparable(v), "op must be a HermitianOperator"),
@@ -286,7 +295,12 @@ def test_a_record_argument_of_the_wrong_type_is_refused(call, message, bad):
     (lambda: dk.schmidt_spectrum(dk.dicke_symmetric(2, 1), _SPLIT), "state must be a PureState, got SymmetricState"),
     (lambda: dk.symmetric_to_dense(_PURE), "state must be a SymmetricState, got PureState"),
     (lambda: dk.white_noise_mix(_PURE.to_density(), 0.1), "Mixture component must be a PureState or SymmetricState"),
-], ids=["schmidt_spectrum", "symmetric_to_dense", "white_noise_mix"])
+    (lambda: dk.lemma2_vector_norm(dk.white_noise_mix(_PURE, 0.5)),
+     "state must be a PureState or DensityMatrix, got Mixture"),
+    (lambda: dk.lemma2_vector_norm(dk.dicke_symmetric(2, 1)),
+     "state must be a PureState or DensityMatrix, got SymmetricState"),
+], ids=["schmidt_spectrum", "symmetric_to_dense", "white_noise_mix", "lemma2_vector_norm-mixture",
+        "lemma2_vector_norm-symmetric"])
 def test_a_state_of_another_backend_is_refused(call, message):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
         call()

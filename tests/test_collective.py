@@ -247,9 +247,12 @@ def test_lemma2_bound_holds_on_random_densities():
     assert worst <= 16 / 3 + 1e-9
 
 
-def test_lemma2_vector_norm_needs_two_qubits():
-    with pytest.raises(dk.DomainError):
-        dk.lemma2_vector_norm(dk.white_noise_mix(dk.dicke_state(3, 1), 1.0).to_density())
+@pytest.mark.parametrize("state", [dk.white_noise_mix(dk.dicke_state(3, 1), 1.0).to_density(),
+                                   dk.dicke_state(3, 1), dk.product_state([[1, 0]])],
+                         ids=["density-3", "pure-3", "pure-1"])
+def test_lemma2_vector_norm_needs_two_qubits(state):
+    with pytest.raises(dk.DomainError, match=f"needs a two-qubit state, got n = {state.n_qubits}"):
+        dk.lemma2_vector_norm(state)
 
 
 def test_lemma2_eigenvalues():
@@ -278,8 +281,8 @@ def test_analytic_matches_dense_diagonalization(seed):
     assert np.allclose(dense, np.sort(dk.lemma2_eigenvalues(nvec)), atol=1e-10)
     radius = rng.uniform(0, 1)
     angle = rng.uniform(0, 2 * np.pi)
-    combo = dk.theorem3_operators(radius * np.cos(angle), radius * np.sin(angle))[3]
-    dense = np.sort(np.linalg.eigvalsh(combo.matrix))
+    qx, qy, r = (op.matrix for op in dk.theorem3_operators())
+    dense = np.sort(np.linalg.eigvalsh(radius * np.cos(angle) * qx + radius * np.sin(angle) * qy + r))
     assert np.allclose(dense, np.sort(dk.theorem3_eigenvalues(radius)), atol=1e-10)
 
 

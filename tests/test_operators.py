@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -95,10 +96,17 @@ def test_density_expectation_builds_no_collective_operator(monkeypatch):
 _GENERIC = dk.QuadraticForm(a=(0.3, 1.1, 0.7), b=(0.2, -0.4, 0.9))
 
 
+_PAULI = {"x": dk.SIGMA_X, "y": dk.SIGMA_Y, "z": dk.SIGMA_Z}
+
+
+def _single_site(op, qubit, n):
+    """``op`` on 1-based ``qubit`` of n qubits, identity on the others."""
+    return reduce(np.kron, [op if k == qubit else np.eye(2, dtype=complex) for k in range(1, n + 1)])
+
+
 def _kron_reference(n, which):
     """J_l as sums of single-site kron chains, independent of the row tables."""
-    pauli = {"x": dk.SIGMA_X, "y": dk.SIGMA_Y, "z": dk.SIGMA_Z}
-    j = {axis: 0.5 * sum(dk.single_site(pauli[axis], q, n) for q in range(1, n + 1)) for axis in "xyz"}
+    j = {axis: 0.5 * sum(_single_site(_PAULI[axis], q, n) for q in range(1, n + 1)) for axis in "xyz"}
     if isinstance(which, str):
         return j[which]
     return sum(a * j[axis] @ j[axis] + b * j[axis] for a, b, axis in zip(which.a, which.b, "xyz"))
@@ -109,6 +117,23 @@ def test_collective_operator_matches_kron_chains(n):
     for which in ("x", "y", "z", _GENERIC):
         built = dk.collective_operator(n, which).matrix
         assert np.abs(built - _kron_reference(n, which)).max() < 1e-13, which
+
+
+def _planar_chains(n):
+    """sum_k sx^(k), sum_k sy^(k) and sum_(i<j) sx^(i) sx^(j) + sy^(i) sy^(j) as kron chains."""
+    site = {(axis, q): _single_site(_PAULI[axis], q, n) for axis in "xy" for q in range(1, n + 1)}
+    qx, qy = (sum(site[axis, q] for q in range(1, n + 1)) for axis in "xy")
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return qx, qy, sum(site[axis, i] @ site[axis, j] for i, j in pairs for axis in "xy")
+
+
+def test_lemma2_and_theorem3_operators_equal_their_kron_chains():
+    # every entry is a multiple of 1/2, so the row tables and the chains agree exactly
+    qx, qy, r = _planar_chains(2)
+    for built, chain in zip(dk.lemma2_operators(), (r, qx, qy), strict=True):  # (M1, M2, M3)
+        assert np.array_equal(built.matrix, chain)
+    for built, chain in zip(dk.theorem3_operators(), _planar_chains(3), strict=True):  # (Qx, Qy, R)
+        assert np.array_equal(built.matrix, chain)
 
 
 def _random_symmetric(n, seed):
@@ -269,12 +294,6 @@ def test_backend_agreement_on_coherent_states():
             assert dk.expectation(dense, op) == pytest.approx(
                 dk.expectation(sector, op), abs=1e-10
             )
-
-
-@pytest.mark.parametrize("qubit, n", [(1.5, 2), (True, 2), (1, 2.0), (0, 2), (3, 2)])
-def test_single_site_refuses_bad_labels(qubit, n):
-    with pytest.raises(dk.DomainError):
-        dk.single_site(dk.SIGMA_X, qubit, n)
 
 
 def test_variance_refuses_a_bad_axis():

@@ -20,7 +20,8 @@ def test_max_eigenvalue_examples():
     assert dk.max_eigenvalue(dk.collective_operator(5, "z")) == pytest.approx(2.5, abs=1e-12)
     op = dk.collective_operator(4, dk.QuadraticForm(a=(1, 1, 0)))
     assert dk.max_eigenvalue(op) == pytest.approx(6.0, abs=1e-10)
-    combo = dk.theorem3_operators(1.0, 0.0)[3]
+    qx, _qy, r = (op.matrix for op in dk.theorem3_operators())
+    combo = dk.HermitianOperator(qx + r)  # x1 Qx + y1 Qy + R at (x1, y1) = (1, 0)
     assert dk.max_eigenvalue(combo) == pytest.approx(3 + 2 * sqrt(3), abs=1e-10)
 
 

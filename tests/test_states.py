@@ -418,6 +418,8 @@ def test_shared_tables_are_cached_and_read_only():
         "flip table": lambda: dk.states._flip_table(6),
         "Dicke amplitudes": lambda: (dk.states._dicke_amplitudes(6, 2),),
         "sector ladder": lambda: dk.states._sector_ladder(6),
+        "Lemma 2 operators": lambda: tuple(op.matrix for op in dk.lemma2_operators()),
+        "Theorem 3 operators": lambda: tuple(op.matrix for op in dk.theorem3_operators()),
     }
     for name, table in tables.items():
         first, second = table(), table()
