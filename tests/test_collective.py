@@ -255,6 +255,16 @@ def test_lemma2_vector_norm_needs_two_qubits(state):
         dk.lemma2_vector_norm(state)
 
 
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_lemma2_vector_norm_is_the_sum_of_squared_traces(kind):
+    # the stacked fast path against <M_k> = Tr(rho M_k) read off the triple one operator at a time
+    triple = [op.matrix for op in dk.lemma2_operators()]
+    for state in dk.sample_random_states(kind, 2, 50, seed=23):
+        rho = state.to_density().matrix if kind == "pure" else state.matrix
+        direct = sum(np.trace(rho @ m).real ** 2 for m in triple)
+        assert dk.lemma2_vector_norm(state) == pytest.approx(direct, abs=1e-12)
+
+
 def test_lemma2_eigenvalues():
     vals = dk.lemma2_eigenvalues((1.0, 0.0, 0.0))
     assert sorted(vals) == pytest.approx([-2, 0, 0, 2])
@@ -284,6 +294,25 @@ def test_analytic_matches_dense_diagonalization(seed):
     qx, qy, r = (op.matrix for op in dk.theorem3_operators())
     dense = np.sort(np.linalg.eigvalsh(radius * np.cos(angle) * qx + radius * np.sin(angle) * qy + r))
     assert np.allclose(dense, np.sort(dk.theorem3_eigenvalues(radius)), atol=1e-10)
+
+
+@pytest.mark.parametrize("x1, y1", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+                                    (0.6, 0.8), (0.3, -0.4)])
+def test_theorem3_combination_spectrum(x1, y1):
+    # the caller's x1 Qx + y1 Qy + R has the closed-form spectrum at X = |(x1, y1)|,
+    # topped by 2 + X + 2 sqrt(1 + X + X^2): 3 + 2 sqrt(3) on the unit circle
+    qx, qy, r = (op.matrix for op in dk.theorem3_operators())
+    radius = np.hypot(x1, y1)
+    dense = np.linalg.eigvalsh(x1 * qx + y1 * qy + r)
+    assert np.allclose(dense, np.sort(dk.theorem3_eigenvalues(radius)), atol=1e-10)
+    assert dense[-1] == pytest.approx(2 + radius + 2 * sqrt(1 + radius + radius ** 2), abs=1e-10)
+
+
+def test_theorem3_operators_take_no_arguments():
+    # the planar coefficients are the caller's: the operators are one shared triple
+    with pytest.raises(TypeError):
+        dk.theorem3_operators(1.0, 0.0)
+    assert dk.theorem3_operators() is dk.theorem3_operators()
 
 
 def test_partition_bounds_record():

@@ -127,13 +127,36 @@ def _planar_chains(n):
     return qx, qy, sum(site[axis, i] @ site[axis, j] for i, j in pairs for axis in "xy")
 
 
-def test_lemma2_and_theorem3_operators_equal_their_kron_chains():
+# (triple, position in the triple, qubit count, position in _planar_chains)
+_PAPER_OPERATORS = {
+    "lemma2-M1": (dk.lemma2_operators, 0, 2, 2),
+    "lemma2-M2": (dk.lemma2_operators, 1, 2, 0),
+    "lemma2-M3": (dk.lemma2_operators, 2, 2, 1),
+    "theorem3-Qx": (dk.theorem3_operators, 0, 3, 0),
+    "theorem3-Qy": (dk.theorem3_operators, 1, 3, 1),
+    "theorem3-R": (dk.theorem3_operators, 2, 3, 2),
+}
+
+
+@pytest.mark.parametrize("triple, index, n, chain", _PAPER_OPERATORS.values(), ids=_PAPER_OPERATORS.keys())
+def test_lemma2_and_theorem3_operators_equal_their_kron_chains(triple, index, n, chain):
     # every entry is a multiple of 1/2, so the row tables and the chains agree exactly
-    qx, qy, r = _planar_chains(2)
-    for built, chain in zip(dk.lemma2_operators(), (r, qx, qy), strict=True):  # (M1, M2, M3)
-        assert np.array_equal(built.matrix, chain)
-    for built, chain in zip(dk.theorem3_operators(), _planar_chains(3), strict=True):  # (Qx, Qy, R)
-        assert np.array_equal(built.matrix, chain)
+    assert np.array_equal(triple()[index].matrix, _planar_chains(n)[chain])
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["lemma2", "theorem3"])
+def test_planar_triple_turns_with_jz(n):
+    # exp(-i t Jz) rotates (2Jx, 2Jy) by t and leaves 2(Jx^2 + Jy^2) - N fixed, which is
+    # why the Lemma 2 and Theorem 3 spectra depend on the planar direction only through its length
+    if n == 2:
+        r, qx, qy = (op.matrix for op in dk.lemma2_operators())  # (M1, M2, M3)
+    else:
+        qx, qy, r = (op.matrix for op in dk.theorem3_operators())
+    t = 0.7
+    u = np.diag(np.exp(-1j * t * np.diag(dk.collective_operator(n, "z").matrix)))
+    assert np.allclose(u @ qx @ u.conj().T, np.cos(t) * qx + np.sin(t) * qy, atol=1e-13)
+    assert np.allclose(u @ qy @ u.conj().T, -np.sin(t) * qx + np.cos(t) * qy, atol=1e-13)
+    assert np.allclose(u @ r @ u.conj().T, r, atol=1e-13)
 
 
 def _random_symmetric(n, seed):
