@@ -17,7 +17,6 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import selftest
 from .collective import (
     _NOISE_FAMILIES,
     CRITERION_KINDS,
@@ -326,6 +325,8 @@ def _cmd_verify_appendix(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
+    from . import selftest  # only this command reads the acceptance suite
+
     if args.only is not None:
         _check_int(args.only, "--only", 1, len(selftest.ALL_CRITERIA))
     results = selftest.run_all(only=args.only)

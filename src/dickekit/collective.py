@@ -99,7 +99,7 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
     _check_type(form, (QuadraticForm,), "form")
     _check_int(n, "n", 1, 2 ** 53)  # the form is evaluated with N as a float, exact to 2^53
     if not form.is_linear_free:
-        return _ti_maximum(form, n)[0]
+        return _ti_maximum(form, int(n))[0]  # one cache key, and no int64 wrap, for a NumPy n
     a = form.a
     bound = sum(a) * n / 4.0 + max(a) * (n / 2.0) * (n / 2.0 - 0.5)
     if not isfinite(bound):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import hypot, isfinite, sqrt
 
 import numpy as np
@@ -291,12 +291,15 @@ def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
     """
     _check_type(form, (QuadraticForm,), "form")
     _check_int(n, "n", 1, SYMMETRIC_QUBIT_LIMIT)  # the argument holds one Bloch vector per qubit
-    value, s = _ti_maximum(form, n)
+    value, s = _ti_maximum(form, int(n))
     return OptimizationResult(value, BlochProduct(np.tile(s, (n, 1))), 1, 0)
 
 
+@lru_cache(maxsize=256)
 def _ti_maximum(form: QuadraticForm, n: int) -> tuple[float, np.ndarray]:
-    """The maximum over |psi(s)>^(x N) and its Bloch vector s, for a checked n."""
+    """The maximum over |psi(s)>^(x N) and its read-only Bloch vector s, for a
+    checked n, kept per (form, N): a crit2 sweep or threshold bisection asks
+    for the same bound at every point."""
     alpha = [n * (n - 1) * x for x in form.a]
     # a subnormal beta on a top axis would put the root below the normal range
     # (the Newton slope overflows); flushing it moves the value by < 1e-307
@@ -309,6 +312,7 @@ def _ti_maximum(form: QuadraticForm, n: int) -> tuple[float, np.ndarray]:
     if mu == 0.0:  # hard case
         s[gaps.index(0.0)] = sqrt(max(0.0, _RADIUS ** 2 - hypot(*s) ** 2))
     s = np.array(s) * (_RADIUS / hypot(*s))
+    s.setflags(write=False)
     return ti_objective(form, n, s), s
 
 

@@ -29,12 +29,6 @@ from .config import HERMITIAN_ATOL, NORM_ATOL, PSD_ATOL, TRACE_ATOL
 from .errors import DomainError, _check_int, _check_numeric, _check_real, _check_sequence, _check_type
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 def _first_refused(values, ok):
     """The entry of ``values`` (one per state: a number, or an array for a
     stack) at the first False of ``ok``, or None when every state passes."""
@@ -44,11 +38,11 @@ def _first_refused(values, ok):
 
 
 def _unit_vectors(data: np.ndarray, shape: tuple, length: int, kind: str) -> np.ndarray:
-    """Read-only copy of ``kind`` amplitudes, one vector or a stack of them,
-    refused unless each vector has ``shape`` (length,) and unit norm."""
+    """``kind`` amplitudes, one vector or a stack of them, made read-only in
+    place and refused unless each vector has ``shape`` (length,) and unit norm."""
     if shape != (length,):
         raise DomainError(f"{kind} amplitudes: expected shape ({length},), got {shape}")
-    data = _frozen(data)
+    data.setflags(write=False)
     flat = data.view(float)  # re, im interleaved
     norms = np.sqrt(np.vecdot(flat, flat))
     # any NaN or inf amplitude makes its norm NaN or inf, which is refused
@@ -108,7 +102,9 @@ class _ArrayState(_State):
     """Base of the states held in one array, the field named ``_field``.  The
     constructor runs ``_checked`` on its one array and ``_from_stack`` on a
     whole stack, once: a stack with a bad state fails with the message one of
-    its bad states gets alone."""
+    its bad states gets alone.  ``_checked`` makes the array it is given
+    read-only in place, so the public constructor copies the caller's data
+    once and ``_from_stack`` owns what the library has just built."""
 
     _field = ""
     _limit = DENSE_QUBIT_LIMIT
@@ -116,16 +112,17 @@ class _ArrayState(_State):
     def __post_init__(self):
         _check_qubit_count(self.n_qubits, self._limit)
         data = getattr(self, self._field)
-        data = np.asarray(_check_numeric(data, f"{type(self).__name__} {self._field}"), dtype=complex)
+        data = np.array(_check_numeric(data, f"{type(self).__name__} {self._field}"), dtype=complex, order="C")
         object.__setattr__(self, self._field, self._checked(self.n_qubits, data, data.shape))
 
     @classmethod
     def _from_stack(cls, n: int, stack) -> list:
         """One state per entry of ``stack`` along its first axis, each a view
-        of one read-only checked copy; a bad entry is refused before any state
-        is built."""
+        of the stack, checked and made read-only in place: the states own a
+        stack the library has just built, which no caller may keep writing to.
+        A bad entry is refused before any state is built."""
         _check_qubit_count(n, cls._limit)
-        stack = np.asarray(_check_numeric(stack, f"{cls.__name__} {cls._field}"), dtype=complex)
+        stack = np.asarray(_check_numeric(stack, f"{cls.__name__} {cls._field}"), dtype=complex, order="C")
         states = []
         for data in cls._checked(n, stack, stack.shape[1:]):
             state = object.__new__(cls)
@@ -153,7 +150,7 @@ class PureState(_ArrayState):
 
     def to_density(self) -> "DensityMatrix":
         """Projector |psi><psi| as a DensityMatrix."""
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._from_stack(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj())[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +168,7 @@ class DensityMatrix(_ArrayState):
         dim = 2 ** n
         if shape != (dim, dim):
             raise DomainError(f"DensityMatrix: expected shape ({dim},{dim}), got {shape}")
-        data = _frozen(data)
+        data.setflags(write=False)
         _check_hermitian(data, "DensityMatrix")
         traces = data.diagonal(0, -2, -1).sum(-1)
         trace = _first_refused(traces, (abs(traces.real - 1.0) <= TRACE_ATOL) & (abs(traces.imag) <= TRACE_ATOL))
@@ -261,7 +258,7 @@ class Mixture(_State):
             v = (symmetric_to_dense(psi) if isinstance(psi, SymmetricState) else psi).amplitudes
             return np.outer(v, v.conj())
 
-        return DensityMatrix(n, self.average(projector, np.eye(2 ** n) / 2 ** n))
+        return DensityMatrix._from_stack(n, self.average(projector, np.eye(2 ** n) / 2 ** n)[None])[0]
 
 
 _STATE_TYPES = (PureState, DensityMatrix, SymmetricState, Mixture)
@@ -327,7 +324,7 @@ def _sector_moments(amps: np.ndarray, n: int) -> Moments:
     and J_y = i(J_+ - J_-)/2 give <J_x> = -Re<J_+> and <J_y> = -Im<J_+>, and since
     J_+J_- + J_-J_+ = 2(J^2 - J_z^2) in the sector, <J_x^2> and <J_y^2> are
     (J(J+1) sum p - <J_z^2>)/2 +- Re<J_+^2>/2.  A Dicke state's moments are exact."""
-    z, z2, coupling, coupling2 = _sector_ladder(n)
+    z, z2, coupling, coupling2 = _sector_ladder(n)[:4]
     p = amps.real ** 2 + amps.imag ** 2
     raised = np.vdot(amps[1:], coupling * amps[:-1])
     raised2 = float(np.vdot(amps[2:], coupling2 * amps[:-2]).real)
@@ -339,14 +336,19 @@ def _sector_moments(amps: np.ndarray, n: int) -> Moments:
 
 
 @lru_cache(maxsize=4)
-def _sector_ladder(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The state-free arrays of ``_sector_moments`` on N qubits, read-only and
-    shared: z_m = m - N/2, z_m^2, c_m = sqrt((m+1)(N-m)) and c_m c_{m+1}.
-    Four entries hold at most 1.3 MB at the symmetric limit."""
+def _sector_ladder(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The state-free arrays of the symmetric sector on N qubits, read-only
+    and shared: z_m = m - N/2, z_m^2, c_m = sqrt((m+1)(N-m)) and c_m c_{m+1}
+    for ``_sector_moments``, and the psixy weights w_m = sqrt(C(N,m) / 2^N).
+    Four entries hold at most 1.6 MB at the symmetric limit."""
     m = np.arange(n + 1.0)
     z = m - 0.5 * n
     coupling = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-    table = z, z * z, coupling, coupling[:-1] * coupling[1:]
+    # log C(N,k) = sum_{j<k} log((N-j)/(j+1)): log-domain binomials keep the
+    # weights stable far beyond the dense limit
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - m[:-1]) / (m[:-1] + 1.0)))))
+    weights = np.exp(0.5 * (log_binom - n * np.log(2.0)))
+    table = z, z * z, coupling, coupling[:-1] * coupling[1:], weights
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -425,9 +427,9 @@ def _dicke_amplitudes(n: int, m: int) -> np.ndarray:
 def dicke_symmetric(n: int, m: int) -> SymmetricState:
     """Symmetric-sector Dicke state: unit amplitude on excitation count m."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[_check_int(m, "excitation count m", 0, n)] = 1.0
-    return SymmetricState(n, amps)
+    amps = np.zeros((1, n + 1), dtype=complex)
+    amps[0, _check_int(m, "excitation count m", 0, n)] = 1.0
+    return SymmetricState._from_stack(n, amps)[0]
 
 
 def symmetric_to_dense(state: SymmetricState) -> PureState:
@@ -435,7 +437,7 @@ def symmetric_to_dense(state: SymmetricState) -> PureState:
     n = _check_type(state, (SymmetricState,), "state").n_qubits
     _check_qubit_count(n)  # dense limit applies here
     dicke_amplitudes = np.array([1.0 / sqrt(comb(n, m)) for m in range(n + 1)])
-    return PureState(n, (state.sector_amplitudes * dicke_amplitudes)[_flip_table(n)[2]])
+    return PureState._from_stack(n, (state.sector_amplitudes * dicke_amplitudes)[_flip_table(n)[2]][None])[0]
 
 
 def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
@@ -462,7 +464,7 @@ def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     amps = np.ones(1, dtype=complex)
     for v in flat.view(complex):
         amps = np.multiply.outer(amps, v).ravel()
-    return PureState(len(vectors), amps / np.linalg.norm(amps))
+    return PureState._from_stack(len(vectors), (amps / np.linalg.norm(amps))[None])[0]
 
 
 def psixy_state(n: int, phi: float = 0.0) -> PureState:
@@ -475,16 +477,20 @@ def psixy_state(n: int, phi: float = 0.0) -> PureState:
 
 
 def psixy_symmetric(n: int, phi: float = 0.0) -> SymmetricState:
-    """Symmetric-sector amplitudes of psixy_state: a_m = sqrt(C(N,m)) 2^{-N/2} e^{i m phi}."""
+    """Symmetric-sector amplitudes of psixy_state: a_m = w_m e^{i m phi}, with
+    the weights w_m = sqrt(C(N,m)) 2^{-N/2} of the cached ladder table."""
     _check_qubit_count(n, limit=SYMMETRIC_QUBIT_LIMIT)
     phi = _check_real(phi, "psixy phase")
-    m = np.arange(n + 1)
-    # log C(N,k) = sum_{j<k} log((N-j)/(j+1)): log-domain binomials keep this
-    # stable far beyond the dense limit
-    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - m[:-1]) / (m[:-1] + 1.0)))))
-    amps = np.exp(0.5 * (log_binom - n * np.log(2.0))) * np.exp(1j * phi * m)
+    if not isfinite(phi * float(n)):  # a float product: a NumPy n would warn on overflow
+        raise DomainError(f"psixy phase {phi!r} times n = {n} leaves the float range")
+    # the one sector vector holds m, then i m phi, then e^{i m phi}, then w_m e^{i m phi}:
+    # the products and the order of their operands are those of w * exp(1j * phi * m)
+    amps = np.arange(n + 1, dtype=complex)[None]
+    np.multiply(1j * phi, amps, out=amps)
+    np.exp(amps, out=amps)
+    np.multiply(_sector_ladder(n)[4], amps, out=amps)
     amps /= np.linalg.norm(amps)
-    return SymmetricState(n, amps)
+    return SymmetricState._from_stack(n, amps)[0]
 
 
 def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition) -> PureState:
@@ -498,8 +504,7 @@ def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition)
         raise DomainError("assemble_bipartite: factor dimensions do not match the split")
     tensor = np.outer(a, b).reshape([2] * n)  # its axes are split.axes
     amps = np.transpose(tensor, np.argsort(split.axes)).reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return PureState(n, amps)
+    return PureState._from_stack(n, (amps / np.linalg.norm(amps))[None])[0]
 
 
 def white_noise_mix(target: PureState | SymmetricState, p: float) -> Mixture:

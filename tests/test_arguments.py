@@ -229,6 +229,17 @@ def test_an_int_beyond_the_float_range_is_not_a_finite_number(call, message):
         call()
 
 
+# a finite phase whose multiple m phi leaves the float range: refused before NumPy warns
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, phi", [
+    (10, 1e308), (10, -1e308), (np.int64(10), 1e308), (10_000, 1e305), (2, float(np.finfo(float).max)),
+], ids=["1e308", "-1e308", "int64-n", "n=1e4", "max"])
+def test_a_psixy_phase_whose_multiple_leaves_the_float_range_is_refused(n, phi):
+    with pytest.raises(dk.DomainError, match=re.escape(f"psixy phase {phi!r} times n = {n} leaves the float range")):
+        dk.psixy_symmetric(n, phi)
+    assert np.isfinite(dk.psixy_state(10, phi).amplitudes).all()  # one qubit's phase stays in range
+
+
 # argument: (call feeding it something that is not a sequence, start of the refusal)
 _NOT_SEQUENCES = {
     "QuadraticForm.a": (lambda v: dk.QuadraticForm(a=v), "QuadraticForm a must be a sequence"),

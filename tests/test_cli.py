@@ -3,8 +3,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -389,6 +393,15 @@ def test_selftest_single_fast_criterion(capsys):
     assert "criterion 07  PASS" in out
     status, _out, err = run_cli(capsys, "selftest", "--only", "11")
     assert status == 2
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    # only the selftest command imports it; the child imports the dickekit this process imported
+    path = [str(Path(dk.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, dickekit.cli; assert 'dickekit.selftest' not in sys.modules, 'selftest loaded'"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
 
 
 def test_selftest_reports_the_known_red_criterion(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import fields
 from math import sqrt
@@ -75,6 +76,51 @@ def test_lemma1_rejects_bool_sizes(b):
     for n in (True, np.bool_(True), 0):
         with pytest.raises(dk.DomainError):
             dk.lemma1_bound(dk.QuadraticForm(a=(1, 1, 0), b=b), n)
+
+
+def test_lemma1_is_solved_once_per_form_and_size(monkeypatch):
+    calls = []
+    solve = dk.oracle._secular_root
+    monkeypatch.setattr(dk.oracle, "_secular_root", lambda *args: calls.append(args) or solve(*args))
+    dk.oracle._ti_maximum.cache_clear()
+    form = dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, -6))
+    first = dk.lemma1_bound(form, 40)
+    assert len(calls) == 1
+    # an equal form, a NumPy size, a crit2 verdict and the tensor-power oracle all read the kept solve
+    assert dk.lemma1_bound(dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, -6)), np.int64(40)) == first
+    assert dk.criterion_verdict(dk.dicke_symmetric(40, 20), "crit2", m=3).bound == first
+    assert dk.maximize_over_ti_product(form, 40).value == first
+    assert len(calls) == 1
+    assert dk.oracle._ti_maximum.cache_info().maxsize == 256
+
+
+@pytest.mark.filterwarnings("error")
+def test_lemma1_takes_a_numpy_size_as_the_same_integer():
+    # N(N-1) in int64 wraps beyond N ~ 3e9; the solver sees a Python int
+    form = dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, -2))
+    for n in (4_000_000_000, 2 ** 40):
+        dk.oracle._ti_maximum.cache_clear()
+        assert dk.lemma1_bound(form, np.int64(n)) == dk.lemma1_bound(form, n)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1.0, 1.0, 0.0), (0.0, 0.0, -4.0)), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), ((0.0, 0.0, 0.0), (0.0, 0.0, 3.0)),
+])
+def test_forms_equal_up_to_the_sign_of_a_zero_share_one_kept_solve(a, b):
+    # QuadraticForm equality merges them in the cache key, so each must solve to the same bits
+    solve = dk.oracle._ti_maximum.__wrapped__
+    zeros = [i for i, c in enumerate(a + b) if c == 0.0]
+    for n in (1, 3, 1000):
+        results = set()
+        for signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
+            coeffs = list(a + b)
+            for i, zero in zip(zeros, signs):
+                coeffs[i] = zero
+            form = dk.QuadraticForm(a=tuple(coeffs[:3]), b=tuple(coeffs[3:]))
+            value, s = solve(form, n)
+            kept, kept_s = dk.oracle._ti_maximum(form, n)
+            results.add((value.hex(), s.tobytes(), kept.hex(), kept_s.tobytes()))
+        assert len(results) == 1, results
 
 
 def test_theorem2_on_half_excited_dicke():

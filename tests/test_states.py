@@ -418,6 +418,7 @@ def test_shared_tables_are_cached_and_read_only():
         "flip table": lambda: dk.states._flip_table(6),
         "Dicke amplitudes": lambda: (dk.states._dicke_amplitudes(6, 2),),
         "sector ladder": lambda: dk.states._sector_ladder(6),
+        "Lemma 1 Bloch vector": lambda: (dk.oracle._ti_maximum(dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, -4)), 6)[1],),
         "Lemma 2 operators": lambda: tuple(op.matrix for op in dk.lemma2_operators()),
         "Theorem 3 operators": lambda: tuple(op.matrix for op in dk.theorem3_operators()),
     }
@@ -433,12 +434,30 @@ def test_shared_tables_are_cached_and_read_only():
     assert counts.tolist() == [i.bit_count() for i in range(64)]
 
 
-def test_sector_ladder_holds_the_four_state_free_arrays():
-    z, z2, coupling, coupling2 = dk.states._sector_ladder(6)
+def _log_domain_weights(n):
+    """sqrt(C(N,m) / 2^N) from log C(N,k) = sum_{j<k} log((N-j)/(j+1)), as
+    ``psixy_symmetric`` formed it on every call before the ladder table held it."""
+    m = np.arange(n + 1)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - m[:-1]) / (m[:-1] + 1.0)))))
+    return np.exp(0.5 * (log_binom - n * np.log(2.0)))
+
+
+def test_sector_ladder_holds_the_five_state_free_arrays():
+    z, z2, coupling, coupling2, weights = dk.states._sector_ladder(6)
     assert z.tolist() == [m - 3.0 for m in range(7)] and z2.tolist() == (z * z).tolist()
     assert coupling.tolist() == [sqrt((m + 1) * (6 - m)) for m in range(6)]
     assert coupling2.tolist() == (coupling[:-1] * coupling[1:]).tolist()
+    assert weights.tobytes() == _log_domain_weights(6).tobytes()
+    assert np.allclose(weights, [sqrt(comb(6, m) / 64) for m in range(7)], rtol=1e-15, atol=0)
     assert dk.states._sector_ladder.cache_info().maxsize == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 10_000])
+def test_psixy_symmetric_amplitudes_are_bit_identical_to_the_one_line_expression(n):
+    for phi in (0.0, -0.0, 0.7, 5.9, -2.2):
+        reference = _log_domain_weights(n) * np.exp(1j * phi * np.arange(n + 1))
+        reference /= np.linalg.norm(reference)
+        assert dk.psixy_symmetric(n, phi).sector_amplitudes.tobytes() == reference.tobytes(), phi
 
 
 def _per_call_sector_moments(amps, n):
@@ -509,6 +528,81 @@ def test_dicke_state_copies_the_shared_amplitudes():
     cached = dk.states._dicke_amplitudes(6, 2)
     assert state.amplitudes is not cached and not np.shares_memory(state.amplitudes, cached)
     assert state.amplitudes.tobytes() == cached.tobytes()
+
+
+_CALLER_DATA = {  # record, qubit count, a valid array of its field as the caller holds it
+    "PureState": (dk.PureState, 1, np.array([0.6, 0.8j])),
+    "SymmetricState": (dk.SymmetricState, 2, np.array([0.0, 0.6, 0.8])),
+    "DensityMatrix": (dk.DensityMatrix, 1, np.array([[0.5, 0.25j], [-0.25j, 0.5]])),
+}
+
+
+@pytest.mark.parametrize("record, n, data", _CALLER_DATA.values(), ids=_CALLER_DATA.keys())
+@pytest.mark.parametrize("as_caller", [np.copy, lambda a: a.astype(complex), lambda a: a.tolist()],
+                         ids=["ndarray", "complex-ndarray", "list"])
+def test_a_state_holds_a_read_only_copy_of_the_callers_data(record, n, data, as_caller):
+    caller = as_caller(data)
+    state = record(n, caller)
+    held = getattr(state, record._field)
+    before = held.tobytes()
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0] = 0
+    if isinstance(caller, np.ndarray):
+        assert not np.shares_memory(held, caller) and caller.flags.writeable
+        caller[...] = 0
+    else:
+        caller[0] = 0
+    assert held.tobytes() == before
+
+
+def _peak_sector_vectors(build, n):
+    """Peak traced allocation of ``build()``, in (N+1)-entry complex vectors,
+    once the per-N tables it reads are built."""
+    import tracemalloc
+
+    build()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * (n + 1))
+
+
+def test_symmetric_constructors_allocate_one_sector_vector():
+    n = 10_000
+    assert _peak_sector_vectors(lambda: dk.dicke_symmetric(n, 4321), n) <= 1.1
+    # the phase is formed in the one vector; a float-to-complex buffer of the
+    # weights is the rest
+    assert _peak_sector_vectors(lambda: dk.psixy_symmetric(n, 0.7), n) <= 2.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dk.dicke_symmetric(5, 2), lambda: dk.psixy_symmetric(5, 0.7),
+    lambda: dk.product_state([[1, 0], [0.6, 0.8]]), lambda: dk.symmetric_to_dense(dk.psixy_symmetric(3, 0.7)),
+    lambda: dk.assemble_bipartite([1, 1], [0, 1], dk.Bipartition(2, (1,))),
+    lambda: dk.psixy_state(3, 0.7).to_density(), lambda: dk.white_noise_mix(dk.dicke_state(2, 1), 0.5).to_density(),
+], ids=["dicke_symmetric", "psixy_symmetric", "product_state", "symmetric_to_dense", "assemble_bipartite",
+        "PureState.to_density", "Mixture.to_density"])
+def test_built_states_are_read_only(build):
+    state = build()
+    held = getattr(state, state._field)
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0] = 0
+
+
+@pytest.mark.parametrize("kind", ["pure", "product", "biseparable", "density"])
+def test_sampled_states_are_read_only(kind):
+    states = list(dk.sample_random_states(kind, 3, 5, seed=4))
+    for state in states:
+        held = getattr(state, state._field)
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0] = 0
 
 
 @pytest.mark.parametrize("n", [True, 0, 2.0])
