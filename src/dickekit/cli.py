@@ -58,8 +58,6 @@ def _to_json(obj) -> str:
         return _fmt(obj)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if obj is None:
-        return "null"
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{_to_json(str(k))}: {_to_json(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
@@ -303,7 +301,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
     else:
         search = maximize_over_product_states if args.mode == "product-max" else maximize_over_biseparable
         result = search(op, restarts=args.restarts, seed=args.seed)
-        doc.update(value=result.value, restarts_used=result.restarts_used, seed=result.seed)
+        doc.update(value=result.value, restarts_used=args.restarts, seed=args.seed)
         if args.mode == "bisep-max":
             doc["split"] = list(result.argument.split.side_a)
     return 0, _document(args, doc)

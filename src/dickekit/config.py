@@ -20,7 +20,7 @@ HERMITIAN_ATOL = 1e-12  # entrywise Hermiticity
 TRACE_ATOL = 1e-12      # unit trace of density matrices and mixture weights
 PSD_ATOL = 1e-10        # allowed negativity of density eigenvalues
 SYMMETRY_ATOL = 1e-8    # <J^2> distance from J(J+1), relative to max(1, J(J+1))
-CONVERGENCE_TOL = 1e-12  # alternating-update stopping gain, relative to max(1, |value|)
+CONVERGENCE_TOL = 1e-12  # alternating-update stopping gain, times max(largest |op entry|, |value|)
 SOUNDNESS_TOL = 1e-9    # a margin at p = 1 up to this counts as a crossing at the endpoint
 ROOT_XTOL = 1e-12       # root finding on noise-sweep margins
 

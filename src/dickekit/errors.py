@@ -32,8 +32,6 @@ def _refuse(name: str, kind: str, value, lo, hi, strict: bool = False) -> Domain
         kind += f" in {'(' if strict else '['}{lo}, {hi}]"
     elif lo is not None:
         kind += f" {'>' if strict else '>='} {lo}"
-    elif hi is not None:
-        kind += f" <= {hi}"
     return DomainError(f"{name} must be {kind}, got {value!r}")
 
 

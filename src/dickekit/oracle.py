@@ -97,14 +97,12 @@ class OptimizationResult:
     For the alternating searches ``values`` and ``sweeps`` hold one entry per
     restart (per split and restart, split by split, for the biseparable
     search); ``history`` is the best restart's value after each of its sweeps,
-    and ``converged`` says whether that restart stopped on ``CONVERGENCE_TOL``
-    rather than on the sweep cap.
+    and ``converged`` says whether that restart stopped on its gain rather
+    than on the sweep cap.  The exact tensor-power maximum has no sweeps.
     """
 
     value: float
     argument: object
-    restarts_used: int
-    seed: int
     sweeps: tuple[int, ...] = ()
     converged: bool = True
     history: tuple[float, ...] = ()
@@ -149,15 +147,15 @@ def _top_eigvecs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, -1], vecs[:, :, -1]
 
 
-def _lockstep(sweep, factors: list[np.ndarray]):
+def _lockstep(sweep, factors: list[np.ndarray], scale: float):
     """Run exact alternating sweeps on a stack of restarts in lockstep.
 
     ``factors`` hold the restarts along their first axis and are updated in
     place; ``sweep`` updates a sub-stack and returns its objective values.  A
-    restart whose gain drops below ``CONVERGENCE_TOL`` freezes, so each does
-    exactly the sweeps it would do alone, up to the cap.  Returns per-restart
-    values, sweep counts, whether each stopped on the tolerance, and the value
-    of every restart after every sweep (rows).
+    restart whose gain is at most ``CONVERGENCE_TOL`` max(scale, |value|)
+    freezes, so each does exactly the sweeps it would do alone, up to the cap.
+    Returns per-restart values, sweep counts, whether each stopped on its gain,
+    and the value of every restart after every sweep (rows).
     """
     count = len(factors[0])
     values = np.full(count, -np.inf)
@@ -169,7 +167,7 @@ def _lockstep(sweep, factors: list[np.ndarray]):
         part = [f[active] for f in factors]
         new = sweep(part)
         old = values[active]
-        if np.any(new < old - 1e-9 * np.maximum(1.0, np.abs(old))):
+        if np.any(new < old - 1e-9 * np.maximum(scale, np.abs(old))):
             worst = int(np.argmin(new - old))
             raise InvariantViolationError(
                 f"alternating update decreased the objective: {old[worst]} -> {new[worst]}"
@@ -179,7 +177,7 @@ def _lockstep(sweep, factors: list[np.ndarray]):
         values[active] = new
         sweeps[active] += 1
         rows.append(values.copy())
-        done = new - old < CONVERGENCE_TOL * np.maximum(1.0, np.abs(new))
+        done = new - old <= CONVERGENCE_TOL * np.maximum(scale, np.abs(new))
         stopped[active[done]] = True
         active = active[~done]
         if active.size == 0:
@@ -188,11 +186,13 @@ def _lockstep(sweep, factors: list[np.ndarray]):
 
 
 class _Search:
-    """Runs seeded restarts in bounded chunks and keeps the first best one."""
+    """Runs seeded restarts on one operator in bounded chunks and keeps the first best one."""
 
-    def __init__(self, restarts: int, seed: int):
+    def __init__(self, restarts: int, seed: int, op):
         self.restarts = _check_int(restarts, "restarts", 1)
         self.seed = _check_int(seed, "seed", 0)
+        self.mat, self.n = _as_matrix(op)
+        self.scale = float(np.abs(self.mat).max())  # so a search on c op steps as the one on op
         self.values: list[float] = []
         self.sweeps: list[int] = []
         # the best restart so far: value, factors, split label, convergence, history
@@ -207,7 +207,7 @@ class _Search:
             chunk = range(first, min(self.restarts, first + _RESTART_CHUNK))
             starts = [start(np.random.default_rng([self.seed, r])) for r in chunk]
             factors = [np.stack(parts) for parts in zip(*starts)]
-            values, sweeps, stopped, rows = _lockstep(sweep, factors)
+            values, sweeps, stopped, rows = _lockstep(sweep, factors, self.scale)
             self.values += values.tolist()
             self.sweeps += sweeps.tolist()
             i = int(np.argmax(values))
@@ -219,7 +219,7 @@ class _Search:
 
     def result(self, argument) -> OptimizationResult:
         return OptimizationResult(
-            self.value, argument, self.restarts, self.seed, sweeps=tuple(self.sweeps),
+            self.value, argument, sweeps=tuple(self.sweeps),
             converged=self.converged, history=self.history, values=tuple(self.values),
         )
 
@@ -258,8 +258,8 @@ def maximize_over_product_states(
     """Best <psi_1 (x) ... (x) psi_N | op | psi_1 (x) ... (x) psi_N> found from
     seeded Haar-random starts followed by cyclic exact single-qubit updates,
     all restarts stepped in lockstep."""
-    search = _Search(restarts, seed)
-    mat, n = _as_matrix(op)
+    search = _Search(restarts, seed, op)
+    mat, n = search.mat, search.n
     search.run(lambda rng: (_haar_rows(rng, n, 2),), partial(_product_sweep, mat))
     (qubits,) = search.factors
     bloch = np.array([[float(np.vdot(q, PAULI[a] @ q).real) / 2.0 for a in AXES] for q in qubits])
@@ -291,8 +291,16 @@ def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
     """
     _check_type(form, (QuadraticForm,), "form")
     _check_int(n, "n", 1, SYMMETRIC_QUBIT_LIMIT)  # the argument holds one Bloch vector per qubit
-    value, s = _ti_maximum(form, int(n))
-    return OptimizationResult(value, BlochProduct(np.tile(s, (n, 1))), 1, 0)
+    return _ti_result(form, int(n))
+
+
+@lru_cache(maxsize=16)
+def _ti_result(form: QuadraticForm, n: int) -> OptimizationResult:
+    """``maximize_over_ti_product`` for checked arguments, kept per (form, N)."""
+    value, s = _ti_maximum(form, n)
+    argument = BlochProduct(s[None])  # one checked vector, broadcast read-only over N rows
+    object.__setattr__(argument, "vectors", np.broadcast_to(argument.vectors, (n, 3)))
+    return OptimizationResult(value, argument)
 
 
 @lru_cache(maxsize=256)
@@ -371,14 +379,10 @@ def _safeguarded_root(f, lo: float, hi: float, x: float, xtol: float = 0.0, last
 # ---------------------------------------------------------------------------
 
 def _is_permutation_invariant(mat: np.ndarray, n: int) -> bool:
+    """Whether ``mat`` is unchanged, bit for bit, by every qubit transposition;
+    a nearly symmetric operator takes the all-splits route, which is always right."""
     tensor = mat.reshape([2] * (2 * n))
-    for q in range(1, n):
-        axes = list(range(2 * n))
-        axes[0], axes[q] = axes[q], axes[0]
-        axes[n], axes[n + q] = axes[n + q], axes[n]
-        if not np.allclose(tensor, tensor.transpose(axes), atol=1e-12):
-            return False
-    return True
+    return all(np.array_equal(tensor, tensor.swapaxes(0, q).swapaxes(n, n + q)) for q in range(1, n))
 
 
 def _bipartitions(n: int, permutation_invariant: bool):
@@ -437,11 +441,11 @@ def maximize_over_biseparable(
 
     Each side is updated to the top eigenvector of its effective operator
     (exact alternating maximization) from seeded Haar-random starts, all
-    restarts of a split stepped in lockstep.  When the operator commutes with
-    all qubit transpositions, only split sizes are enumerated.
+    restarts of a split stepped in lockstep.  When every qubit transposition
+    leaves the operator exactly unchanged, only split sizes are enumerated.
     """
-    search = _Search(restarts, seed)
-    mat, n = _as_matrix(op)
+    search = _Search(restarts, seed, op)
+    mat, n = search.mat, search.n
     if n < 2:
         raise DomainError("biseparable maximization needs at least two qubits")
     if n > _BISEP_QUBIT_LIMIT:

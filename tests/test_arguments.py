@@ -315,3 +315,26 @@ def test_a_record_argument_of_the_wrong_type_is_refused(call, message, bad):
 def test_a_state_of_another_backend_is_refused(call, message):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
         call()
+
+
+# argument: (call feeding it a value of the wrong size or kind, start of the refusal)
+_WRONG_SIZES = {
+    "QuadraticForm.a": (lambda: dk.QuadraticForm(a=(1, 2)), "QuadraticForm coefficients must be triples"),
+    "expectation.which": (lambda: dk.expectation(_PURE, 3.0), "expected a QuadraticForm or an axis tag, got float"),
+    "DensityMatrix.matrix": (lambda: dk.DensityMatrix(1, np.eye(4) / 4),
+                             "DensityMatrix: expected shape (2,2), got (4, 4)"),
+    "product_state.qubit_states": (lambda: dk.product_state([]), "product_state needs at least one qubit"),
+    "assemble_bipartite.phi_b": (lambda: dk.assemble_bipartite([1, 0], [1, 0, 0, 0], _SPLIT),
+                                 "assemble_bipartite: factor dimensions do not match the split"),
+    "schmidt_spectrum.split": (lambda: dk.schmidt_spectrum(_PURE, dk.Bipartition(3, (1,))),
+                               "split is over 3 qubits but the state has 2"),
+    "BlochProduct.vectors": (lambda: dk.BlochProduct(np.zeros((2, 2))), "BlochProduct needs shape (N, 3), got (2, 2)"),
+    "lemma2_eigenvalues.n_l": (lambda: dk.lemma2_eigenvalues([1, 0]),
+                               "lemma2 direction needs a 3-vector, got shape (2,)"),
+}
+
+
+@pytest.mark.parametrize("call, message", _WRONG_SIZES.values(), ids=_WRONG_SIZES.keys())
+def test_an_argument_of_the_wrong_size_or_kind_is_refused(call, message):
+    with pytest.raises(dk.DomainError, match=re.escape(message)):
+        call()

@@ -93,7 +93,7 @@ def test_oracle_subcommands(capsys):
     )
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(3.0, abs=1e-6)  # (N/2)(N/2+1/2) at N=3
-    assert doc["restarts_used"] == 16
+    assert doc["restarts_used"] == 16 and doc["seed"] == 1  # the parsed flags
     status, out, _err = run_cli(
         capsys, "oracle", "bisep-max", "--n", "3", "--restarts", "16", "--seed", "0"
     )
@@ -232,6 +232,9 @@ def test_non_finite_numbers_exit_2_without_a_document(capsys):
     # an infinite rate is refused by the library, not only by the document writer
     status, out, err = run_cli(capsys, "intensity", "--n", "4", "--i0", "inf")
     assert status == 2 and out == "" and "i0 must be a finite number > 0" in err
+    # a finite rate whose intensity overflows is refused by the document writer
+    status, out, err = run_cli(capsys, "intensity", "--n", "10000", "--i0", "1e308")
+    assert status == 2 and out == "" and "refusing to write the non-finite number inf" in err
 
 
 def test_unknown_flags_exit_2():
@@ -460,6 +463,32 @@ def test_seed_and_grid_ranges_exit_2_before_any_work(capsys, monkeypatch, argv):
     assert status == 2 and out == ""
     assert ("--seed must be an integer >= 0" in err
             or re.search(r"noise grid (start|stop) must be a finite number in \[0\.0, 1\.0\]", err))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "product-max", "--n", "3", "--a", "1,2"), "--a must be three comma-separated numbers, got '1,2'"),
+    (("bound", "--n", "3", "--a", "1,x,2"), "--a: could not convert string to float: 'x'"),
+    (("sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", "a:1:3"),
+     "grid: could not convert string to float: 'a'"),
+    (("witness", "--n", "4", "--tolerance", "detection_tolerance=x"),
+     "tolerance detection_tolerance: could not convert string to float: 'x'"),
+], ids=["a-two-numbers", "a-not-a-number", "grid-not-a-number", "tolerance-not-a-number"])
+def test_unparsable_numbers_exit_2_before_any_work(capsys, monkeypatch, argv, message):
+    def refuse(_config):
+        raise AssertionError("an unparsable number reached the command")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and message in err
+
+
+def test_an_invariant_violation_exits_3_without_a_document(capsys, monkeypatch):
+    def violated(*_args):
+        raise dk.InvariantViolationError("stub self-check")
+
+    monkeypatch.setattr(cli, "lemma1_bound", violated)
+    status, out, err = run_cli(capsys, "bound", "--n", "4")
+    assert status == 3 and out == "" and "invariant violation: stub self-check" in err
 
 
 @pytest.mark.parametrize("flags", [("--restarts", "5"), ("--seed", "9")])

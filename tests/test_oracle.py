@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -99,7 +100,7 @@ def _serial_product_max(mat, n, seed, r):
             vals, vecs = np.linalg.eigh(basis.conj().T @ mat @ basis)
             qubits[k] = vecs[:, -1]
         gain, value = vals[-1] - value, vals[-1]
-        if gain < config.CONVERGENCE_TOL * max(1.0, abs(value)):
+        if gain <= config.CONVERGENCE_TOL * max(np.abs(mat).max(), abs(value)):
             return value, _sweep + 1
     return value, None
 
@@ -117,7 +118,7 @@ def _serial_bisep_max(w, seed, r):
         vals, vecs = np.linalg.eigh(np.einsum("ijkl,i,k->jl", w, a.conj(), a))
         b = vecs[:, -1]
         gain, value = vals[-1] - value, vals[-1]
-        if gain < config.CONVERGENCE_TOL * max(1.0, abs(value)):
+        if gain <= config.CONVERGENCE_TOL * max(np.abs(w).max(), abs(value)):
             return value, sweep + 1
     return value, None
 
@@ -254,7 +255,7 @@ def test_ti_product_hard_case(n, m):
     assert np.linalg.norm(s) == pytest.approx(0.5, abs=1e-15)
     expected = n / 2 + n * (n - 1) / 4 + n * m ** 2 / (n - 1)
     assert result.value == pytest.approx(expected, rel=1e-14)
-    assert result.restarts_used == 1
+    assert result.sweeps == () and result.converged  # one exact solve, no search
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (4, -3), (9, 5), (10, 7)])
@@ -404,6 +405,53 @@ def test_bisep_max_is_deterministic():
     assert first.value == second.value
 
 
+_SCALES = [2.0 ** -43, 1.0, 2.0 ** 30]  # about 1.1e-13 to 1.1e9; powers of two scale every step exactly
+
+
+@pytest.mark.parametrize("c", _SCALES)
+def test_bisep_max_scales_with_the_operator(c):
+    # (|000> + |101>)/sqrt(2) is a product across {1, 3} | {2}, a split no size-only
+    # enumeration visits: the operator is not symmetric, however small
+    v = np.zeros(8)
+    v[0b000] = v[0b101] = sqrt(0.5)
+    result = dk.maximize_over_biseparable(dk.HermitianOperator(c * np.outer(v, v)))
+    assert result.value / c == pytest.approx(1.0, abs=1e-9)
+    assert result.argument.split.side_a == (1, 3)
+
+
+def test_product_max_scales_with_the_operator():
+    # the stopping rule and the decrease guard scale with the operator's entries
+    xy = dk.collective_operator(4, dk.QuadraticForm(a=(1, 1, 0))).matrix
+    results = [dk.maximize_over_product_states(dk.HermitianOperator(c * xy), restarts=8, seed=0) for c in _SCALES]
+    for c, result in zip(_SCALES, results):
+        assert result.value == pytest.approx(5.0 * c, rel=1e-12)
+        assert result.converged
+        assert result.sweeps == results[1].sweeps
+
+
+def test_a_search_result_holds_no_echo_of_its_arguments():
+    names = {f.name for f in dataclasses.fields(dk.OptimizationResult)}
+    assert names == {"value", "argument", "sweeps", "converged", "history", "values"}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_collective_forms_are_exactly_permutation_invariant(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        form = dk.QuadraticForm(a=tuple(rng.uniform(0, 3, 3)), b=tuple(rng.normal(size=3)))
+        assert oracle._is_permutation_invariant(dk.collective_operator(n, form).matrix, n)
+
+
+def test_only_an_exactly_symmetric_operator_is_permutation_invariant():
+    xy = dk.collective_operator(4, dk.QuadraticForm(a=(1, 1, 0))).matrix
+    z1 = np.kron(np.diag([1.0, -1.0]), np.eye(8))  # sigma_z on qubit 1
+    assert not oracle._is_permutation_invariant(xy + 1e-6 * z1, 4)
+    target = dk.dicke_state(4, 2).amplitudes
+    assert oracle._is_permutation_invariant(np.outer(target, target.conj()), 4)
+    for op in dk.theorem3_operators():
+        assert oracle._is_permutation_invariant(op.matrix, 3)
+
+
 def test_biseparable_overlap_matches_the_closed_dicke_bound():
     for n in range(2, 9):
         for m in range(n + 1):
@@ -471,7 +519,10 @@ def test_seeds_and_counts_are_nonnegative_integers(bad):
 
 def test_numpy_integer_seeds_and_counts_are_accepted():
     op = dk.collective_operator(2, "z")
-    assert dk.maximize_over_product_states(op, restarts=np.int64(1), seed=np.int64(3)).seed == 3
+    for search in (dk.maximize_over_product_states, dk.maximize_over_biseparable):
+        numpy_ints = search(op, restarts=np.int64(2), seed=np.int64(3))
+        python_ints = search(op, restarts=2, seed=3)
+        assert numpy_ints.values == python_ints.values and numpy_ints.sweeps == python_ints.sweeps
     assert len(list(dk.sample_random_states("pure", 2, np.int64(2), seed=np.int64(0)))) == 2
 
 

@@ -419,6 +419,8 @@ def test_shared_tables_are_cached_and_read_only():
         "Dicke amplitudes": lambda: (dk.states._dicke_amplitudes(6, 2),),
         "sector ladder": lambda: dk.states._sector_ladder(6),
         "Lemma 1 Bloch vector": lambda: (dk.oracle._ti_maximum(dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, -4)), 6)[1],),
+        "tensor-power argument": lambda: (dk.maximize_over_ti_product(dk.QuadraticForm(a=(1, 1, 0)), 6)
+                                          .argument.vectors,),
         "Lemma 2 operators": lambda: tuple(op.matrix for op in dk.lemma2_operators()),
         "Theorem 3 operators": lambda: tuple(op.matrix for op in dk.theorem3_operators()),
     }
