@@ -28,9 +28,8 @@ from .collective import (
 )
 from .config import DEFAULT_RESTARTS, Tolerances
 from .errors import DomainError, InvariantViolationError, _check_int, _check_real
-from .fidelity import verify_appendix_inequality
 from .operators import QuadraticForm, collective_operator
-from .oracle import max_eigenvalue, maximize_over_biseparable, maximize_over_product_states
+from .oracle import max_eigenvalue, maximize_over_biseparable, maximize_over_product_states, verify_appendix_inequality
 from .states import dicke_state, dicke_symmetric, psixy_noise_mix, white_noise_mix
 
 # Caps on sizes taken from the command line, checked before any work starts.

@@ -1,5 +1,6 @@
 """Entanglement criteria built from collective spin measurements, the
-fidelity witness beside them, and their noise thresholds.
+fidelity witness beside them, the exact solves behind their bounds, and their
+noise thresholds: the closed-form side, which ``oracle.py`` checks.
 
 The kinds ``criterion_verdict`` judges (documented in the README's theory
 section):
@@ -28,23 +29,26 @@ section):
 
 Noise thresholds are those of |N/2,N> (even N) under white or psixy noise:
 ``collective_noise_threshold`` holds the closed forms, and
-``collective_threshold_numeric`` root-finds every pair a kind judges.
+``collective_threshold_numeric`` root-finds every pair of a kind that has one,
+with the root-finder of the Lemma 1 solve.  Of ``oracle.py``, which imports
+nothing from here, this module reads only the result records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, sqrt
+from math import comb, hypot, isfinite, lgamma, sqrt
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, SYMMETRY_ATOL, Tolerances
-from .errors import DomainError, _check_int, _check_real, _check_sequence, _check_type
-from .fidelity import _dicke_fidelity, dicke_fidelity_bound
+from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, SYMMETRIC_QUBIT_LIMIT, SYMMETRY_ATOL, Tolerances
+from .errors import (DomainError, InvariantViolationError, _check_int, _check_numeric, _check_real,
+                     _check_sequence, _check_type)
 from .operators import HermitianOperator, QuadraticForm, collective_operator, expectation
-from .oracle import _safeguarded_root, _ti_maximum
-from .states import _STATE_TYPES, DensityMatrix, PureState, dicke_state, moments, psixy_noise_mix, white_noise_mix
+from .oracle import BlochProduct, OptimizationResult
+from .states import (_STATE_TYPES, DensityMatrix, Mixture, PureState, SymmetricState, _dicke_amplitudes,
+                     dicke_state, moments, psixy_noise_mix, white_noise_mix)
 
 CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4", "fidelity")
 _NOISE_FAMILIES = ("white", "psixy")
@@ -58,6 +62,10 @@ GENUINE4_BOUND = 3.5 + sqrt(3.0)
 DETECTED_NONE = "none"
 DETECTED_ENTANGLED = "entangled"
 DETECTED_GENUINE = "genuine_multipartite"
+
+_RADIUS = 0.5  # Bloch-vector length of a pure qubit state
+_ROOT_MAX_STEPS = 200  # safety cap; Newton and secant steps need a handful
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,7 @@ def _verdict(criterion_id: str, value: float, bound: float, detection_class: str
 
 def theorem2_bound(n: int) -> float:
     """Separable bound on <Jx^2> + <Jy^2>: (N/2)(N/2 + 1/2)."""
+    _check_int(n, "n", 1, 2 ** 53)  # the bound is a float, which counts qubits exactly up to 2^53
     return (n / 2.0) * (n / 2.0 + 0.5)
 
 
@@ -99,12 +108,141 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
     _check_type(form, (QuadraticForm,), "form")
     _check_int(n, "n", 1, 2 ** 53)  # the form is evaluated with N as a float, exact to 2^53
     if not form.is_linear_free:
-        return _ti_maximum(form, int(n))[0]  # one cache key, and no int64 wrap, for a NumPy n
+        return _ti_maximum(form, int(n)).value  # one cache key, and no int64 wrap, for a NumPy n
     a = form.a
     bound = sum(a) * n / 4.0 + max(a) * (n / 2.0) * (n / 2.0 - 0.5)
     if not isfinite(bound):
         raise DomainError(f"{form} on {n} qubits leaves the float range of the closed form")
     return bound
+
+
+# ---------------------------------------------------------------------------
+# Lemma 1: the maximum over tensor powers, one Bloch vector on the sphere
+# ---------------------------------------------------------------------------
+
+def ti_objective(form: QuadraticForm, n: int, s) -> float | np.ndarray:
+    """Value of the quadratic collective form on |psi(s)>^(x N), sum(a) N/4 +
+    N(N-1) sum_l a_l s_l^2 + N sum_l b_l s_l: a float for one Bloch vector s, an
+    array (...) for a stack (..., 3), each vector real and finite with |s| <= 1/2."""
+    _check_type(form, (QuadraticForm,), "form")
+    n = int(_check_int(n, "n", 1, 2 ** 53))  # no int64 wrap in N(N-1); a float in the sum, exact to 2^53
+    s = np.asarray(_check_numeric(s, "Bloch vector s", real=True), dtype=float)
+    if s.ndim < 1 or s.shape[-1] != 3:
+        raise DomainError(f"Bloch vector s must have shape (..., 3), got {s.shape}")
+    if not np.all(np.linalg.norm(s, axis=-1) <= _RADIUS + 1e-10):  # NaN and inf fail too
+        raise DomainError("Bloch vector s must be finite with length <= 1/2")
+    a, b = np.asarray(form.a), np.asarray(form.b)
+    value = a.sum() * n / 4.0 + n * (n - 1) * ((s * s) @ a) + n * (s @ b)
+    return float(value) if s.ndim == 1 else value
+
+
+def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
+    """Maximize the quadratic form exactly over states |psi>^(x N).
+
+    The objective is convex in the Bloch vector s, so the maximum sits on the
+    sphere |s| = 1/2 at s_l = beta_l / (2 (lambda - alpha_l)), alpha = N(N-1) a,
+    beta = N b, with lambda >= max(alpha) the root of the secular equation
+    |s(lambda)| = 1/2, or lambda = max(alpha) in its hard case (README, Lemma 1;
+    More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).  It is the solve
+    ``lemma1_bound`` reads, and the product search in ``oracle`` checks it.
+    """
+    _check_type(form, (QuadraticForm,), "form")
+    _check_int(n, "n", 1, SYMMETRIC_QUBIT_LIMIT)  # the argument holds one Bloch vector per qubit
+    return _ti_maximum(form, int(n))
+
+
+@lru_cache(maxsize=256)
+def _ti_maximum(form: QuadraticForm, n: int) -> OptimizationResult:
+    """The maximum over |psi(s)>^(x N) for a checked n, kept per (form, N): a
+    crit2 sweep or threshold bisection asks for the same bound at every point.
+    Its argument is the one checked Bloch vector, broadcast read-only over N rows."""
+    alpha = [n * (n - 1) * x for x in form.a]
+    # a subnormal beta on a top axis would put the root below the normal range
+    # (the Newton slope overflows); flushing it moves the value by < 1e-307
+    beta = [n * x if abs(n * x) >= _TINY else 0.0 for x in form.b]
+    if not isfinite(2.0 * (max(alpha) + hypot(*beta))):  # bounds every 2 (gap_l + mu) the solver forms
+        raise DomainError(f"{form} on {n} qubits leaves the float range of the tensor-power solver")
+    gaps = [max(alpha) - x for x in alpha]  # lambda - alpha_l = gap_l + mu, mu = lambda - max(alpha)
+    mu = _secular_root(gaps, beta)
+    s = _secular_point(gaps, beta, mu)
+    if mu == 0.0:  # hard case
+        s[gaps.index(0.0)] = sqrt(max(0.0, _RADIUS ** 2 - hypot(*s) ** 2))
+    s = np.array(s) * (_RADIUS / hypot(*s))
+    argument = BlochProduct(s[None])
+    object.__setattr__(argument, "vectors", np.broadcast_to(argument.vectors, (n, 3)))
+    return OptimizationResult(ti_objective(form, n, s), argument)
+
+
+def _secular_point(gaps, beta, mu: float) -> list[float]:
+    """s_l = beta_l / (2 (gap_l + mu)), and 0 wherever beta_l = 0."""
+    return [bl / (2.0 * (gl + mu)) if bl != 0.0 else 0.0 for gl, bl in zip(gaps, beta)]
+
+
+def _secular_root(gaps, beta) -> float:
+    """mu > 0 with |s(mu)| = R, or 0 in the hard case.  psi = 1/|s| - 1/R is
+    increasing and concave in mu, so Newton steps from the left stay left of
+    the root."""
+    top_beta = hypot(*(bl for bl, gl in zip(beta, gaps) if gl == 0.0))
+    if top_beta == 0.0 and hypot(*_secular_point(gaps, beta, 0.0)) <= _RADIUS:
+        return 0.0
+
+    def psi(mu: float) -> tuple[float, float]:
+        s = _secular_point(gaps, beta, mu)
+        length = hypot(*s)
+        slope = sum(x * x / (gl + mu) for x, gl in zip(s, gaps) if x != 0.0) / length ** 3
+        return 1.0 / length - 1.0 / _RADIUS, slope
+
+    # |beta| / (2 (max gap + mu)) and |beta_top| / (2 mu) <= |s(mu)| <= |beta| / (2 mu)
+    hi = hypot(*beta) / (2.0 * _RADIUS)
+    lo = max(0.0, hi - max(gaps), top_beta / (2.0 * _RADIUS))
+    return _safeguarded_root(psi, lo, hi, lo)
+
+
+# ---------------------------------------------------------------------------
+# Theorem 1: the biseparable overlap bound and the Dicke fidelity
+# ---------------------------------------------------------------------------
+
+def dicke_fidelity_bound(n: int, m: int) -> float:
+    """Maximal squared overlap of |m,N> with biseparable pure states: the
+    largest closed-form squared Schmidt coefficient C(N1,k) C(N-N1,m-k) / C(N,m)
+    (``_exact_bound``), for 2 <= N <= SYMMETRIC_QUBIT_LIMIT, the largest state.
+    ``oracle.max_biseparable_overlap`` is the independent SVD route to the same
+    number, which the test suite holds it to."""
+    _check_int(n, "n", 2, SYMMETRIC_QUBIT_LIMIT)  # a bipartition needs two qubits
+    _check_int(m, "excitation count m", 0, n)
+    return _exact_bound(n, m)
+
+
+@lru_cache(maxsize=256)
+def _exact_bound(n: int, m: int) -> float:
+    """The largest C(N1,k) C(N-N1,m-k) / C(N,m), kept per (N, m): a noise sweep
+    asks for the same bound at every point.  Each row in k is hypergeometric,
+    so only its mode k = floor((N1+1)(m+1)/(N+2)) is taken (a tie leaves k - 1
+    with the same value).  The modes are ranked in log space by lgamma, and
+    only those within 1e-9 relative of the top, 25 times the worst lgamma
+    error of log g measured at the cap N = 10^4 (4.0e-11, growing with N), are
+    compared in exact integers; the quotient of two ints is correctly rounded."""
+    n1 = np.arange(1, n // 2 + 1)
+    k = (n1 + 1) * (m + 1) // (n + 2)  # a mode of each row, always a valid k
+    log_fact = np.array([lgamma(i + 1.0) for i in range(n + 1)])
+    log_g = (log_fact[n1] - log_fact[k] - log_fact[n1 - k]
+             + log_fact[n - n1] - log_fact[m - k] - log_fact[n - n1 - m + k])
+    near = np.flatnonzero(log_g >= log_g.max() - 1e-9)
+    best = max(comb(a, b) * comb(n - a, m - b) for a, b in zip(n1[near].tolist(), k[near].tolist()))
+    return best / comb(n, m)
+
+
+def _dicke_fidelity(state, m: int) -> float:
+    """<m,N| rho |m,N>: |<m,N|psi>|^2 for a pure state; for a Mixture the
+    weighted sum over its components plus the identity's share 2^-N."""
+    if isinstance(state, Mixture):
+        return state.average(lambda psi: _dicke_fidelity(psi, m), 2.0 ** -state.n_qubits)
+    if isinstance(state, SymmetricState):
+        return abs(state.sector_amplitudes[m]) ** 2
+    target = _dicke_amplitudes(state.n_qubits, m)
+    if isinstance(state, DensityMatrix):
+        return float(np.vdot(target, state.matrix @ target).real)
+    return abs(np.vdot(target, state.amplitudes)) ** 2
 
 
 def criterion_verdict(
@@ -308,9 +446,11 @@ def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float
 def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> float:
     """Noise threshold found by root-finding the verdict margin over p in [0,1].
 
-    Works for every pair a kind judges, independent of the closed formulas:
-    it builds the noisy state and judges it at each probe.  'crit2' takes the
-    shift 0 and 'fidelity' the excitation count N/2, those of |N/2,N>.
+    Thresholds are those of |N/2,N> at even N, so 'genuine3', which judges
+    three qubits only, has none.  Every other kind works with each noise
+    family it judges, independent of the closed formulas: it builds the noisy
+    state and judges it at each probe.  'crit2' takes the shift 0 and
+    'fidelity' the excitation count N/2, those of |N/2,N>.
     """
     _check_kind(kind, _check_int(n, "n", 4 if kind == "fidelity" else 2, even=True), noise)
     target = dicke_state(n, n // 2)
@@ -341,3 +481,28 @@ def _margin_crossing(margin) -> float:
     # the first step, the secant through the endpoints, is exact for a margin affine in p
     return _safeguarded_root(lambda p: (-margin(p), None), 0.0, 1.0, lo / (lo - hi),
                              xtol=ROOT_XTOL, last=(0.0, -lo))
+
+
+def _safeguarded_root(f, lo: float, hi: float, x: float, xtol: float = 0.0, last=None) -> float:
+    """Root of an increasing f that changes sign on [lo, hi], searched from x.
+
+    ``f(x)`` returns (value, slope) for a Newton step; a slope of None asks for
+    the secant through the last two evaluated points, ``last`` being the
+    (point, value) evaluated before x.  A step that leaves the bracket becomes
+    its midpoint.  Stops on an exact zero or on a step shorter than
+    xtol + 4 eps |x| and returns the last evaluated point; raises
+    InvariantViolationError at the step cap."""
+    for _ in range(_ROOT_MAX_STEPS):
+        value, slope = f(x)
+        lo, hi = (lo, x) if value >= 0.0 else (x, hi)
+        if slope is None:
+            slope = (value - last[1]) / (x - last[0])
+        last = x, value
+        step = x - value / slope if slope else 0.5 * (lo + hi)
+        small = xtol + 4.0 * np.finfo(float).eps * abs(x)
+        if not lo < step < hi and abs(step - x) > small:
+            step = 0.5 * (lo + hi)
+        if value == 0.0 or abs(step - x) <= small:
+            return x
+        x = step
+    raise InvariantViolationError(f"root-finder did not converge in {_ROOT_MAX_STEPS} steps; last x = {x!r}")

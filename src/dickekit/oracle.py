@@ -1,10 +1,10 @@
-"""Brute-force verification layer: seeded sampling and numeric maximization.
+"""Brute-force verification layer: seeded sampling, maximization and enumeration.
 
-Every closed-form bound in the library has an independent numeric route
-through this module: dense eigensolving, alternating exact updates over
-product or biseparable pure states, a Schmidt-coefficient sweep over every
-bipartition of a pure target, and a direct single-Bloch-vector maximizer for
-translationally invariant product states.
+Every closed-form bound in ``collective`` has an independent route through
+this module, which imports nothing from it: dense eigensolving, alternating
+exact updates over product or biseparable pure states, a Schmidt-coefficient
+sweep over every bipartition of a pure target, and the overlap bound's
+appendix inequality enumerated in exact integers.
 
 Restart r draws its start from its own counter-derived substream
 ``default_rng([seed, r])``.  The alternating searches step their restarts in
@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from math import hypot, isfinite, sqrt
+from functools import partial
+from math import comb
 
 import numpy as np
 
-from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS, SYMMETRIC_QUBIT_LIMIT
+from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS
 from .errors import DomainError, InvariantViolationError, _check_int, _check_numeric, _check_type
-from .operators import AXES, PAULI, HermitianOperator, QuadraticForm
+from .operators import AXES, PAULI, HermitianOperator
 from .states import (
     Bipartition,
     DensityMatrix,
@@ -37,9 +37,6 @@ from .states import (
 )
 
 _BISEP_QUBIT_LIMIT = 8  # general pure-state pairs get expensive beyond this
-_RADIUS = 0.5  # Bloch-vector length of a pure qubit state
-_ROOT_MAX_STEPS = 200  # safety cap; Newton and secant steps need a handful
-_TINY = float(np.finfo(float).tiny)  # smallest normal double
 _SWEEP_CAP = 2000  # alternating sweeps per restart before it counts as unconverged
 _RESTART_CHUNK = 64  # restarts stacked at once, so memory does not grow with restarts
 _SAMPLE_BLOCK = 1 << 14  # floats in a sampler block's largest array, so memory does not grow with count
@@ -267,114 +264,6 @@ def maximize_over_product_states(
 
 
 # ---------------------------------------------------------------------------
-# translationally invariant product states: one Bloch vector on the sphere
-# ---------------------------------------------------------------------------
-
-def ti_objective(form: QuadraticForm, n: int, s: np.ndarray) -> float:
-    """Value of the quadratic collective form on |psi(s)>^(x N):
-    sum(a) N/4 + N(N-1) sum_l a_l s_l^2 + N sum_l b_l s_l."""
-    _check_type(form, (QuadraticForm,), "form")
-    _check_int(n, "n", 1, 2 ** 53)  # N is a float in the sum, exact to 2^53
-    a = np.asarray(form.a)
-    b = np.asarray(form.b)
-    return float(a.sum() * n / 4.0 + n * (n - 1) * (a @ (s * s)) + n * (b @ s))
-
-
-def maximize_over_ti_product(form: QuadraticForm, n: int) -> OptimizationResult:
-    """Maximize the quadratic form exactly over states |psi>^(x N).
-
-    The objective is convex in the Bloch vector s, so the maximum sits on the
-    sphere |s| = 1/2 at s_l = beta_l / (2 (lambda - alpha_l)), alpha = N(N-1) a,
-    beta = N b, with lambda >= max(alpha) the root of the secular equation
-    |s(lambda)| = 1/2, or lambda = max(alpha) in its hard case (README, Lemma 1;
-    More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
-    """
-    _check_type(form, (QuadraticForm,), "form")
-    _check_int(n, "n", 1, SYMMETRIC_QUBIT_LIMIT)  # the argument holds one Bloch vector per qubit
-    return _ti_result(form, int(n))
-
-
-@lru_cache(maxsize=16)
-def _ti_result(form: QuadraticForm, n: int) -> OptimizationResult:
-    """``maximize_over_ti_product`` for checked arguments, kept per (form, N)."""
-    value, s = _ti_maximum(form, n)
-    argument = BlochProduct(s[None])  # one checked vector, broadcast read-only over N rows
-    object.__setattr__(argument, "vectors", np.broadcast_to(argument.vectors, (n, 3)))
-    return OptimizationResult(value, argument)
-
-
-@lru_cache(maxsize=256)
-def _ti_maximum(form: QuadraticForm, n: int) -> tuple[float, np.ndarray]:
-    """The maximum over |psi(s)>^(x N) and its read-only Bloch vector s, for a
-    checked n, kept per (form, N): a crit2 sweep or threshold bisection asks
-    for the same bound at every point."""
-    alpha = [n * (n - 1) * x for x in form.a]
-    # a subnormal beta on a top axis would put the root below the normal range
-    # (the Newton slope overflows); flushing it moves the value by < 1e-307
-    beta = [n * x if abs(n * x) >= _TINY else 0.0 for x in form.b]
-    if not isfinite(2.0 * (max(alpha) + hypot(*beta))):  # bounds every 2 (gap_l + mu) the solver forms
-        raise DomainError(f"{form} on {n} qubits leaves the float range of the tensor-power solver")
-    gaps = [max(alpha) - x for x in alpha]  # lambda - alpha_l = gap_l + mu, mu = lambda - max(alpha)
-    mu = _secular_root(gaps, beta)
-    s = _secular_point(gaps, beta, mu)
-    if mu == 0.0:  # hard case
-        s[gaps.index(0.0)] = sqrt(max(0.0, _RADIUS ** 2 - hypot(*s) ** 2))
-    s = np.array(s) * (_RADIUS / hypot(*s))
-    s.setflags(write=False)
-    return ti_objective(form, n, s), s
-
-
-def _secular_point(gaps, beta, mu: float) -> list[float]:
-    """s_l = beta_l / (2 (gap_l + mu)), and 0 wherever beta_l = 0."""
-    return [bl / (2.0 * (gl + mu)) if bl != 0.0 else 0.0 for gl, bl in zip(gaps, beta)]
-
-
-def _secular_root(gaps, beta) -> float:
-    """mu > 0 with |s(mu)| = R, or 0 in the hard case.  psi = 1/|s| - 1/R is
-    increasing and concave in mu, so Newton steps from the left stay left of
-    the root."""
-    top_beta = hypot(*(bl for bl, gl in zip(beta, gaps) if gl == 0.0))
-    if top_beta == 0.0 and hypot(*_secular_point(gaps, beta, 0.0)) <= _RADIUS:
-        return 0.0
-
-    def psi(mu: float) -> tuple[float, float]:
-        s = _secular_point(gaps, beta, mu)
-        length = hypot(*s)
-        slope = sum(x * x / (gl + mu) for x, gl in zip(s, gaps) if x != 0.0) / length ** 3
-        return 1.0 / length - 1.0 / _RADIUS, slope
-
-    # |beta| / (2 (max gap + mu)) and |beta_top| / (2 mu) <= |s(mu)| <= |beta| / (2 mu)
-    hi = hypot(*beta) / (2.0 * _RADIUS)
-    lo = max(0.0, hi - max(gaps), top_beta / (2.0 * _RADIUS))
-    return _safeguarded_root(psi, lo, hi, lo)
-
-
-def _safeguarded_root(f, lo: float, hi: float, x: float, xtol: float = 0.0, last=None) -> float:
-    """Root of an increasing f that changes sign on [lo, hi], searched from x.
-
-    ``f(x)`` returns (value, slope) for a Newton step; a slope of None asks for
-    the secant through the last two evaluated points, ``last`` being the
-    (point, value) evaluated before x.  A step that leaves the bracket becomes
-    its midpoint.  Stops on an exact zero or on a step shorter than
-    xtol + 4 eps |x| and returns the last evaluated point; raises
-    InvariantViolationError at the step cap."""
-    for _ in range(_ROOT_MAX_STEPS):
-        value, slope = f(x)
-        lo, hi = (lo, x) if value >= 0.0 else (x, hi)
-        if slope is None:
-            slope = (value - last[1]) / (x - last[0])
-        last = x, value
-        step = x - value / slope if slope else 0.5 * (lo + hi)
-        small = xtol + 4.0 * np.finfo(float).eps * abs(x)
-        if not lo < step < hi and abs(step - x) > small:
-            step = 0.5 * (lo + hi)
-        if value == 0.0 or abs(step - x) <= small:
-            return x
-        x = step
-    raise InvariantViolationError(f"root-finder did not converge in {_ROOT_MAX_STEPS} steps; last x = {x!r}")
-
-
-# ---------------------------------------------------------------------------
 # biseparable maximization
 # ---------------------------------------------------------------------------
 
@@ -469,6 +358,73 @@ def max_biseparable_overlap(state: PureState) -> float:
     if n < 2:
         raise DomainError("a biseparable overlap needs at least two qubits")
     return max(float(schmidt_spectrum(state, split)[0]) for split in _bipartitions(n, False))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive enumeration of the overlap bound's appendix inequality
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class AppendixReport:
+    """Exhaustive table g(N1, k) = C(N1,k) C(N-N1,N/2-k) with its maximum.
+
+    ``h_values[N1 - 1]`` is the per-split-size maximum of g, for N1 = 1..N/2.
+    All entries are exact integers.
+    """
+
+    n: int
+    table: dict[tuple[int, int], int]
+    argmax: tuple[int, int]
+    h_values: tuple[int, ...]
+
+    @property
+    def max_value(self) -> int:
+        return self.table[self.argmax]
+
+
+def verify_appendix_inequality(n: int) -> AppendixReport:
+    """Check, in exact integer arithmetic, that g(N1,k) is maximized at
+    (N1, k) = (2, 1) with value 2 C(N-2, N/2-1), and that consecutive even
+    split-size maxima obey h_{N1}/h_{N1-2} = ((N1-1)/N1) ((N-N1+2)/(N-N1+1)).
+
+    Raises InvariantViolationError with a counterexample if either claim
+    fails (it never should).
+    """
+    _check_int(n, "n", 4, 64, even=True)
+    half = n // 2
+    table: dict[tuple[int, int], int] = {}
+    for n1 in range(1, half + 1):
+        k_lo = max(0, half - (n - n1))
+        k_hi = min(n1, half)
+        for k in range(k_lo, k_hi + 1):
+            table[(n1, k)] = comb(n1, k) * comb(n - n1, half - k)
+
+    expected_max = 2 * comb(n - 2, half - 1)
+    overall = max(table.values())
+    if table.get((2, 1)) != expected_max or overall != expected_max:
+        worst = max(table, key=table.get)
+        raise InvariantViolationError(
+            f"overlap table maximum mismatch for n = {n}: max {overall} at {worst}, "
+            f"expected {expected_max} at (2, 1)"
+        )
+
+    h_values = tuple(
+        max(v for (n1, _k), v in table.items() if n1 == size) for size in range(1, half + 1)
+    )
+    for n1 in range(4, half + 1, 2):
+        # the ratios h / h_prev and top / bottom, compared by cross-multiplying
+        h, h_prev = h_values[n1 - 1], h_values[n1 - 3]
+        top, bottom = (n1 - 1) * (n - n1 + 2), n1 * (n - n1 + 1)
+        if h * bottom != h_prev * top:
+            raise InvariantViolationError(
+                f"even split-size ratio mismatch for n = {n}, N1 = {n1}: "
+                f"h ratio {h}/{h_prev} != {top}/{bottom}"
+            )
+        if h > h_prev:
+            raise InvariantViolationError(
+                f"split-size maxima not decreasing for n = {n}, N1 = {n1}: ratio {h}/{h_prev} > 1"
+            )
+    return AppendixReport(int(n), table, (2, 1), h_values)
 
 
 # ---------------------------------------------------------------------------

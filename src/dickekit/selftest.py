@@ -22,25 +22,26 @@ from .collective import (
     collective_noise_threshold,
     collective_threshold_numeric,
     criterion_verdict,
+    dicke_fidelity_bound,
     lemma1_bound,
     lemma2_eigenvalues,
     lemma2_operators,
     lemma2_vector_norm,
+    maximize_over_ti_product,
     superradiance_intensity,
     theorem2_bound,
     theorem3_eigenvalues,
     theorem3_operators,
+    ti_objective,
 )
-from .fidelity import dicke_fidelity_bound, verify_appendix_inequality
 from .operators import HermitianOperator, QuadraticForm, collective_operator, expectation
 from .oracle import (
     max_biseparable_overlap,
     max_eigenvalue,
     maximize_over_biseparable,
     maximize_over_product_states,
-    maximize_over_ti_product,
     sample_random_states,
-    ti_objective,
+    verify_appendix_inequality,
 )
 from .states import PureState, dicke_state, dicke_symmetric, psixy_noise_mix
 
@@ -304,13 +305,9 @@ def criterion_09_separable_reduction() -> CheckResult:
     res = maximize_over_product_states(neg, restarts=64, seed=0)
     min_product = -res.value
     _check_converged(c, "product maxima of the 100 forms and of -J^2", searches + [res])
-    thetas = np.linspace(0, np.pi, 181)
-    phis = np.linspace(0, 2 * np.pi, 181)
-    ti_min = min(
-        ti_objective(total_spin, 2,
-                     0.5 * np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)]))
-        for t in thetas for p in phis
-    )
+    thetas, phis = np.meshgrid(np.linspace(0, np.pi, 181), np.linspace(0, 2 * np.pi, 181), indexing="ij")
+    grid = 0.5 * np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], -1)
+    ti_min = float(ti_objective(total_spin, 2, grid).min())
     c.close("two-qubit product minimum of <J^2>", min_product, 1.0, 1e-6)
     c.check(f"tensor-power minimum {ti_min:.12g} strictly above product minimum",
             min_product < ti_min - 0.5)

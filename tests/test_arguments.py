@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dickekit as dk
-from dickekit.oracle import ti_objective
+from dickekit.collective import ti_objective
 
 BAD_VALUES = {
     "True": True, "np_True": np.True_, "nan": float("nan"), "inf": float("inf"),
@@ -52,6 +52,7 @@ ENTRY_POINTS = {
     "fidelity_threshold_numeric.n": (lambda v: dk.fidelity_threshold_numeric(v), "n must be"),
     "verify_appendix_inequality.n": (lambda v: dk.verify_appendix_inequality(v), "n must be"),
     "lemma1_bound.n": (lambda v: dk.lemma1_bound(dk.QuadraticForm(a=(1, 1, 0)), v), "n must be"),
+    "theorem2_bound.n": (lambda v: dk.theorem2_bound(v), "n must be"),
     "criterion_verdict.crit2_m": (lambda v: dk.criterion_verdict(_PURE, "crit2", m=v), "crit2 shift m must be"),
     **{f"criterion_verdict.{kind}_m": (lambda v, kind=kind, n=n: dk.criterion_verdict(dk.dicke_state(n, 1), kind, m=v),
                                        f"{kind} does not read m")
@@ -75,6 +76,7 @@ ENTRY_POINTS = {
     "maximize_over_ti_product.n": (lambda v: dk.maximize_over_ti_product(dk.QuadraticForm(a=(1, 1, 0)), v),
                                    "n must be"),
     "ti_objective.n": (lambda v: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), v, np.zeros(3)), "n must be"),
+    "ti_objective.s": (lambda v: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 3, [v, v, v]), "Bloch vector s must"),
     # every component the same, so a bool vector has a bool dtype
     "BlochProduct.vectors": (lambda v: dk.BlochProduct([[v, v, v]]), "Bloch vectors must"),
     "sample_random_states.n": (lambda v: next(dk.sample_random_states("pure", v, 1)), "n_qubits must be"),
@@ -114,6 +116,8 @@ _ARRAY_ENTRY_POINTS = {
                                  "HermitianOperator matrix must hold numbers"),
     "BlochProduct.vectors": (lambda v: dk.BlochProduct(v), [[0, 0, 0], [0, 0, 0]],
                              "Bloch vectors must hold real numbers"),
+    "ti_objective.s": (lambda v: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 3, v), [[0, 0, 0], [0, 0, 0]],
+                       "Bloch vector s must hold real numbers"),
     "product_state.qubit_states": (lambda v: dk.product_state(v), [[1, 0], [0, 1]],
                                    "single-qubit state must hold numbers"),
     "assemble_bipartite.phi_a": (lambda v: dk.assemble_bipartite(v, [1, 0], _SPLIT), [1, 0],
@@ -179,13 +183,14 @@ _AS_NUMBERS = {
     "object-complex": lambda a: a.astype(complex).astype(object),
 }
 _COMPLEX = {"complex", "object-complex"}
+_REAL_ONLY = {"BlochProduct.vectors", "ti_objective.s"}
 
 
 @pytest.mark.parametrize("call, entries, as_numbers", [
     pytest.param(call, entries, as_numbers, id=f"{name}-{numbers_id}")
     for name, (call, entries, _message) in _ARRAY_ENTRY_POINTS.items()
     for numbers_id, as_numbers in _AS_NUMBERS.items()
-    if not (name == "BlochProduct.vectors" and numbers_id in _COMPLEX)
+    if not (name in _REAL_ONLY and numbers_id in _COMPLEX)
 ])
 def test_an_array_of_numbers_is_accepted_whatever_its_numeric_dtype(call, entries, as_numbers):
     call(as_numbers(np.array(entries)))
@@ -196,6 +201,8 @@ def test_an_array_of_numbers_is_accepted_whatever_its_numeric_dtype(call, entrie
 def test_bloch_vectors_refuse_complex_entries(numbers_id):
     with pytest.raises(dk.DomainError, match="Bloch vectors must hold real numbers, got dtype"):
         dk.BlochProduct(_AS_NUMBERS[numbers_id](np.zeros((1, 3))))
+    with pytest.raises(dk.DomainError, match="Bloch vector s must hold real numbers, got dtype"):
+        ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 3, _AS_NUMBERS[numbers_id](np.zeros(3)))
 
 
 _BAD_RECORDS = {"float": 0.0, "None": None, "dict": {"detection_tolerance": 0.0}}
@@ -329,6 +336,12 @@ _WRONG_SIZES = {
     "schmidt_spectrum.split": (lambda: dk.schmidt_spectrum(_PURE, dk.Bipartition(3, (1,))),
                                "split is over 3 qubits but the state has 2"),
     "BlochProduct.vectors": (lambda: dk.BlochProduct(np.zeros((2, 2))), "BlochProduct needs shape (N, 3), got (2, 2)"),
+    "ti_objective.s": (lambda: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 3, np.zeros(2)),
+                       "Bloch vector s must have shape (..., 3), got (2,)"),
+    "ti_objective.s_scalar": (lambda: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 3, 0.0),
+                              "Bloch vector s must have shape (..., 3), got ()"),
+    "ti_objective.s_length": (lambda: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 3, [[0, 0, 0], [1, 0, 0]]),
+                              "Bloch vector s must be finite with length <= 1/2"),
     "lemma2_eigenvalues.n_l": (lambda: dk.lemma2_eigenvalues([1, 0]),
                                "lemma2 direction needs a 3-vector, got shape (2,)"),
 }

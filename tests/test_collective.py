@@ -80,9 +80,9 @@ def test_lemma1_rejects_bool_sizes(b):
 
 def test_lemma1_is_solved_once_per_form_and_size(monkeypatch):
     calls = []
-    solve = dk.oracle._secular_root
-    monkeypatch.setattr(dk.oracle, "_secular_root", lambda *args: calls.append(args) or solve(*args))
-    dk.oracle._ti_maximum.cache_clear()
+    solve = dk.collective._secular_root
+    monkeypatch.setattr(dk.collective, "_secular_root", lambda *args: calls.append(args) or solve(*args))
+    dk.collective._ti_maximum.cache_clear()
     form = dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, -6))
     first = dk.lemma1_bound(form, 40)
     assert len(calls) == 1
@@ -91,7 +91,7 @@ def test_lemma1_is_solved_once_per_form_and_size(monkeypatch):
     assert dk.criterion_verdict(dk.dicke_symmetric(40, 20), "crit2", m=3).bound == first
     assert dk.maximize_over_ti_product(form, 40).value == first
     assert len(calls) == 1
-    assert dk.oracle._ti_maximum.cache_info().maxsize == 256
+    assert dk.collective._ti_maximum.cache_info().maxsize == 256
 
 
 @pytest.mark.filterwarnings("error")
@@ -99,8 +99,11 @@ def test_lemma1_takes_a_numpy_size_as_the_same_integer():
     # N(N-1) in int64 wraps beyond N ~ 3e9; the solver sees a Python int
     form = dk.QuadraticForm(a=(1, 1, 0), b=(0, 0, -2))
     for n in (4_000_000_000, 2 ** 40):
-        dk.oracle._ti_maximum.cache_clear()
+        dk.collective._ti_maximum.cache_clear()
         assert dk.lemma1_bound(form, np.int64(n)) == dk.lemma1_bound(form, n)
+        # and so does the objective itself
+        s = np.array([0.5, 0.0, 0.0])
+        assert dk.collective.ti_objective(form, np.int64(n), s) == dk.collective.ti_objective(form, n, s) > 0
 
 
 @pytest.mark.parametrize("a, b", [
@@ -108,7 +111,7 @@ def test_lemma1_takes_a_numpy_size_as_the_same_integer():
 ])
 def test_forms_equal_up_to_the_sign_of_a_zero_share_one_kept_solve(a, b):
     # QuadraticForm equality merges them in the cache key, so each must solve to the same bits
-    solve = dk.oracle._ti_maximum.__wrapped__
+    solve = dk.collective._ti_maximum.__wrapped__
     zeros = [i for i, c in enumerate(a + b) if c == 0.0]
     for n in (1, 3, 1000):
         results = set()
@@ -117,10 +120,15 @@ def test_forms_equal_up_to_the_sign_of_a_zero_share_one_kept_solve(a, b):
             for i, zero in zip(zeros, signs):
                 coeffs[i] = zero
             form = dk.QuadraticForm(a=tuple(coeffs[:3]), b=tuple(coeffs[3:]))
-            value, s = solve(form, n)
-            kept, kept_s = dk.oracle._ti_maximum(form, n)
-            results.add((value.hex(), s.tobytes(), kept.hex(), kept_s.tobytes()))
+            fresh, kept = solve(form, n), dk.collective._ti_maximum(form, n)
+            results.update((r.value.hex(), r.argument.vectors[0].tobytes()) for r in (fresh, kept))
         assert len(results) == 1, results
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, "4", 2 ** 53 + 1])
+def test_theorem2_bound_refuses_what_is_not_a_qubit_count(n):
+    with pytest.raises(dk.DomainError, match=re.escape("n must be an integer in [1, 9007199254740992]")):
+        dk.theorem2_bound(n)
 
 
 def test_theorem2_on_half_excited_dicke():

@@ -66,9 +66,9 @@ def test_log_space_ranking_picks_the_integer_maximum(n):
 
 
 def test_exact_bound_is_kept_per_size_and_count():
-    dk.fidelity._exact_bound.cache_clear()
+    dk.collective._exact_bound.cache_clear()
     assert dk.dicke_fidelity_bound(8, 4) == dk.dicke_fidelity_bound(np.int64(8), np.int64(4)) == 4 / 7
-    assert dk.fidelity._exact_bound.cache_info().hits == 1
+    assert dk.collective._exact_bound.cache_info().hits == 1
 
 
 def test_exact_bound_at_the_symmetric_limit():
@@ -103,7 +103,7 @@ def test_exact_bound_at_large_n():
         assert dk.dicke_fidelity_bound(n, 1) == pytest.approx((n - 1) / n, rel=1e-15)
 
 
-@pytest.mark.parametrize("n,m", [(1, 0), (4, 5), (4, -1), (4, True), (True, 0)])
+@pytest.mark.parametrize("n,m", [(1, 0), (4, 5), (4, -1), (4, True), (True, 0), (10_001, 1)])
 def test_bound_domain_errors(n, m):
     with pytest.raises(dk.DomainError):
         dk.dicke_fidelity_bound(n, m)

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dickekit as dk
-from dickekit import config, oracle
-from dickekit.oracle import ti_objective
+from dickekit import collective, config, oracle
+from dickekit.collective import ti_objective
 
 
 def test_max_eigenvalue_examples():
@@ -245,6 +245,15 @@ def test_ti_product_is_the_sphere_maximum(a, b, n):
     assert _grid_max(form, n) <= result.value + 1e-9 * max(1.0, abs(result.value))
 
 
+def test_ti_objective_takes_a_stack_of_bloch_vectors():
+    form = dk.QuadraticForm(a=(0.3, 1.1, 0.7), b=(0.2, -0.4, 0.9))
+    stack = _GRID[:600].reshape(20, 30, 3)
+    values = ti_objective(form, 7, stack)
+    assert values.shape == (20, 30)
+    singles = [ti_objective(form, 7, s) for s in stack.reshape(-1, 3)]
+    assert np.allclose(values.ravel(), singles, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("n,m", [(4, 1), (4, -1), (5, 2), (9, -4), (10, 0), (100, 7)])
 def test_ti_product_hard_case(n, m):
     # beta vanishes on both top axes x, y and |s_z| = |m|/(N-1) <= 1/2: the
@@ -337,17 +346,42 @@ def test_library_runs_without_scipy():
     assert run.returncode == 0, run.stderr
 
 
-def test_oracles_import_no_closed_form_module():
-    # the oracles are the independent routes to the closed bounds in collective
-    # and fidelity, so they may not import them, in any import form
-    imported = set()
-    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+def _imports(module) -> list[tuple[str, set[str]]]:
+    """Each import statement of a module, in any import form: the dotted
+    module it names and the names it binds."""
+    found = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
-            imported.update((node.module or "").split("."), (alias.name for alias in node.names))
+            found.append((node.module or "", {alias.name for alias in node.names}))
         elif isinstance(node, ast.Import):
-            imported.update(part for alias in node.names for part in alias.name.split("."))
+            found.extend((alias.name, set()) for alias in node.names)
+    return found
+
+
+def test_oracles_import_no_closed_form_module():
+    # the oracles are the independent routes to the closed bounds in collective,
+    # so they may not import it, in any import form
+    imported = set()
+    for module, names in _imports(oracle):
+        imported.update(module.split("."), names)
     assert {"config", "errors", "operators", "states"} <= imported
-    assert not imported & {"collective", "fidelity"}
+    assert "collective" not in imported
+
+
+def test_bounds_read_only_the_oracle_records():
+    # collective holds the closed forms and the exact Lemma 1 solve; of the
+    # oracles it may read the result records, never a search or a helper
+    from_oracle = set()
+    for module, names in _imports(collective):
+        if module.split(".")[-1] == "oracle":
+            from_oracle |= names or {module}  # a bare import binds the whole module
+        elif "oracle" in names:  # from . import oracle
+            from_oracle.add("oracle")
+    assert from_oracle == {"OptimizationResult", "BlochProduct"}
+    # the Lemma 1 solve and its root-finder live on the bound side only, with no re-export
+    solve = {"ti_objective", "maximize_over_ti_product", "_ti_maximum", "_secular_point", "_secular_root",
+             "_safeguarded_root"}
+    assert solve <= set(vars(collective)) and not solve & set(vars(oracle))
 
 
 def test_root_finder_raises_at_its_step_cap():
@@ -355,7 +389,7 @@ def test_root_finder_raises_at_its_step_cap():
         return x - 0.5, 1.0 / 1.999
 
     with pytest.raises(dk.InvariantViolationError, match="did not converge"):
-        oracle._safeguarded_root(slow, 0.0, 1.0, 0.9)
+        collective._safeguarded_root(slow, 0.0, 1.0, 0.9)
 
 
 def test_ti_and_product_routes_agree():
