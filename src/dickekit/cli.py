@@ -231,6 +231,8 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
     # bound, which takes no --criterion, always reads --m-signed
     if getattr(args, "m_signed", None) is not None and getattr(args, "criterion", "crit2") != "crit2":
         raise DomainError(f"{args.command} reads --m-signed only with --criterion crit2")
+    if getattr(args, "criterion", None) == "crit2" and args.m_signed is None:
+        raise DomainError(f"{args.command} --criterion crit2 needs --m-signed")
     if hasattr(args, "noise"):
         if args.phi is not None and args.noise != "psixy":
             raise DomainError(f"{args.command} reads --phi only with --noise psixy")

@@ -43,7 +43,7 @@ from math import comb, hypot, isfinite, lgamma, sqrt
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, SYMMETRIC_QUBIT_LIMIT, SYMMETRY_ATOL, Tolerances
-from .errors import (DomainError, InvariantViolationError, _check_int, _check_numeric, _check_real,
+from .errors import (DomainError, InvariantViolationError, _check_bloch, _check_int, _check_real,
                      _check_sequence, _check_type)
 from .operators import HermitianOperator, QuadraticForm, collective_operator, expectation
 from .oracle import BlochProduct, OptimizationResult
@@ -126,11 +126,7 @@ def ti_objective(form: QuadraticForm, n: int, s) -> float | np.ndarray:
     array (...) for a stack (..., 3), each vector real and finite with |s| <= 1/2."""
     _check_type(form, (QuadraticForm,), "form")
     n = int(_check_int(n, "n", 1, 2 ** 53))  # no int64 wrap in N(N-1); a float in the sum, exact to 2^53
-    s = np.asarray(_check_numeric(s, "Bloch vector s", real=True), dtype=float)
-    if s.ndim < 1 or s.shape[-1] != 3:
-        raise DomainError(f"Bloch vector s must have shape (..., 3), got {s.shape}")
-    if not np.all(np.linalg.norm(s, axis=-1) <= _RADIUS + 1e-10):  # NaN and inf fail too
-        raise DomainError("Bloch vector s must be finite with length <= 1/2")
+    s = _check_bloch(s, "Bloch vector s")
     a, b = np.asarray(form.a), np.asarray(form.b)
     value = a.sum() * n / 4.0 + n * (n - 1) * ((s * s) @ a) + n * (s @ b)
     return float(value) if s.ndim == 1 else value
@@ -412,7 +408,10 @@ def superradiance_intensity(state, i0: float = 1.0) -> float:
     """
     i0 = _check_real(i0, "i0", 0, strict=True)
     (_jx, _jy, jz), (jx2, jy2, _jz2) = moments(state)
-    return i0 * (jx2 + jy2 + jz)
+    intensity = i0 * (jx2 + jy2 + jz)
+    if not isfinite(intensity):
+        raise DomainError(f"i0 = {i0!r} on {state.n_qubits} qubits leaves the float range of the intensity")
+    return intensity
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +427,15 @@ _CLOSED_THRESHOLDS = {
 }
 
 
+def _check_threshold_pair(n: int, kind: str, noise: str) -> None:
+    """Thresholds are those of |N/2,N> at even N, from N = 4 for 'fidelity', whose
+    overlap bound N/(2(N-1)) holds from there; 'genuine3', judged at N = 3 only, has none."""
+    n = 3 if kind == "genuine3" else _check_int(n, "n", 4 if kind == "fidelity" else 2, even=True)
+    _check_kind(kind, n, noise)  # refuses a noise family genuine3 does not judge in its own words
+    if kind == "genuine3":
+        raise DomainError("genuine3 judges N = 3 only, while thresholds are those of |N/2,N> at even N")
+
+
 def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float:
     """Closed-form noise ratio at which a kind stops detecting the noisy
     half-excited Dicke state.
@@ -436,8 +444,7 @@ def collective_noise_threshold(n: int, kind: str, noise: str = "white") -> float
     'fidelity' -> (1/2) (N-2) / ((N-1) (1 - 2^-N)).  psixy noise: 'theorem2'
     -> 1 (detection for every p < 1).  Other pairs have only the numeric route.
     """
-    # thresholds are those of |N/2,N>, whose overlap bound N/(2(N-1)) holds from N = 4
-    _check_kind(kind, _check_int(n, "n", 4 if kind == "fidelity" else 2, even=True), noise)
+    _check_threshold_pair(n, kind, noise)
     if (kind, noise) not in _CLOSED_THRESHOLDS:
         raise DomainError(f"no closed {noise}-noise threshold for kind {kind!r}")
     return _CLOSED_THRESHOLDS[kind, noise](n)
@@ -452,7 +459,7 @@ def collective_threshold_numeric(n: int, kind: str, noise: str = "white") -> flo
     state and judges it at each probe.  'crit2' takes the shift 0 and
     'fidelity' the excitation count N/2, those of |N/2,N>.
     """
-    _check_kind(kind, _check_int(n, "n", 4 if kind == "fidelity" else 2, even=True), noise)
+    _check_threshold_pair(n, kind, noise)
     target = dicke_state(n, n // 2)
     m = {"fidelity": n // 2, "crit2": 0}.get(kind)
 

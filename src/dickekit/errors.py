@@ -78,6 +78,18 @@ def _check_numeric(value, name: str, real: bool = False) -> np.ndarray:
     raise DomainError(f"{name} must hold {numbers}, got dtype {arr.dtype.name}")
 
 
+def _check_bloch(value, name: str) -> np.ndarray:
+    """``value`` as a fresh float array of Bloch vectors s = <sigma>/2 along its last
+    axis, each real, finite and with |s| <= 1/2 + 1e-10; otherwise DomainError naming ``name``."""
+    s = np.array(_check_numeric(value, name, real=True), dtype=float)
+    if s.ndim < 1 or s.shape[-1] != 3:
+        raise DomainError(f"{name} must have shape (..., 3), got {s.shape}")
+    lengths = np.linalg.norm(s, axis=-1)
+    if not np.all(lengths <= 0.5 + 1e-10):  # NaN and inf fail too
+        raise DomainError(f"{name} must be finite with length <= 1/2, max is {lengths.max():.12g}")
+    return s
+
+
 def _check_sequence(value, name: str) -> tuple:
     """``value`` as a tuple if it is a list, tuple, range or NumPy array of
     one or more dimensions; otherwise DomainError naming ``name``.  A string,

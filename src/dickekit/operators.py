@@ -15,6 +15,7 @@ read from the state's collective moments (``states.moments``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -138,7 +139,10 @@ def expectation(state, op) -> float:
     """
     _check_type(state, _STATE_TYPES, "state")
     if not isinstance(op, HermitianOperator):  # <J_l^p> is moments(state)[p - 1][l]
-        return _form_sum(lambda axis, power: moments(state)[power - 1][AXES.index(axis)], op)
+        value = _form_sum(lambda axis, power: moments(state)[power - 1][AXES.index(axis)], op)
+        if not isfinite(value):
+            raise DomainError(f"{op} on {state.n_qubits} qubits leaves the float range of the expectation")
+        return value
     if isinstance(state, Mixture):
         return state.average(lambda psi: expectation(psi, op), float(np.trace(op.matrix).real) / op.dimension)
     if isinstance(state, SymmetricState):

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS
-from .errors import DomainError, InvariantViolationError, _check_int, _check_numeric, _check_type
+from .errors import DomainError, InvariantViolationError, _check_bloch, _check_int, _check_type
 from .operators import AXES, PAULI, HermitianOperator
 from .states import (
     Bipartition,
@@ -49,13 +49,9 @@ class BlochProduct:
     vectors: np.ndarray  # shape (N, 3), |s| <= 1/2
 
     def __post_init__(self):
-        vecs = _check_numeric(self.vectors, "Bloch vectors", real=True)
-        vecs = np.array(vecs, dtype=float)  # a copy, frozen below
-        if vecs.ndim != 2 or vecs.shape[1] != 3 or vecs.shape[0] < 1:
+        vecs = _check_bloch(self.vectors, "Bloch vectors")  # a copy, frozen below
+        if vecs.ndim != 2 or vecs.shape[0] < 1:
             raise DomainError(f"BlochProduct needs shape (N, 3), got {vecs.shape}")
-        lengths = np.linalg.norm(vecs, axis=1)
-        if not np.all(lengths <= 0.5 + 1e-10):  # NaN fails too
-            raise DomainError(f"Bloch vectors must have length <= 1/2, max is {lengths.max():.12g}")
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 

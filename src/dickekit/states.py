@@ -440,31 +440,43 @@ def symmetric_to_dense(state: SymmetricState) -> PureState:
     return PureState._from_stack(n, (state.sector_amplitudes * dicke_amplitudes)[_flip_table(n)[2]][None])[0]
 
 
+def _factor_product(factors: Sequence, names: Sequence[str], dims: Sequence[int], axes=None) -> PureState:
+    """The normalized tensor product of caller factors, the first the most
+    significant, factor k of ``dims[k]`` numbers named ``names[k]``; a zero or
+    non-finite factor ahead of the first misshapen one is the first bad one.
+    Each is scaled by the exact power of two that brings its largest entry into
+    [1/2, 1), so any finite nonzero scale is accepted and a normal-range product
+    keeps its bits.  ``axes`` orders the qubits before the product is normalized."""
+    vectors = [np.asarray(_check_numeric(f, name), dtype=complex) for f, name in zip(factors, names)]
+    shaped = next((k for k, (v, d) in enumerate(zip(vectors, dims)) if v.shape != (d,)), len(vectors))
+    rows = np.zeros((shaped, max(dims)), dtype=complex)  # one zero-padded row per factor ahead of it
+    for row, v in zip(rows, vectors):
+        row[:v.size] = v
+    top = np.abs(rows.view(float)).max(axis=1)  # over re and im; NaN propagates
+    bad = np.flatnonzero(~np.isfinite(top) | (top == 0.0))
+    if bad.size:
+        raise DomainError(f"{names[bad[0]]} {vectors[bad[0]]} is zero or has non-finite amplitudes")
+    if shaped < len(vectors):
+        raise DomainError(f"{names[shaped]} must have shape ({dims[shaped]},), got {vectors[shaped].shape}")
+    rows = np.ldexp(rows.view(float), -np.frexp(top)[1][:, None]).view(complex)
+    amps = np.ones(1, dtype=complex)
+    for row, d in zip(rows, dims):
+        amps = np.multiply.outer(amps, row[:d]).ravel()
+    if axes is not None:
+        amps = np.transpose(amps.reshape([2] * len(axes)), axes).reshape(-1)
+    return PureState._from_stack(amps.size.bit_length() - 1, (amps / np.linalg.norm(amps))[None])[0]
+
+
 def product_state(qubit_states: Sequence[Iterable[complex]]) -> PureState:
     """Tensor product of single-qubit states; the first factor is qubit 1 (MSB).
-
     Every qubit is checked, and the first bad one named, before its products
-    are formed; the product grows one outer product per qubit."""
+    are formed."""
     qubit_states = _check_sequence(qubit_states, "product_state qubit states")
-    if len(qubit_states) == 0:
+    n = len(qubit_states)
+    if n == 0:
         raise DomainError("product_state needs at least one qubit")
-    vectors = [np.asarray(_check_numeric(q, "single-qubit state"), dtype=complex) for q in qubit_states]
-    # a zero or non-finite qubit ahead of the first misshapen one is the first bad qubit
-    shaped = next((k for k, v in enumerate(vectors) if v.shape != (2,)), len(vectors))
-    flat = np.array(vectors[:shaped]).reshape(shaped, 2).view(float)  # re, im interleaved
-    # the exact power of two that brings each qubit's largest entry into [1/2, 1)
-    # keeps its squared norm in range; zero, NaN and inf qubits are left as they are
-    flat = np.ldexp(flat, -np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1][:, None])
-    norms = np.sqrt(np.vecdot(flat, flat))
-    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
-    if bad.size:
-        raise DomainError(f"single-qubit state {vectors[bad[0]]} is zero or has non-finite amplitudes")
-    if shaped < len(vectors):
-        raise DomainError(f"single-qubit state must have shape (2,), got {vectors[shaped].shape}")
-    amps = np.ones(1, dtype=complex)
-    for v in flat.view(complex):
-        amps = np.multiply.outer(amps, v).ravel()
-    return PureState._from_stack(len(vectors), (amps / np.linalg.norm(amps))[None])[0]
+    _check_qubit_count(n)  # before 2^N amplitudes are formed
+    return _factor_product(qubit_states, ["single-qubit state"] * n, [2] * n)
 
 
 def psixy_state(n: int, phi: float = 0.0) -> PureState:
@@ -495,16 +507,12 @@ def psixy_symmetric(n: int, phi: float = 0.0) -> SymmetricState:
 
 def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition) -> PureState:
     """Pure state phi_a (x) phi_b with the factors placed on the qubits of
-    ``split.side_a`` and ``split.side_b`` respectively."""
-    n = _check_type(split, (Bipartition,), "split").n_qubits
-    _check_qubit_count(n)
-    a = np.asarray(_check_numeric(phi_a, "assemble_bipartite factor phi_a"), dtype=complex)
-    b = np.asarray(_check_numeric(phi_b, "assemble_bipartite factor phi_b"), dtype=complex)
-    if a.shape != (2 ** len(split.side_a),) or b.shape != (2 ** len(split.side_b),):
-        raise DomainError("assemble_bipartite: factor dimensions do not match the split")
-    tensor = np.outer(a, b).reshape([2] * n)  # its axes are split.axes
-    amps = np.transpose(tensor, np.argsort(split.axes)).reshape(-1)
-    return PureState._from_stack(n, (amps / np.linalg.norm(amps))[None])[0]
+    ``split.side_a`` and ``split.side_b`` respectively, checked and scaled as
+    ``product_state``'s qubits are."""
+    _check_qubit_count(_check_type(split, (Bipartition,), "split").n_qubits)
+    names = ["assemble_bipartite factor phi_a", "assemble_bipartite factor phi_b"]
+    dims = [2 ** len(split.side_a), 2 ** len(split.side_b)]
+    return _factor_product([phi_a, phi_b], names, dims, np.argsort(split.axes))  # the product's axes are split.axes
 
 
 def white_noise_mix(target: PureState | SymmetricState, p: float) -> Mixture:

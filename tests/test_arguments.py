@@ -247,6 +247,25 @@ def test_a_psixy_phase_whose_multiple_leaves_the_float_range_is_refused(n, phi):
     assert np.isfinite(dk.psixy_state(10, phi).amplitudes).all()  # one qubit's phase stays in range
 
 
+# a valid state and argument whose result leaves the float range: refused like lemma1_bound's closed form
+_HUGE = dk.QuadraticForm(a=(1e308, 0, 0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    (lambda: dk.expectation(dk.dicke_symmetric(10 ** 4, 5000), _HUGE),
+     f"{_HUGE} on 10000 qubits leaves the float range of the expectation"),
+    (lambda: dk.expectation(dk.dicke_state(4, 2), _HUGE), f"{_HUGE} on 4 qubits leaves the float range of the expectation"),
+    (lambda: dk.expectation(dk.white_noise_mix(dk.dicke_state(4, 2), 0.5), _HUGE),
+     f"{_HUGE} on 4 qubits leaves the float range of the expectation"),
+    (lambda: dk.superradiance_intensity(dk.dicke_symmetric(10 ** 4, 5000), i0=1e308),
+     "i0 = 1e+308 on 10000 qubits leaves the float range of the intensity"),
+], ids=["expectation-symmetric", "expectation-dense", "expectation-mixture", "superradiance_intensity"])
+def test_a_result_beyond_the_float_range_is_refused(call, message):
+    with pytest.raises(dk.DomainError, match=re.escape(message)):
+        call()
+
+
 # argument: (call feeding it something that is not a sequence, start of the refusal)
 _NOT_SEQUENCES = {
     "QuadraticForm.a": (lambda v: dk.QuadraticForm(a=v), "QuadraticForm a must be a sequence"),
@@ -332,10 +351,13 @@ _WRONG_SIZES = {
                              "DensityMatrix: expected shape (2,2), got (4, 4)"),
     "product_state.qubit_states": (lambda: dk.product_state([]), "product_state needs at least one qubit"),
     "assemble_bipartite.phi_b": (lambda: dk.assemble_bipartite([1, 0], [1, 0, 0, 0], _SPLIT),
-                                 "assemble_bipartite: factor dimensions do not match the split"),
+                                 "assemble_bipartite factor phi_b must have shape (2,), got (4,)"),
     "schmidt_spectrum.split": (lambda: dk.schmidt_spectrum(_PURE, dk.Bipartition(3, (1,))),
                                "split is over 3 qubits but the state has 2"),
-    "BlochProduct.vectors": (lambda: dk.BlochProduct(np.zeros((2, 2))), "BlochProduct needs shape (N, 3), got (2, 2)"),
+    "BlochProduct.vectors": (lambda: dk.BlochProduct(np.zeros((2, 2))), "Bloch vectors must have shape (..., 3), got (2, 2)"),
+    "BlochProduct.vectors_1d": (lambda: dk.BlochProduct(np.zeros(3)), "BlochProduct needs shape (N, 3), got (3,)"),
+    "BlochProduct.vectors_length": (lambda: dk.BlochProduct([[0, 0, 0.5], [0, 0.6, 0]]),
+                                    "Bloch vectors must be finite with length <= 1/2, max is 0.6"),
     "ti_objective.s": (lambda: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 3, np.zeros(2)),
                        "Bloch vector s must have shape (..., 3), got (2,)"),
     "ti_objective.s_scalar": (lambda: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 3, 0.0),

@@ -232,9 +232,9 @@ def test_non_finite_numbers_exit_2_without_a_document(capsys):
     # an infinite rate is refused by the library, not only by the document writer
     status, out, err = run_cli(capsys, "intensity", "--n", "4", "--i0", "inf")
     assert status == 2 and out == "" and "i0 must be a finite number > 0" in err
-    # a finite rate whose intensity overflows is refused by the document writer
+    # a finite rate whose intensity overflows is refused by the library
     status, out, err = run_cli(capsys, "intensity", "--n", "10000", "--i0", "1e308")
-    assert status == 2 and out == "" and "refusing to write the non-finite number inf" in err
+    assert status == 2 and out == "" and "leaves the float range of the intensity" in err
 
 
 def test_unknown_flags_exit_2():
@@ -321,6 +321,10 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     (("sweep-noise", "--n", "4", "--criterion", "symmetric_jz"), "symmetric_jz takes psixy noise only"),
     (("criterion", "--n", "3", "--criterion", "genuine3", "--noise", "psixy", "--p", "0.3"),
      "genuine3 takes white noise only, got 'psixy'"),
+    # crit2 reads its shift from --m-signed, which has no default
+    (("criterion", "--n", "4", "--criterion", "crit2"), "criterion --criterion crit2 needs --m-signed"),
+    (("sweep-noise", "--n", "4", "--criterion", "crit2", "--grid", "0:0.5:3"),
+     "sweep-noise --criterion crit2 needs --m-signed"),
 ])
 def test_flags_a_command_does_not_read_for_the_given_values_exit_2_before_any_work(
         capsys, monkeypatch, argv, message):

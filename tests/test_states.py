@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+import tracemalloc
 from math import comb, sqrt
 
 import numpy as np
@@ -399,6 +400,17 @@ def test_product_state_accepts_a_qubit_whose_squared_norm_leaves_the_float_range
     np.testing.assert_allclose(state.amplitudes, [2 ** -0.5, 2 ** -0.5, 0, 0], rtol=1e-15, atol=0)
 
 
+def test_product_state_refuses_too_many_qubits_before_forming_the_product():
+    tracemalloc.start()
+    try:
+        with pytest.raises(dk.DomainError, match="n_qubits = 20 exceeds the backend limit of 12 qubits"):
+            dk.product_state([[1, 0]] * 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the 2^20 amplitudes would take 16 MiB
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("qubits, message", [
     ([[1, 0], [1, 2, 3], [0, 0]], "must have shape (2,), got (3,)"),
@@ -411,6 +423,44 @@ def test_product_state_accepts_a_qubit_whose_squared_norm_leaves_the_float_range
 def test_product_state_names_the_first_bad_qubit(qubits, message):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
         dk.product_state(qubits)
+
+
+_SPLIT = dk.Bipartition(2, (1,))
+
+
+@pytest.mark.filterwarnings("error")  # an unscaled norm of 1e200 overflows, and of 1e-200 underflows
+@pytest.mark.parametrize("tiny_or_huge", [1e-200, 1e200, 5e-324, 1.7e308])
+def test_assemble_bipartite_scales_its_factors_as_product_state_does(tiny_or_huge):
+    factor = [tiny_or_huge, tiny_or_huge]
+    for phi_a, phi_b in ((factor, [1, 0]), ([1, 0], factor)):
+        state = dk.assemble_bipartite(phi_a, phi_b, _SPLIT)
+        assert state.amplitudes.tobytes() == dk.product_state([phi_a, phi_b]).amplitudes.tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # a bad factor is refused before any arithmetic can warn
+@pytest.mark.parametrize("phi_a, phi_b, message", [
+    ([0, 0], [1, 0], "phi_a [0.+0.j 0.+0.j] is zero or has non-finite amplitudes"),
+    ([1, 0], [np.nan, 1], "phi_b [nan+0.j  1.+0.j] is zero or has non-finite amplitudes"),
+    ([np.inf, 0], [1, 0], "phi_a [inf+0.j  0.+0.j] is zero or has non-finite amplitudes"),
+    ([1, 0], [0, 0], "phi_b [0.+0.j 0.+0.j] is zero or has non-finite amplitudes"),
+    ([0, 0], [1, 0, 0, 0], "phi_a [0.+0.j 0.+0.j] is zero"),
+    ([1, 0, 0], [0, 0], "phi_a must have shape (2,), got (3,)"),
+], ids=["zero", "nan", "inf", "zero-b", "zero-before-shape", "shape-before-zero"])
+def test_assemble_bipartite_names_the_first_bad_factor(phi_a, phi_b, message):
+    with pytest.raises(dk.DomainError, match=re.escape(f"assemble_bipartite factor {message}")):
+        dk.assemble_bipartite(phi_a, phi_b, _SPLIT)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_assemble_bipartite_matches_a_permuted_outer_product_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for k in range(1, n):  # unnormalised complex factors on a random split, normalised once at the end
+        split = dk.Bipartition(n, tuple(rng.choice(np.arange(1, n + 1), k, replace=False).tolist()))
+        a = rng.normal(size=2 ** k) + 1j * rng.normal(size=2 ** k)
+        b = rng.normal(size=2 ** (n - k)) + 1j * rng.normal(size=2 ** (n - k))
+        reference = np.transpose(np.outer(a, b).reshape([2] * n), np.argsort(split.axes)).reshape(-1)
+        reference = reference / np.linalg.norm(reference)
+        assert dk.assemble_bipartite(a, b, split).amplitudes.tobytes() == reference.tobytes()
 
 
 def test_shared_tables_are_cached_and_read_only():

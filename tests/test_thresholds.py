@@ -42,7 +42,7 @@ _NO_THRESHOLD = {
     ("symmetric_jz", "white"): "symmetric_jz takes psixy noise only, got 'white'",
     ("genuine3", "psixy"): "genuine3 takes white noise only, got 'psixy'",
     # judged under white noise, but only at N = 3, which has no |N/2,N>
-    ("genuine3", "white"): "genuine3 applies to exactly 3 qubits, got n = 4",
+    ("genuine3", "white"): "genuine3 judges N = 3 only, while thresholds are those of |N/2,N> at even N",
 }
 
 
@@ -78,7 +78,7 @@ def test_both_routes_give_the_threshold(kind, noise, n):
     ("theorem5", "white", "criterion kind must be one of"),
 ])
 def test_a_pair_without_a_threshold_is_refused(route, kind, noise, message):
-    with pytest.raises(dk.DomainError, match=message):
+    with pytest.raises(dk.DomainError, match=re.escape(message)):
         route(4, kind, noise)
 
 
@@ -90,6 +90,8 @@ def test_a_pair_without_a_threshold_is_refused(route, kind, noise, message):
     (5, "theorem2", "psixy", "n must be an even integer >= 2, got 5"),
     # the overlap bound N/(2(N-1)) of |N/2,N> holds from N = 4
     (2, "fidelity", "white", "n must be an even integer >= 4, got 2"),
+    # its one N is odd, so the refusal names the kind, not the parity of n
+    (3, "genuine3", "white", "genuine3 judges N = 3 only, while thresholds are those of |N/2,N> at even N"),
 ])
 def test_a_size_without_a_threshold_is_refused(route, n, kind, noise, message):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
