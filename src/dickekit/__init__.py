@@ -6,6 +6,8 @@ noise-robustness thresholds, and brute-force numeric oracles that verify
 every closed-form bound independently.
 """
 
+from types import ModuleType as _Module
+
 from .collective import (
     CRITERION_KINDS,
     DETECTED_ENTANGLED,
@@ -39,15 +41,6 @@ from .config import (
     Tolerances,
 )
 from .errors import DickekitError, DomainError, InvariantViolationError
-from .operators import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    HermitianOperator,
-    QuadraticForm,
-    collective_operator,
-    expectation,
-)
 from .oracle import (
     AppendixReport,
     BiseparableArgument,
@@ -61,15 +54,22 @@ from .oracle import (
     verify_appendix_inequality,
 )
 from .states import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     Bipartition,
     DensityMatrix,
+    HermitianOperator,
     Mixture,
     Moments,
     PureState,
+    QuadraticForm,
     SymmetricState,
     assemble_bipartite,
+    collective_operator,
     dicke_state,
     dicke_symmetric,
+    expectation,
     moments,
     product_state,
     psixy_noise_mix,
@@ -82,70 +82,6 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppendixReport",
-    "BiseparableArgument",
-    "Bipartition",
-    "BlochProduct",
-    "CRITERION_KINDS",
-    "DEFAULT_TOLERANCES",
-    "DENSE_QUBIT_LIMIT",
-    "DETECTED_ENTANGLED",
-    "DETECTED_GENUINE",
-    "DETECTED_NONE",
-    "DensityMatrix",
-    "DickekitError",
-    "DomainError",
-    "GENUINE3_BOUND",
-    "GENUINE4_BOUND",
-    "HermitianOperator",
-    "InvariantViolationError",
-    "Mixture",
-    "Moments",
-    "OptimizationResult",
-    "PartitionBounds",
-    "PureState",
-    "QuadraticForm",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SYMMETRIC_QUBIT_LIMIT",
-    "SymmetricState",
-    "Tolerances",
-    "WitnessVerdict",
-    "assemble_bipartite",
-    "collective_noise_threshold",
-    "collective_operator",
-    "collective_threshold_numeric",
-    "criterion_verdict",
-    "dicke_fidelity_bound",
-    "dicke_state",
-    "dicke_symmetric",
-    "expectation",
-    "fidelity_threshold_numeric",
-    "fidelity_witness_verdict",
-    "lemma1_bound",
-    "lemma2_eigenvalues",
-    "lemma2_operators",
-    "lemma2_vector_norm",
-    "max_biseparable_overlap",
-    "max_eigenvalue",
-    "maximize_over_biseparable",
-    "maximize_over_product_states",
-    "maximize_over_ti_product",
-    "moments",
-    "product_state",
-    "psixy_noise_mix",
-    "psixy_state",
-    "psixy_symmetric",
-    "sample_random_states",
-    "schmidt_spectrum",
-    "superradiance_intensity",
-    "symmetric_to_dense",
-    "theorem2_bound",
-    "theorem3_eigenvalues",
-    "theorem3_operators",
-    "theorem3_partition_bounds",
-    "verify_appendix_inequality",
-    "white_noise_mix",
-]
+# the import block above is the one declaration of the public names
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

@@ -26,11 +26,11 @@ from .collective import (
     lemma1_bound,
     superradiance_intensity,
 )
-from .config import DEFAULT_RESTARTS, Tolerances
+from .config import DEFAULT_RESTARTS, DENSE_QUBIT_LIMIT, Tolerances
 from .errors import DomainError, InvariantViolationError, _check_int, _check_real
-from .operators import QuadraticForm, collective_operator
-from .oracle import max_eigenvalue, maximize_over_biseparable, maximize_over_product_states, verify_appendix_inequality
-from .states import dicke_state, dicke_symmetric, psixy_noise_mix, white_noise_mix
+from .oracle import (_check_bisep_qubits, max_eigenvalue, maximize_over_biseparable, maximize_over_product_states,
+                     verify_appendix_inequality)
+from .states import QuadraticForm, collective_operator, dicke_state, dicke_symmetric, psixy_noise_mix, white_noise_mix
 
 # Caps on sizes taken from the command line, checked before any work starts.
 MAX_RESTARTS = 10_000
@@ -224,6 +224,8 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
         _check_int(args.seed, "--seed", 0)
         if args.mode == "eigmax" and given:  # a top eigenvalue runs no seeded search
             raise DomainError(f"oracle eigmax does not read {', '.join(given)}")
+        if args.mode == "bisep-max" and args.n <= DENSE_QUBIT_LIMIT:  # past it the operator is refused first
+            _check_bisep_qubits(args.n)
     if hasattr(args, "tol"):
         args.tol = _parse_tolerances(args.tol)
     if hasattr(args, "grid"):

@@ -45,10 +45,10 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ROOT_XTOL, SOUNDNESS_TOL, SYMMETRIC_QUBIT_LIMIT, SYMMETRY_ATOL, Tolerances
 from .errors import (DomainError, InvariantViolationError, _check_bloch, _check_int, _check_real,
                      _check_sequence, _check_type)
-from .operators import HermitianOperator, QuadraticForm, collective_operator, expectation
 from .oracle import BlochProduct, OptimizationResult
-from .states import (_STATE_TYPES, DensityMatrix, Mixture, PureState, SymmetricState, _dicke_amplitudes,
-                     dicke_state, moments, psixy_noise_mix, white_noise_mix)
+from .states import (_STATE_TYPES, DensityMatrix, HermitianOperator, Mixture, PureState, QuadraticForm, SymmetricState,
+                     _dicke_amplitudes, collective_operator, dicke_state, expectation, moments, psixy_noise_mix,
+                     white_noise_mix)
 
 CRITERION_KINDS = ("theorem2", "variance", "symmetric_jz", "crit2", "genuine3", "genuine4", "fidelity")
 _NOISE_FAMILIES = ("white", "psixy")

@@ -19,16 +19,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
 from .config import CONVERGENCE_TOL, DEFAULT_RESTARTS
 from .errors import DomainError, InvariantViolationError, _check_bloch, _check_int, _check_type
-from .operators import AXES, PAULI, HermitianOperator
 from .states import (
+    AXES,
+    PAULI,
     Bipartition,
     DensityMatrix,
+    HermitianOperator,
     PureState,
     _check_qubit_count,
     assemble_bipartite,
@@ -114,7 +116,10 @@ def _as_matrix(op) -> tuple[np.ndarray, int]:
 def max_eigenvalue(op: HermitianOperator) -> float:
     """Largest eigenvalue of a Hermitian operator (dense solver)."""
     mat, _n = _as_matrix(op)
-    return float(np.linalg.eigvalsh(mat)[-1])
+    top = float(np.linalg.eigvalsh(mat)[-1])
+    if not isfinite(top):
+        raise DomainError(f"the top eigenvalue of a {len(mat)}-dimensional operator leaves the float range")
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +321,12 @@ def _bisep_sweep(w_l: np.ndarray, w_k: np.ndarray, factors: list[np.ndarray]) ->
     return value
 
 
+def _check_bisep_qubits(n: int) -> None:
+    """Refuse more qubits than a biseparable search takes, before its 4^N operator is built."""
+    if n > _BISEP_QUBIT_LIMIT:
+        raise DomainError(f"n = {n} exceeds the biseparable-search limit of {_BISEP_QUBIT_LIMIT}")
+
+
 def maximize_over_biseparable(
     op: HermitianOperator,
     *,
@@ -333,8 +344,7 @@ def maximize_over_biseparable(
     mat, n = search.mat, search.n
     if n < 2:
         raise DomainError("biseparable maximization needs at least two qubits")
-    if n > _BISEP_QUBIT_LIMIT:
-        raise DomainError(f"n = {n} exceeds the biseparable-search limit of {_BISEP_QUBIT_LIMIT}")
+    _check_bisep_qubits(n)
 
     tensor = mat.reshape([2] * (2 * n))
     for split in _bipartitions(n, _is_permutation_invariant(mat, n)):

@@ -34,7 +34,6 @@ from .collective import (
     theorem3_operators,
     ti_objective,
 )
-from .operators import HermitianOperator, QuadraticForm, collective_operator, expectation
 from .oracle import (
     max_biseparable_overlap,
     max_eigenvalue,
@@ -43,7 +42,8 @@ from .oracle import (
     sample_random_states,
     verify_appendix_inequality,
 )
-from .states import PureState, dicke_state, dicke_symmetric, psixy_noise_mix
+from .states import (HermitianOperator, PureState, QuadraticForm, collective_operator, dicke_state, dicke_symmetric,
+                     expectation, psixy_noise_mix)
 
 _XY = QuadraticForm(a=(1.0, 1.0, 0.0))
 

@@ -249,6 +249,9 @@ def test_a_psixy_phase_whose_multiple_leaves_the_float_range_is_refused(n, phi):
 
 # a valid state and argument whose result leaves the float range: refused like lemma1_bound's closed form
 _HUGE = dk.QuadraticForm(a=(1e308, 0, 0))
+_HUGE_OP = dk.HermitianOperator(np.full((2, 2), 1e308))
+_PLUS = dk.product_state([[1, 1]])
+_HUGE_OP_MESSAGE = "a 2-dimensional HermitianOperator on 1 qubits leaves the float range of the expectation"
 
 
 @pytest.mark.filterwarnings("error")
@@ -260,10 +263,21 @@ _HUGE = dk.QuadraticForm(a=(1e308, 0, 0))
      f"{_HUGE} on 4 qubits leaves the float range of the expectation"),
     (lambda: dk.superradiance_intensity(dk.dicke_symmetric(10 ** 4, 5000), i0=1e308),
      "i0 = 1e+308 on 10000 qubits leaves the float range of the intensity"),
-], ids=["expectation-symmetric", "expectation-dense", "expectation-mixture", "superradiance_intensity"])
+    (lambda: dk.expectation(_PLUS, _HUGE_OP), _HUGE_OP_MESSAGE),
+    (lambda: dk.expectation(_PLUS.to_density(), _HUGE_OP), _HUGE_OP_MESSAGE),
+    (lambda: dk.expectation(dk.white_noise_mix(_PLUS, 0.5), _HUGE_OP), _HUGE_OP_MESSAGE),
+    (lambda: dk.max_eigenvalue(_HUGE_OP), "the top eigenvalue of a 2-dimensional operator leaves the float range"),
+], ids=["expectation-symmetric", "expectation-dense", "expectation-mixture", "superradiance_intensity",
+        "operator-pure", "operator-density", "operator-mixture", "max_eigenvalue"])
 def test_a_result_beyond_the_float_range_is_refused(call, message):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
         call()
+
+
+def test_an_operator_past_the_float_range_in_sum_but_not_in_eigenvalue_is_kept():
+    # the entries of 1e307 J_x^2 on 4 qubits sum past the float range, its top eigenvalue 4e307 does not
+    op = dk.collective_operator(4, dk.QuadraticForm(a=(1e307, 0, 0)))
+    assert dk.max_eigenvalue(op) == pytest.approx(4e307)
 
 
 # argument: (call feeding it something that is not a sequence, start of the refusal)

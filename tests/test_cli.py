@@ -424,20 +424,23 @@ def test_selftest_reports_the_known_red_criterion(capsys, monkeypatch):
     assert "0/1 criteria passed" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ("oracle", "product-max", "--n", "3", "--restarts", str(cli.MAX_RESTARTS + 1)),
-    ("oracle", "bisep-max", "--n", "3", "--restarts", "0"),
-    ("sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", f"0:1:{cli.MAX_GRID_STEPS + 1}"),
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "product-max", "--n", "3", "--restarts", str(cli.MAX_RESTARTS + 1)),
+     f"--restarts must be an integer in [1, {cli.MAX_RESTARTS}]"),
+    (("oracle", "bisep-max", "--n", "3", "--restarts", "0"),
+     f"--restarts must be an integer in [1, {cli.MAX_RESTARTS}]"),
+    (("sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", f"0:1:{cli.MAX_GRID_STEPS + 1}"),
+     f"grid steps must be an integer in [2, {cli.MAX_GRID_STEPS}]"),
+    (("oracle", "bisep-max", "--n", "9"), "n = 9 exceeds the biseparable-search limit of 8"),
 ])
-def test_sizes_past_their_caps_exit_2_before_any_work(capsys, monkeypatch, argv):
+def test_sizes_past_their_caps_exit_2_before_any_work(capsys, monkeypatch, argv, message):
     def refuse(_config):
         raise AssertionError("a capped size reached the command")
 
     monkeypatch.setattr(cli, "run", refuse)
     status, out, err = run_cli(capsys, *argv)
     assert status == 2 and out == ""
-    assert (f"--restarts must be an integer in [1, {cli.MAX_RESTARTS}]" in err
-            or f"grid steps must be an integer in [2, {cli.MAX_GRID_STEPS}]" in err)
+    assert message in err
 
 
 def test_sizes_at_their_caps_parse():
@@ -474,9 +477,11 @@ def test_seed_and_grid_ranges_exit_2_before_any_work(capsys, monkeypatch, argv):
     (("bound", "--n", "3", "--a", "1,x,2"), "--a: could not convert string to float: 'x'"),
     (("sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", "a:1:3"),
      "grid: could not convert string to float: 'a'"),
+    (("sweep-noise", "--n", "4", "--criterion", "theorem2", "--grid", "0:1"),
+     "grid must look like start:stop:steps, got '0:1'"),
     (("witness", "--n", "4", "--tolerance", "detection_tolerance=x"),
      "tolerance detection_tolerance: could not convert string to float: 'x'"),
-], ids=["a-two-numbers", "a-not-a-number", "grid-not-a-number", "tolerance-not-a-number"])
+], ids=["a-two-numbers", "a-not-a-number", "grid-not-a-number", "grid-two-parts", "tolerance-not-a-number"])
 def test_unparsable_numbers_exit_2_before_any_work(capsys, monkeypatch, argv, message):
     def refuse(_config):
         raise AssertionError("an unparsable number reached the command")

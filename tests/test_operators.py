@@ -88,7 +88,7 @@ def test_density_expectation_builds_no_collective_operator(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("expectation assembled a collective operator")
 
-    monkeypatch.setattr(dk.operators, "collective_operator", forbidden)
+    monkeypatch.setattr(dk.states, "collective_operator", forbidden)
     direct = [dk.expectation(rho, op) for op in (form, "x", "y", "z")]
     assert direct == pytest.approx(assembled, abs=1e-12)
 

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from math import sqrt
+from math import atan, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -364,7 +364,7 @@ def test_oracles_import_no_closed_form_module():
     imported = set()
     for module, names in _imports(oracle):
         imported.update(module.split("."), names)
-    assert {"config", "errors", "operators", "states"} <= imported
+    assert {"config", "errors", "states"} <= imported
     assert "collective" not in imported
 
 
@@ -390,6 +390,17 @@ def test_root_finder_raises_at_its_step_cap():
 
     with pytest.raises(dk.InvariantViolationError, match="did not converge"):
         collective._safeguarded_root(slow, 0.0, 1.0, 0.9)
+
+
+def test_root_finder_bisects_a_newton_step_that_leaves_the_bracket():
+    points = []
+
+    def steep(x):  # from 0.9 Newton steps to -1.354, so the bracket's midpoint 0.45 is taken
+        points.append(x)
+        return atan(10.0 * (x - 0.5)), 10.0 / (1.0 + (10.0 * (x - 0.5)) ** 2)
+
+    assert collective._safeguarded_root(steep, 0.0, 1.0, 0.9) == pytest.approx(0.5, abs=1e-12)
+    assert points[:2] == [0.9, 0.45]
 
 
 def test_ti_and_product_routes_agree():

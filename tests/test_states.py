@@ -207,7 +207,7 @@ def test_noise_mixtures_build_no_dense_matrix(monkeypatch):
         raise AssertionError("dense path called on a noise mixture")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    monkeypatch.setattr(dk.operators, "collective_operator", forbidden)
+    monkeypatch.setattr(dk.states, "collective_operator", forbidden)
     monkeypatch.setattr(dk.states, "DensityMatrix", forbidden)
     monkeypatch.setattr(np, "outer", forbidden)
     for rho in (dk.white_noise_mix(dk.dicke_state(6, 3), 0.2), dk.psixy_noise_mix(6, 0.2, 0.3),

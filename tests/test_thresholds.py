@@ -135,6 +135,13 @@ def test_margin_crossing_finds_the_root(margin, root, most):
     assert len(calls) <= most
 
 
+def test_margin_crossing_bisects_a_secant_step_that_leaves_the_bracket():
+    # from 0.125 the secant through (0, -0.5) steps to 8.0, so the bracket's midpoint 0.5625 is taken
+    counted, calls = _counted(lambda p: 0.5 - 4.0 * p ** 3)
+    assert _margin_crossing(counted) == pytest.approx(0.5, abs=1e-12)
+    assert calls[2:4] == [0.125, 0.5625]
+
+
 @pytest.mark.parametrize("at_one", [0.0, 1e-12, SOUNDNESS_TOL])
 def test_margin_crossing_at_the_endpoint(at_one):
     counted, calls = _counted(lambda p: (1.0 - p) + at_one * p)
