@@ -2,7 +2,8 @@
 
 Every closed-form bound in ``collective`` has an independent route through
 this module, which imports nothing from it: dense eigensolving, alternating
-exact updates over product or biseparable pure states, a Schmidt-coefficient
+exact updates over product states (closed-form Bloch vectors on the
+operator's Pauli coefficients) or biseparable pure states, a Schmidt-coefficient
 sweep over every bipartition of a pure target, and the overlap bound's
 appendix inequality enumerated in exact integers.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from math import comb, isfinite
+from math import comb, frexp, isfinite, ldexp
 
 import numpy as np
 
@@ -139,6 +140,14 @@ def _outer_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
 
 
+def _kron_rows(factors: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of the m vectors in each row of a stack ``(R, m, d)``."""
+    out = factors[:, 0]
+    for k in range(1, factors.shape[1]):
+        out = _outer_rows(out, factors[:, k])
+    return out
+
+
 def _top_eigvecs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest eigenvalue and its eigenvector for each matrix of a stack."""
     vals, vecs = np.linalg.eigh(h)
@@ -162,7 +171,8 @@ def _lockstep(sweep, factors: list[np.ndarray], scale: float):
     rows = []
     active = np.arange(count)
     for _sweep in range(_SWEEP_CAP):
-        part = [f[active] for f in factors]
+        whole = active.size == count  # then the sweep updates the factors in place
+        part = factors if whole else [f[active] for f in factors]
         new = sweep(part)
         old = values[active]
         if np.any(new < old - 1e-9 * np.maximum(scale, np.abs(old))):
@@ -170,8 +180,9 @@ def _lockstep(sweep, factors: list[np.ndarray], scale: float):
             raise InvariantViolationError(
                 f"alternating update decreased the objective: {old[worst]} -> {new[worst]}"
             )
-        for f, p in zip(factors, part):
-            f[active] = p
+        if not whole:
+            for f, p in zip(factors, part):
+                f[active] = p
         values[active] = new
         sweeps[active] += 1
         rows.append(values.copy())
@@ -186,11 +197,15 @@ def _lockstep(sweep, factors: list[np.ndarray], scale: float):
 class _Search:
     """Runs seeded restarts on one operator in bounded chunks and keeps the first best one."""
 
-    def __init__(self, restarts: int, seed: int, op):
+    def __init__(self, restarts: int, seed: int, op, scaled: bool = False):
         self.restarts = _check_int(restarts, "restarts", 1)
         self.seed = _check_int(seed, "seed", 0)
         self.mat, self.n = _as_matrix(op)
-        self.scale = float(np.abs(self.mat).max())  # so a search on c op steps as the one on op
+        # a scaled search runs in units of 2^exponent, which bring the largest real or
+        # imaginary part of an entry into [1/2, 1); scale, the largest |entry| in those
+        # units, sets the stopping gain, so a search on c op steps as the one on op
+        self.exponent = frexp(float(np.abs(self.mat.view(float)).max()))[1] if scaled else 0
+        self.scale = ldexp(float(np.abs(self.mat).max()), -self.exponent)
         self.values: list[float] = []
         self.sweeps: list[int] = []
         # the best restart so far: value, factors, split label, convergence, history
@@ -216,35 +231,80 @@ class _Search:
                 self.history = tuple(float(row[i]) for row in rows[: sweeps[i]])
 
     def result(self, argument) -> OptimizationResult:
+        """The result in the operator's units; refused if any value leaves the float range."""
+        with np.errstate(over="ignore"):  # refused below
+            values, history = (np.ldexp(x, self.exponent) for x in (self.values, self.history))
+        if not (np.isfinite(values).all() and np.isfinite(history).all()):
+            raise DomainError(f"a search on a {len(self.mat)}-dimensional operator leaves the float range")
         return OptimizationResult(
-            self.value, argument, sweeps=tuple(self.sweeps),
-            converged=self.converged, history=self.history, values=tuple(self.values),
+            float(np.ldexp(self.value, self.exponent)), argument, sweeps=tuple(self.sweeps),
+            converged=self.converged, history=tuple(history.tolist()), values=tuple(values.tolist()),
         )
 
 
 # ---------------------------------------------------------------------------
-# product-state maximization (alternating exact single-qubit updates)
+# product-state maximization (closed-form Bloch updates on the Pauli tensor)
 # ---------------------------------------------------------------------------
 
-def _product_sweep(mat: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """One cyclic sweep over a stack of product states ``(R, n, 2)``: each
-    qubit is set to the top eigenvector of its 2x2 effective operator
-    B^H mat B, with B = pre (x) 1 (x) suffix, all other qubits fixed.
-    Monotone by construction; returns the value after the last qubit."""
-    (qubits,) = factors
-    count, n, _ = qubits.shape
-    suffixes = [np.ones((count, 1), dtype=complex)]  # suffixes[j]: last j qubits
-    for k in range(n - 1, 0, -1):
-        suffixes.append(_outer_rows(qubits[:, k], suffixes[-1]))
-    pre = suffixes[0]
+_LABELS = np.stack([np.eye(2), *(PAULI[a] for a in AXES)])  # the Pauli labels 1, x, y, z, in that order
+# row a maps one qubit's entries X[i, j], column 2i + j, to (Re - Im) Tr(sigma_a X) / 2 for a real X
+_PAULI_MAP = (_LABELS.real - _LABELS.imag).transpose(0, 2, 1).reshape(4, 4) / 2
+_Y_SIGN = np.array([1.0, 1.0, -1.0, 1.0])  # (-1)^(is the label y)
+
+
+def _pauli_tensor(mat: np.ndarray, n: int, e: int) -> np.ndarray:
+    """The real Pauli coefficients c_P = Tr(P mat) / 2^N of a Hermitian
+    ``mat``, times 2^-e, flat: the base-4 digits of an index, qubit 1 first,
+    are the labels 1, x, y, z of P.
+
+    Q = Re mat + Im mat holds mat whole: its real part is symmetric and its
+    imaginary part antisymmetric, like the strings with an even and an odd
+    number n_y of labels y.  So one pass of ``_PAULI_MAP`` per qubit, which
+    moves that qubit's new label last, reads each c_P from Q up to the sign
+    (-1)^(n_y (n_y - 1) / 2): each y takes the parity of the y's before it.
+    """
+    pairs = mat.reshape([2] * (2 * n)).transpose([axis for k in range(n) for axis in (k, n + k)])
+    q = np.ldexp(pairs.real, -e, out=np.empty(pairs.shape))
+    q += np.ldexp(pairs.imag, -e)
+    parity = np.ones(1)  # over the labels made so far
     for k in range(n):
-        env = pre[:, :, None] * suffixes[n - 1 - k][:, None, :]  # (R, 2^k, 2^(n-k-1))
-        basis = np.zeros((env.shape[1], 2, env.shape[2], count, 2), dtype=complex)
-        basis[:, 0, :, :, 0] = basis[:, 1, :, :, 1] = env.transpose(1, 2, 0)
-        image = (mat @ basis.reshape(mat.shape[0], 2 * count)).reshape(basis.shape)
-        value, qubits[:, k] = _top_eigvecs(np.einsum("rij,isjrt->rst", env.conj(), image))
-        pre = _outer_rows(pre, qubits[:, k])
-    return value
+        q = q.reshape(4, -1).T @ _PAULI_MAP.T
+        q.reshape(-1, 4 ** k, 4)[:, :, 2] *= parity
+        parity = (parity[:, None] * _Y_SIGN).ravel()
+    return q.reshape(-1)
+
+
+def _pauli_rows(qubits: np.ndarray) -> np.ndarray:
+    """(1, <sigma_x>, <sigma_y>, <sigma_z>) = (1, 2 s) for each unit qubit vector of a stack."""
+    t = np.einsum("...i,aij,...j->...a", qubits.conj(), _LABELS, qubits).real
+    t[..., 0] = 1.0
+    return t
+
+
+def _sweep_span(env: np.ndarray, t: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Set qubits lo..hi-1 of the stack ``t`` (R, N, 4) of rows (1, 2s) in
+    turn to their best Bloch vectors s; return the objective after the last.
+
+    ``env`` is the Pauli tensor contracted with every qubit outside the span:
+    flat at the top, one row per restart below.  The first half of the span
+    is swept against env contracted with the second half, then the second
+    against env contracted with the updated first.  For one qubit env is
+    (g_0, v), and g_0 + v . 2s is largest at s = v / 2|v|, where it is
+    g_0 + |v|; v = 0 leaves s as it is.
+    """
+    if hi - lo == 1:
+        g = env if env.ndim == 2 else np.tile(env, (len(t), 1))  # N = 1: the tensor is g itself
+        v = g[:, 1:]
+        norm = np.sqrt(np.vecdot(v, v))
+        np.divide(v, norm[:, None], out=t[:, lo, 1:], where=norm[:, None] > 0)
+        return g[:, 0] + norm
+    mid = (lo + hi) // 2
+    split = env.reshape(*env.shape[:-1], 4 ** (mid - lo), 4 ** (hi - mid))
+    if env.ndim == 1:  # one tensor for every restart: two well-shaped matrix products
+        _sweep_span(_kron_rows(t[:, mid:hi]) @ split.T, t, lo, mid)
+        return _sweep_span(_kron_rows(t[:, lo:mid]) @ split, t, mid, hi)
+    _sweep_span(np.vecdot(split, _kron_rows(t[:, mid:hi])[:, None, :]), t, lo, mid)
+    return _sweep_span(np.vecdot(split, _kron_rows(t[:, lo:mid])[:, :, None], axis=1), t, mid, hi)
 
 
 def maximize_over_product_states(
@@ -255,13 +315,18 @@ def maximize_over_product_states(
 ) -> OptimizationResult:
     """Best <psi_1 (x) ... (x) psi_N | op | psi_1 (x) ... (x) psi_N> found from
     seeded Haar-random starts followed by cyclic exact single-qubit updates,
-    all restarts stepped in lockstep."""
-    search = _Search(restarts, seed, op)
-    mat, n = search.mat, search.n
-    search.run(lambda rng: (_haar_rows(rng, n, 2),), partial(_product_sweep, mat))
-    (qubits,) = search.factors
-    bloch = np.array([[float(np.vdot(q, PAULI[a] @ q).real) / 2.0 for a in AXES] for q in qubits])
-    return search.result(BlochProduct(bloch))
+    all restarts stepped in lockstep.
+
+    The search runs on op's Pauli coefficients (``_pauli_tensor``), in units
+    that bring op's largest real or imaginary part into [1/2, 1), and on one
+    Bloch vector per qubit, each set to its best given the others in closed
+    form (``_sweep_span``).  A value beyond the float range is refused."""
+    search = _Search(restarts, seed, op, scaled=True)
+    n = search.n
+    tensor = _pauli_tensor(search.mat, n, search.exponent)
+    search.run(lambda rng: (_pauli_rows(_haar_rows(rng, n, 2)),), lambda part: _sweep_span(tensor, *part, 0, n))
+    (t,) = search.factors
+    return search.result(BlochProduct(t[:, 1:] / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +507,7 @@ def _pure_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 
 
 def _product_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    qubits = _haar_rows(rng, size * n, 2).reshape(size, n, 2)
-    amps = qubits[:, 0]
-    for k in range(1, n):
-        amps = _outer_rows(amps, qubits[:, k])
+    amps = _kron_rows(_haar_rows(rng, size * n, 2).reshape(size, n, 2))
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 

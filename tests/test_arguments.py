@@ -274,6 +274,29 @@ def test_a_result_beyond_the_float_range_is_refused(call, message):
         call()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fill, expected", [(1e300, 4e300), (1e308, None), (1.7e308, None)],
+                         ids=["1e300", "1e308", "1.7e308"])
+def test_the_product_search_keeps_to_the_float_range(fill, expected):
+    # the all-F operator on two qubits has product maximum 4F; it runs in units that keep
+    # every step finite, so the answer is returned whenever it is a float itself
+    op = dk.HermitianOperator(np.full((4, 4), fill))
+    if expected is None:
+        with pytest.raises(dk.DomainError, match="a search on a 4-dimensional operator leaves the float range"):
+            dk.maximize_over_product_states(op, restarts=2, seed=1)
+    else:
+        assert dk.maximize_over_product_states(op, restarts=2, seed=1).value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mixture", [dk.Mixture((dk.product_state([[1, 0]]),), (1.0,)),
+                                     dk.white_noise_mix(dk.product_state([[1, 0]]), 0.5)],
+                         ids=["no-identity-share", "half-identity"])
+def test_a_mixture_expectation_in_range_is_kept_whatever_its_trace(mixture):
+    # Tr(op) = 2e308 leaves the float range; Tr(op)/2^N = 1e308 and the answer do not
+    assert dk.expectation(mixture, dk.HermitianOperator(np.diag([1e308, 1e308]))) == 1e308
+
+
 def test_an_operator_past_the_float_range_in_sum_but_not_in_eigenvalue_is_kept():
     # the entries of 1e307 J_x^2 on 4 qubits sum past the float range, its top eigenvalue 4e307 does not
     op = dk.collective_operator(4, dk.QuadraticForm(a=(1e307, 0, 0)))

@@ -474,6 +474,54 @@ def test_product_max_scales_with_the_operator():
         assert result.sweeps == results[1].sweeps
 
 
+def _random_operator(n, seed):
+    """A random Hermitian operator on n qubits that no qubit transposition leaves unchanged."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    op = dk.HermitianOperator(a + a.conj().T)
+    assert n == 1 or not oracle._is_permutation_invariant(op.matrix, n)
+    return op
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_pauli_tensor_gives_the_expectation_of_a_product_state(n):
+    # the package's sigma_x and sigma_z have the opposite sign to the textbook ones:
+    # a tensor built from the textbook matrices fails here for every n
+    op = _random_operator(n, 40 + n)
+    tensor = oracle._pauli_tensor(op.matrix, n, 0)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        s = rng.normal(size=(n, 3))
+        s /= 2 * np.linalg.norm(s, axis=1, keepdims=True)
+        kron = np.ones(1)
+        for bloch in s:
+            kron = np.kron(kron, np.concatenate([[1.0], 2 * bloch]))
+        expected = dk.expectation(oracle.BlochProduct(s).to_state(), op)
+        assert abs(tensor @ kron - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_product_maximum_is_attained_by_its_argument(n):
+    op = _random_operator(n, 50 + n)
+    result = dk.maximize_over_product_states(op, restarts=8, seed=n)
+    attained = dk.expectation(result.argument.to_state(), op)
+    assert abs(attained - result.value) <= 1e-12 * max(1.0, abs(result.value))
+    assert result.value <= dk.max_eigenvalue(op) + 1e-12 * abs(result.value)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_a_power_of_two_scales_the_product_search_exactly(k):
+    op = _random_operator(4, 60)
+    base = dk.maximize_over_product_states(op, restarts=8, seed=1)
+    scaled = dk.maximize_over_product_states(dk.HermitianOperator(np.ldexp(op.matrix.real, k) + 1j * np.ldexp(op.matrix.imag, k)),
+                                             restarts=8, seed=1)
+    assert scaled.value == np.ldexp(base.value, k)
+    assert scaled.values == tuple(np.ldexp(base.values, k))
+    assert scaled.history == tuple(np.ldexp(base.history, k))
+    assert scaled.sweeps == base.sweeps
+    assert np.array_equal(scaled.argument.vectors, base.argument.vectors)
+
+
 def test_a_search_result_holds_no_echo_of_its_arguments():
     names = {f.name for f in dataclasses.fields(dk.OptimizationResult)}
     assert names == {"value", "argument", "sweeps", "converged", "history", "values"}
