@@ -513,8 +513,8 @@ def test_the_product_maximum_is_attained_by_its_argument(n):
 def test_a_power_of_two_scales_the_product_search_exactly(k):
     op = _random_operator(4, 60)
     base = dk.maximize_over_product_states(op, restarts=8, seed=1)
-    scaled = dk.maximize_over_product_states(dk.HermitianOperator(np.ldexp(op.matrix.real, k) + 1j * np.ldexp(op.matrix.imag, k)),
-                                             restarts=8, seed=1)
+    scaled_op = dk.HermitianOperator(np.ldexp(op.matrix.real, k) + 1j * np.ldexp(op.matrix.imag, k))
+    scaled = dk.maximize_over_product_states(scaled_op, restarts=8, seed=1)
     assert scaled.value == np.ldexp(base.value, k)
     assert scaled.values == tuple(np.ldexp(base.values, k))
     assert scaled.history == tuple(np.ldexp(base.history, k))
