@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from math import comb, frexp, isfinite, ldexp
+from math import comb, frexp, isfinite
 
 import numpy as np
 
@@ -197,15 +197,18 @@ def _lockstep(sweep, factors: list[np.ndarray], scale: float):
 class _Search:
     """Runs seeded restarts on one operator in bounded chunks and keeps the first best one."""
 
-    def __init__(self, restarts: int, seed: int, op, scaled: bool = False):
+    def __init__(self, restarts: int, seed: int, op):
         self.restarts = _check_int(restarts, "restarts", 1)
         self.seed = _check_int(seed, "seed", 0)
-        self.mat, self.n = _as_matrix(op)
-        # a scaled search runs in units of 2^exponent, which bring the largest real or
+        mat, self.n = _as_matrix(op)
+        # the search runs on mat in units of 2^exponent, which bring the largest real or
         # imaginary part of an entry into [1/2, 1); scale, the largest |entry| in those
-        # units, sets the stopping gain, so a search on c op steps as the one on op
-        self.exponent = frexp(float(np.abs(self.mat.view(float)).max()))[1] if scaled else 0
-        self.scale = ldexp(float(np.abs(self.mat).max()), -self.exponent)
+        # units, sets the stopping gain, so a search on 2^k op steps as the one on op
+        self.exponent = frexp(max(float(np.abs(mat.real).max()), float(np.abs(mat.imag).max())))[1]
+        self.mat = np.empty(mat.shape, complex)
+        np.ldexp(mat.real, -self.exponent, out=self.mat.real)
+        np.ldexp(mat.imag, -self.exponent, out=self.mat.imag)
+        self.scale = float(np.abs(self.mat).max())
         self.values: list[float] = []
         self.sweeps: list[int] = []
         # the best restart so far: value, factors, split label, convergence, history
@@ -252,10 +255,10 @@ _PAULI_MAP = (_LABELS.real - _LABELS.imag).transpose(0, 2, 1).reshape(4, 4) / 2
 _Y_SIGN = np.array([1.0, 1.0, -1.0, 1.0])  # (-1)^(is the label y)
 
 
-def _pauli_tensor(mat: np.ndarray, n: int, e: int) -> np.ndarray:
+def _pauli_tensor(mat: np.ndarray, n: int) -> np.ndarray:
     """The real Pauli coefficients c_P = Tr(P mat) / 2^N of a Hermitian
-    ``mat``, times 2^-e, flat: the base-4 digits of an index, qubit 1 first,
-    are the labels 1, x, y, z of P.
+    ``mat``, flat: the base-4 digits of an index, qubit 1 first, are the
+    labels 1, x, y, z of P.
 
     Q = Re mat + Im mat holds mat whole: its real part is symmetric and its
     imaginary part antisymmetric, like the strings with an even and an odd
@@ -264,8 +267,7 @@ def _pauli_tensor(mat: np.ndarray, n: int, e: int) -> np.ndarray:
     (-1)^(n_y (n_y - 1) / 2): each y takes the parity of the y's before it.
     """
     pairs = mat.reshape([2] * (2 * n)).transpose([axis for k in range(n) for axis in (k, n + k)])
-    q = np.ldexp(pairs.real, -e, out=np.empty(pairs.shape))
-    q += np.ldexp(pairs.imag, -e)
+    q = pairs.real + pairs.imag
     parity = np.ones(1)  # over the labels made so far
     for k in range(n):
         q = q.reshape(4, -1).T @ _PAULI_MAP.T
@@ -321,9 +323,9 @@ def maximize_over_product_states(
     that bring op's largest real or imaginary part into [1/2, 1), and on one
     Bloch vector per qubit, each set to its best given the others in closed
     form (``_sweep_span``).  A value beyond the float range is refused."""
-    search = _Search(restarts, seed, op, scaled=True)
+    search = _Search(restarts, seed, op)
     n = search.n
-    tensor = _pauli_tensor(search.mat, n, search.exponent)
+    tensor = _pauli_tensor(search.mat, n)
     search.run(lambda rng: (_pauli_rows(_haar_rows(rng, n, 2)),), lambda part: _sweep_span(tensor, *part, 0, n))
     (t,) = search.factors
     return search.result(BlochProduct(t[:, 1:] / 2))
@@ -404,6 +406,8 @@ def maximize_over_biseparable(
     (exact alternating maximization) from seeded Haar-random starts, all
     restarts of a split stepped in lockstep.  When every qubit transposition
     leaves the operator exactly unchanged, only split sizes are enumerated.
+    The search runs in the product search's units; a value beyond the float
+    range is refused.
     """
     search = _Search(restarts, seed, op)
     mat, n = search.mat, search.n

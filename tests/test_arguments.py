@@ -274,18 +274,27 @@ def test_a_result_beyond_the_float_range_is_refused(call, message):
         call()
 
 
+def _complex_pair(c):
+    """[[0, c], [c*, 0]] (x) [[1, 1], [1, 1]]: top eigenvalue 2|c|, attained by a product state."""
+    return np.kron([[0, c], [np.conj(c), 0]], np.ones((2, 2)))
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("fill, expected", [(1e300, 4e300), (1e308, None), (1.7e308, None)],
-                         ids=["1e300", "1e308", "1.7e308"])
-def test_the_product_search_keeps_to_the_float_range(fill, expected):
-    # the all-F operator on two qubits has product maximum 4F; it runs in units that keep
-    # every step finite, so the answer is returned whenever it is a float itself
-    op = dk.HermitianOperator(np.full((4, 4), fill))
+@pytest.mark.parametrize("search", [dk.maximize_over_product_states, dk.maximize_over_biseparable],
+                         ids=["product", "biseparable"])
+@pytest.mark.parametrize("matrix, expected", [
+    (np.full((4, 4), 1e300), 4e300), (np.full((4, 4), 1e308), None), (np.full((4, 4), 1.7e308), None),
+    (_complex_pair(1e300 + 1e300j), 2 * np.sqrt(2) * 1e300), (_complex_pair(1.5e308 + 1.5e308j), None),
+], ids=["1e300", "1e308", "1.7e308", "complex-1e300", "complex-1.5e308"])
+def test_the_searches_keep_to_the_float_range(search, matrix, expected):
+    # the all-F operator on two qubits has product and biseparable maximum 4F; the searches
+    # run in units that keep every step finite, so the answer is returned whenever it is a float
+    op = dk.HermitianOperator(matrix)
     if expected is None:
         with pytest.raises(dk.DomainError, match="a search on a 4-dimensional operator leaves the float range"):
-            dk.maximize_over_product_states(op, restarts=2, seed=1)
+            search(op, restarts=2, seed=1)
     else:
-        assert dk.maximize_over_product_states(op, restarts=2, seed=1).value == pytest.approx(expected, rel=1e-12)
+        assert search(op, restarts=2, seed=1).value == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

@@ -488,7 +488,7 @@ def test_the_pauli_tensor_gives_the_expectation_of_a_product_state(n):
     # the package's sigma_x and sigma_z have the opposite sign to the textbook ones:
     # a tensor built from the textbook matrices fails here for every n
     op = _random_operator(n, 40 + n)
-    tensor = oracle._pauli_tensor(op.matrix, n, 0)
+    tensor = oracle._pauli_tensor(op.matrix, n)
     rng = np.random.default_rng(n)
     for _ in range(5):
         s = rng.normal(size=(n, 3))
@@ -509,17 +509,33 @@ def test_the_product_maximum_is_attained_by_its_argument(n):
     assert result.value <= dk.max_eigenvalue(op) + 1e-12 * abs(result.value)
 
 
+_SEARCHES = [dk.maximize_over_product_states, dk.maximize_over_biseparable]
+
+
+@pytest.mark.parametrize("search", _SEARCHES, ids=["product", "biseparable"])
 @pytest.mark.parametrize("k", [-600, 600])
-def test_a_power_of_two_scales_the_product_search_exactly(k):
+def test_a_power_of_two_scales_a_search_exactly(search, k):
     op = _random_operator(4, 60)
-    base = dk.maximize_over_product_states(op, restarts=8, seed=1)
-    scaled_op = dk.HermitianOperator(np.ldexp(op.matrix.real, k) + 1j * np.ldexp(op.matrix.imag, k))
-    scaled = dk.maximize_over_product_states(scaled_op, restarts=8, seed=1)
+    base = search(op, restarts=8, seed=1)
+    scaled = search(dk.HermitianOperator(np.ldexp(op.matrix.real, k) + 1j * np.ldexp(op.matrix.imag, k)),
+                    restarts=8, seed=1)
     assert scaled.value == np.ldexp(base.value, k)
     assert scaled.values == tuple(np.ldexp(base.values, k))
     assert scaled.history == tuple(np.ldexp(base.history, k))
     assert scaled.sweeps == base.sweeps
-    assert np.array_equal(scaled.argument.vectors, base.argument.vectors)
+    assert np.array_equal(scaled.argument.to_state().amplitudes, base.argument.to_state().amplitudes)
+
+
+@pytest.mark.parametrize("search", _SEARCHES, ids=["product", "biseparable"])
+def test_a_search_ignores_the_memory_order_of_its_operator(search):
+    # HermitianOperator keeps the order of the array it copies: here column-major
+    op = _random_operator(3, 70)
+    fortran = dk.HermitianOperator(np.asfortranarray(op.matrix))
+    assert fortran.matrix.flags.f_contiguous and not fortran.matrix.flags.c_contiguous
+    result, expected = search(fortran, restarts=4, seed=2), search(op, restarts=4, seed=2)
+    assert (result.value, result.values, result.history, result.sweeps) == \
+        (expected.value, expected.values, expected.history, expected.sweeps)
+    assert np.array_equal(result.argument.to_state().amplitudes, expected.argument.to_state().amplitudes)
 
 
 def test_a_search_result_holds_no_echo_of_its_arguments():
