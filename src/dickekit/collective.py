@@ -156,7 +156,9 @@ def _ti_maximum(form: QuadraticForm, n: int) -> OptimizationResult:
     # a subnormal beta on a top axis would put the root below the normal range
     # (the Newton slope overflows); flushing it moves the value by < 1e-307
     beta = [n * x if abs(n * x) >= _TINY else 0.0 for x in form.b]
-    if not isfinite(2.0 * (max(alpha) + hypot(*beta))):  # bounds every 2 (gap_l + mu) the solver forms
+    # bounds every 2 (gap_l + mu) the solver forms and each term of ti_objective: sum(a) N
+    # before its quarter, then at most max(alpha)/4 and |beta|/2 in modulus
+    if not isfinite(max(2.0 * (max(alpha) + hypot(*beta)), sum(form.a) * n)):
         raise DomainError(f"{form} on {n} qubits leaves the float range of the tensor-power solver")
     gaps = [max(alpha) - x for x in alpha]  # lambda - alpha_l = gap_l + mu, mu = lambda - max(alpha)
     mu = _secular_root(gaps, beta)

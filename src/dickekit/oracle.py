@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from math import comb, frexp, isfinite
+from math import comb, isfinite
 
 import numpy as np
 
@@ -201,10 +201,10 @@ class _Search:
         self.restarts = _check_int(restarts, "restarts", 1)
         self.seed = _check_int(seed, "seed", 0)
         mat, self.n = _as_matrix(op)
-        # the search runs on mat in units of 2^exponent, which bring the largest real or
+        # the search runs on mat in units of 2^op.exponent, which bring the largest real or
         # imaginary part of an entry into [1/2, 1); scale, the largest |entry| in those
         # units, sets the stopping gain, so a search on 2^k op steps as the one on op
-        self.exponent = frexp(max(float(np.abs(mat.real).max()), float(np.abs(mat.imag).max())))[1]
+        self.exponent = op.exponent
         self.mat = np.empty(mat.shape, complex)
         np.ldexp(mat.real, -self.exponent, out=self.mat.real)
         np.ldexp(mat.imag, -self.exponent, out=self.mat.imag)

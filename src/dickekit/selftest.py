@@ -2,13 +2,15 @@
 
 Each criterion function runs one battery (closed forms vs. independent numeric
 routes, soundness sweeps over seeded random states, noise thresholds by
-root-finding, backend equivalence) and returns a CheckResult with one detail line
-per sub-check.  ``run_all`` drives them; the CLI ``selftest`` subcommand and
-the acceptance test module are thin wrappers around it.
+root-finding, backend equivalence) and writes one detail line per sub-check;
+``_battery`` registers it once with its report name and budget.  ``run_all``
+drives them; the CLI ``selftest`` subcommand and the acceptance test module
+are thin wrappers around it.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from math import comb, sqrt
@@ -32,8 +34,10 @@ from .collective import (
     theorem2_bound,
     theorem3_eigenvalues,
     theorem3_operators,
+    theorem3_partition_bounds,
     ti_objective,
 )
+from .errors import _check_int
 from .oracle import (
     max_biseparable_overlap,
     max_eigenvalue,
@@ -88,18 +92,35 @@ def _check_converged(checks: _Checks, label: str, results) -> None:
                  f"searches (most sweeps by any restart {most})", short == 0)
 
 
-def _finish(number: int, name: str, checks: _Checks, t0: float, budget_s: float) -> CheckResult:
-    elapsed = time.perf_counter() - t0
-    checks.check(f"runtime {elapsed:.2f}s < {budget_s:g}s", elapsed < budget_s)
-    return CheckResult(number, name, checks.ok, elapsed, checks.details)
+ALL_CRITERIA: list = []  # the batteries in report order, each numbered by its place
+
+
+def _battery(name: str, budget_s: float):
+    """Register a battery ``fill(checks)`` as the next criterion: the registered
+    callable runs it on a fresh ``_Checks``, times it, checks the runtime
+    against ``budget_s`` last and returns the CheckResult."""
+    def register(fill):
+        number = len(ALL_CRITERIA) + 1
+
+        @functools.wraps(fill)
+        def criterion() -> CheckResult:
+            checks = _Checks()
+            t0 = time.perf_counter()
+            fill(checks)
+            elapsed = time.perf_counter() - t0
+            checks.check(f"runtime {elapsed:.2f}s < {budget_s:g}s", elapsed < budget_s)
+            return CheckResult(number, name, checks.ok, elapsed, checks.details)
+
+        ALL_CRITERIA.append(criterion)
+        return criterion
+    return register
 
 
 # ---------------------------------------------------------------------------
 
-def criterion_01_fidelity_bounds() -> CheckResult:
+@_battery("fidelity bounds: closed form vs SVD sweep", budget_s=3.0)
+def criterion_01_fidelity_bounds(c: _Checks) -> None:
     """Overlap bound N/(2(N-1)) by formula, exact enumeration, and SVD sweep."""
-    c = _Checks()
-    t0 = time.perf_counter()
     for n in (4, 6, 8):
         t_n = time.perf_counter()
         formula = n / (2.0 * (n - 1))
@@ -107,13 +128,11 @@ def criterion_01_fidelity_bounds() -> CheckResult:
         c.close(f"svd bound n={n}", max_biseparable_overlap(dicke_state(n, n // 2)), formula, 1e-10)
         per_n = time.perf_counter() - t_n
         c.check(f"n={n} computed in {per_n:.3f}s < 1s", per_n < 1.0)
-    return _finish(1, "fidelity bounds: closed form vs SVD sweep", c, t0, 3.0)
 
 
-def criterion_02_biseparable_overlap() -> CheckResult:
+@_battery("biseparable overlap of the |2,4> projector", budget_s=10.0)
+def criterion_02_biseparable_overlap(c: _Checks) -> None:
     """Biseparable optimizer on the half-excited Dicke projector hits 2/3."""
-    c = _Checks()
-    t0 = time.perf_counter()
     target = dicke_state(4, 2).amplitudes
     projector = HermitianOperator(np.outer(target, target.conj()))
     search = maximize_over_biseparable(projector, restarts=64, seed=0)
@@ -123,13 +142,11 @@ def criterion_02_biseparable_overlap() -> CheckResult:
         2.0 / 3.0 - 1e-3 <= value <= 2.0 / 3.0 + 1e-9,
     )
     _check_converged(c, "biseparable overlap search", [search])
-    return _finish(2, "biseparable overlap of the |2,4> projector", c, t0, 10.0)
 
 
-def criterion_03_separable_sharpness_soundness() -> CheckResult:
+@_battery("separable bound sharpness and soundness", budget_s=60.0)
+def criterion_03_separable_sharpness_soundness(c: _Checks) -> None:
     """Product optimizer attains the separable bound; no sample exceeds it."""
-    c = _Checks()
-    t0 = time.perf_counter()
     op4 = collective_operator(4, _XY)
     attained = maximize_over_product_states(op4, restarts=64, seed=0)
     c.close("product max of <Jx^2 + Jy^2> at n=4", attained.value, 5.0, 1e-6)
@@ -144,18 +161,19 @@ def criterion_03_separable_sharpness_soundness() -> CheckResult:
             f"n={n}: worst of 10^4 product samples {worst:.12g} <= bound {bound:g} + 1e-9",
             worst <= bound + 1e-9,
         )
-    return _finish(3, "separable bound sharpness and soundness", c, t0, 60.0)
 
 
-def criterion_04_genuine_multipartite_bounds() -> CheckResult:
+@_battery("genuine-multipartite bounds", budget_s=120.0)
+def criterion_04_genuine_multipartite_bounds(c: _Checks) -> None:
     """Biseparable maxima at 3 and 4 qubits, Dicke attainment, sample soundness."""
-    c = _Checks()
-    t0 = time.perf_counter()
     op3 = collective_operator(3, _XY)
     op4 = collective_operator(4, _XY)
     searches = [maximize_over_biseparable(op, restarts=64, seed=0) for op in (op3, op4)]
     c.close("biseparable max n=3", searches[0].value, GENUINE3_BOUND, 1e-6)
     c.close("biseparable max n=4", searches[1].value, GENUINE4_BOUND, 1e-6)
+    # the splits run in size order, so the n=4 restarts past the first 64 are its 2|2 ones
+    split22, cap = max(searches[1].values[64:]), theorem3_partition_bounds().split22_bound
+    c.check(f"n=4: best 2|2 restart {split22:.12g} <= Theorem 3 2|2 cap {cap:.12g} + 1e-9", split22 <= cap + 1e-9)
     _check_converged(c, "biseparable maxima at n=3, 4", searches)
     # Attainment.  Jx^2 + Jy^2 = J^2 - Jz^2, and for odd N every state has
     # <Jz^2> >= 1/4, so the three-qubit spectrum tops out at
@@ -175,13 +193,11 @@ def criterion_04_genuine_multipartite_bounds() -> CheckResult:
             f"n={n}: worst of 10^4 biseparable samples {worst:.12g} <= bound {bound:.12g} + 1e-9",
             worst <= bound + 1e-9,
         )
-    return _finish(4, "genuine-multipartite bounds", c, t0, 120.0)
 
 
-def criterion_05_eigenvalue_formulas() -> CheckResult:
+@_battery("analytic eigenvalue families", budget_s=5.0)
+def criterion_05_eigenvalue_formulas(c: _Checks) -> None:
     """Analytic spectra match dense diagonalization; maxima confirmed."""
-    c = _Checks()
-    t0 = time.perf_counter()
     rng = np.random.default_rng(500)
     m1, m2, m3 = (op.matrix for op in lemma2_operators())
     worst = 0.0
@@ -215,13 +231,11 @@ def criterion_05_eigenvalue_formulas() -> CheckResult:
             lemma2_eigenvalues(best_dir).max(), sqrt(16.0 / 3.0), 1e-12)
     c.close("triple maximum at X=1",
             theorem3_eigenvalues(1.0).max(), 3.0 + 2.0 * sqrt(3.0), 1e-12)
-    return _finish(5, "analytic eigenvalue families", c, t0, 5.0)
 
 
-def criterion_06_noise_thresholds() -> CheckResult:
+@_battery("noise thresholds by root-finding", budget_s=10.0)
+def criterion_06_noise_thresholds(c: _Checks) -> None:
     """Root-finding on verdict margins reproduces every closed-form threshold."""
-    c = _Checks()
-    t0 = time.perf_counter()
     c.close("fidelity threshold n=4 (closed)", collective_noise_threshold(4, "fidelity"), 16.0 / 45.0, 1e-12)
     for kind, noise in _CLOSED_THRESHOLDS:
         for n in (4,) if kind == "genuine4" else (4, 6, 8):
@@ -233,26 +247,22 @@ def criterion_06_noise_thresholds() -> CheckResult:
         f"psixy noise at p = 0.999 still detected (margin {verdict.margin:.3g})",
         verdict.detected == "entangled",
     )
-    return _finish(6, "noise thresholds by root-finding", c, t0, 10.0)
 
 
-def criterion_07_appendix_combinatorics() -> CheckResult:
+@_battery("overlap-bound combinatorics, exact arithmetic", budget_s=1.0)
+def criterion_07_appendix_combinatorics(c: _Checks) -> None:
     """Exhaustive integer verification of the overlap-bound inequality."""
-    c = _Checks()
-    t0 = time.perf_counter()
     for n in range(4, 21, 2):
         report = verify_appendix_inequality(n)  # raises on any violation
         c.check(
             f"n={n}: argmax {report.argmax}, max {report.max_value} == 2 C({n - 2},{n // 2 - 1})",
             report.argmax == (2, 1) and report.max_value == 2 * comb(n - 2, n // 2 - 1),
         )
-    return _finish(7, "overlap-bound combinatorics, exact arithmetic", c, t0, 1.0)
 
 
-def criterion_08_pair_moment_bound() -> CheckResult:
+@_battery("two-qubit planar moment bound 16/3", budget_s=30.0)
+def criterion_08_pair_moment_bound(c: _Checks) -> None:
     """10^5 random two-qubit states obey the 16/3 bound; it is attainable."""
-    c = _Checks()
-    t0 = time.perf_counter()
     worst = -np.inf
     for rho in sample_random_states("density", 2, 100_000, seed=800):
         worst = max(worst, lemma2_vector_norm(rho))
@@ -264,14 +274,12 @@ def criterion_08_pair_moment_bound() -> CheckResult:
     attained = lemma2_vector_norm(PureState(2, vecs[:, -1]))
     c.check(f"optimal eigenstate attains {attained:.12g} >= 16/3 - 1e-6",
             attained >= 16.0 / 3.0 - 1e-6)
-    return _finish(8, "two-qubit planar moment bound 16/3", c, t0, 30.0)
 
 
-def criterion_09_separable_reduction() -> CheckResult:
+@_battery("separable maximization reduces to tensor powers", budget_s=120.0)
+def criterion_09_separable_reduction(c: _Checks) -> None:
     """Full product search agrees with the single-Bloch-vector search; the
     J^2-minimization counterexample shows the reduction is max-only."""
-    c = _Checks()
-    t0 = time.perf_counter()
     rng = np.random.default_rng(900)
     forms = []
     for i in range(20):
@@ -314,13 +322,11 @@ def criterion_09_separable_reduction() -> CheckResult:
     s1, s2 = res.argument.vectors
     c.check(f"optimal Bloch vectors anti-aligned (|s1 + s2| = {np.linalg.norm(s1 + s2):.3g})",
             np.linalg.norm(s1 + s2) <= 1e-4)
-    return _finish(9, "separable maximization reduces to tensor powers", c, t0, 120.0)
 
 
-def criterion_10_backends_and_superradiance() -> CheckResult:
+@_battery("backend equivalence and superradiant scaling", budget_s=5.0)
+def criterion_10_backends_and_superradiance(c: _Checks) -> None:
     """Dense and symmetric-sector backends agree; intensity scales as N^2/4."""
-    c = _Checks()
-    t0 = time.perf_counter()
     generic = QuadraticForm(a=(0.3, 1.1, 0.7), b=(0.2, -0.4, 0.9))
     probes = ["x", "y", "z", _XY, QuadraticForm(a=(1.0, 1.0, 1.0)), generic]
     worst = 0.0
@@ -338,30 +344,13 @@ def criterion_10_backends_and_superradiance() -> CheckResult:
         worst = max(worst, abs(intensity - (n / 2.0) * (n / 2.0 + 1.0)))
     c.check(f"superradiant scaling I/I0 = (N/2)(N/2+1) up to N=100: worst diff {worst:.3g}",
             worst <= 1e-10)
-    return _finish(10, "backend equivalence and superradiant scaling", c, t0, 5.0)
-
-
-ALL_CRITERIA = (
-    criterion_01_fidelity_bounds,
-    criterion_02_biseparable_overlap,
-    criterion_03_separable_sharpness_soundness,
-    criterion_04_genuine_multipartite_bounds,
-    criterion_05_eigenvalue_formulas,
-    criterion_06_noise_thresholds,
-    criterion_07_appendix_combinatorics,
-    criterion_08_pair_moment_bound,
-    criterion_09_separable_reduction,
-    criterion_10_backends_and_superradiance,
-)
 
 
 def run_all(only: int | None = None) -> list[CheckResult]:
-    results = []
-    for number, fn in enumerate(ALL_CRITERIA, start=1):
-        if only is not None and number != only:
-            continue
-        results.append(fn())
-    return results
+    """Every battery in order, or battery ``only`` (1 to len(ALL_CRITERIA)) alone."""
+    if only is None:
+        return [fn() for fn in ALL_CRITERIA]
+    return [ALL_CRITERIA[_check_int(only, "only", 1, len(ALL_CRITERIA)) - 1]()]
 
 
 def format_report(results: list[CheckResult], verbose: bool = False) -> str:

@@ -29,9 +29,9 @@ their dense matrices from the same row tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb, isfinite, sqrt
+from math import comb, frexp, isfinite, sqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -588,6 +588,9 @@ class HermitianOperator:
     """Dense Hermitian observable; its dimension is that of its square matrix."""
 
     matrix: np.ndarray
+    # the power-of-two exponent that brings the largest real or imaginary part of an entry
+    # into [1/2, 1): every entry's modulus is below sqrt(2) 2^exponent
+    exponent: int = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _check_numeric(self.matrix, "HermitianOperator matrix")
@@ -597,6 +600,8 @@ class HermitianOperator:
         _check_hermitian(mat, "HermitianOperator matrix")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        top = max(float(np.abs(mat.real).max(initial=0.0)), float(np.abs(mat.imag).max(initial=0.0)))
+        object.__setattr__(self, "exponent", frexp(top)[1])
 
     @property
     def dimension(self) -> int:
@@ -690,8 +695,12 @@ def expectation(state, op) -> float:
         raise DomainError("SymmetricState supports only collective forms and axis tags")
     elif state.dimension != op.dimension:
         raise DomainError(f"dimension mismatch: state dim {state.dimension}, operator dim {op.dimension}")
-    elif isinstance(state, PureState):
+    elif isinstance(state, PureState) and op.exponent + state.n_qubits < 1024:
+        # every partial sum is below sqrt(2) 2^(exponent + N) <= sqrt(2) 2^1023, a float
         value = float(np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real)
+    elif isinstance(state, PureState):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            value = float(np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real)
     else:
         value = float(np.einsum("ij,ji->", state.matrix, op.matrix).real)
     if not isfinite(value):

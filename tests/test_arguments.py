@@ -252,6 +252,10 @@ _HUGE = dk.QuadraticForm(a=(1e308, 0, 0))
 _HUGE_OP = dk.HermitianOperator(np.full((2, 2), 1e308))
 _PLUS = dk.product_state([[1, 1]])
 _HUGE_OP_MESSAGE = "a 2-dimensional HermitianOperator on 1 qubits leaves the float range of the expectation"
+_HUGE_OP2 = dk.HermitianOperator(np.full((4, 4), 1e308))
+_HUGE_OP2_MESSAGE = "a 4-dimensional HermitianOperator on 2 qubits leaves the float range of the expectation"
+_HUGE_TI = dk.QuadraticForm(a=(1e-200, 1.7e308, 1.7e308), b=(3.0, 1.0, 1e154))
+_HUGE_TI_MESSAGE = f"{_HUGE_TI} on 1 qubits leaves the float range of the tensor-power solver"
 
 
 @pytest.mark.filterwarnings("error")
@@ -267,11 +271,22 @@ _HUGE_OP_MESSAGE = "a 2-dimensional HermitianOperator on 1 qubits leaves the flo
     (lambda: dk.expectation(_PLUS.to_density(), _HUGE_OP), _HUGE_OP_MESSAGE),
     (lambda: dk.expectation(dk.white_noise_mix(_PLUS, 0.5), _HUGE_OP), _HUGE_OP_MESSAGE),
     (lambda: dk.max_eigenvalue(_HUGE_OP), "the top eigenvalue of a 2-dimensional operator leaves the float range"),
+    (lambda: dk.expectation(dk.psixy_state(2), _HUGE_OP2), _HUGE_OP2_MESSAGE),
+    (lambda: dk.expectation(dk.white_noise_mix(dk.psixy_state(2), 0.5), _HUGE_OP2), _HUGE_OP2_MESSAGE),
+    (lambda: dk.lemma1_bound(_HUGE_TI, 1), _HUGE_TI_MESSAGE),
+    (lambda: dk.maximize_over_ti_product(_HUGE_TI, 1), _HUGE_TI_MESSAGE),
 ], ids=["expectation-symmetric", "expectation-dense", "expectation-mixture", "superradiance_intensity",
-        "operator-pure", "operator-density", "operator-mixture", "max_eigenvalue"])
+        "operator-pure", "operator-density", "operator-mixture", "max_eigenvalue",
+        "operator-pure-2q", "operator-mixture-2q", "lemma1_bound-solver", "maximize_over_ti_product"])
 def test_a_result_beyond_the_float_range_is_refused(call, message):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_pure_expectation_at_the_float_maximum_is_returned():
+    # past the exponent bound the pure route is guarded, not refused: this value is a float
+    assert dk.expectation(dk.product_state([[1, 0], [1, 0]]), _HUGE_OP2) == 1e308
 
 
 def _complex_pair(c):
