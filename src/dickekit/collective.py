@@ -123,12 +123,16 @@ def lemma1_bound(form: QuadraticForm, n: int) -> float:
 def ti_objective(form: QuadraticForm, n: int, s) -> float | np.ndarray:
     """Value of the quadratic collective form on |psi(s)>^(x N), sum(a) N/4 +
     N(N-1) sum_l a_l s_l^2 + N sum_l b_l s_l: a float for one Bloch vector s, an
-    array (...) for a stack (..., 3), each vector real and finite with |s| <= 1/2."""
+    array (...) for a stack (..., 3), each vector real and finite with |s| <= 1/2.
+    A value past the float range is refused."""
     _check_type(form, (QuadraticForm,), "form")
     n = int(_check_int(n, "n", 1, 2 ** 53))  # no int64 wrap in N(N-1); a float in the sum, exact to 2^53
     s = _check_bloch(s, "Bloch vector s")
     a, b = np.asarray(form.a), np.asarray(form.b)
-    value = a.sum() * n / 4.0 + n * (n - 1) * ((s * s) @ a) + n * (s @ b)
+    with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range makes the value inf or NaN
+        value = a.sum() * n / 4.0 + n * (n - 1) * ((s * s) @ a) + n * (s @ b)
+    if not np.isfinite(value).all():
+        raise DomainError(f"{form} on {n} qubits leaves the float range of the tensor-power objective")
     return float(value) if s.ndim == 1 else value
 
 
@@ -363,8 +367,8 @@ def lemma2_eigenvalues(direction) -> np.ndarray:
                   for x in _check_sequence(direction, "lemma2 direction")])
     if v.shape != (3,):
         raise DomainError(f"lemma2 direction needs a 3-vector, got shape {v.shape}")
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
-        raise DomainError(f"direction vector must be unit length, |n| = {np.linalg.norm(v):.12g}")
+    if not abs(hypot(*v) - 1.0) <= 1e-12:  # a Python float: no NumPy overflow warning
+        raise DomainError(f"direction vector must be unit length, |n| = {hypot(*v):.12g}")
     n1, n2, n3 = v
     root = sqrt(n1 ** 2 + 4 * n2 ** 2 + 4 * n3 ** 2)
     return np.array([0.0, -2 * n1, n1 + root, n1 - root])

@@ -84,7 +84,8 @@ def _check_bloch(value, name: str) -> np.ndarray:
     s = np.array(_check_numeric(value, name, real=True), dtype=float)
     if s.ndim < 1 or s.shape[-1] != 3:
         raise DomainError(f"{name} must have shape (..., 3), got {s.shape}")
-    lengths = np.linalg.norm(s, axis=-1)
+    with np.errstate(over="ignore"):  # a length past the float range is inf, refused below
+        lengths = np.linalg.norm(s, axis=-1)
     if not np.all(lengths <= 0.5 + 1e-10):  # NaN and inf fail too
         raise DomainError(f"{name} must be finite with length <= 1/2, max is {lengths.max():.12g}")
     return s

@@ -158,7 +158,7 @@ def _lockstep(sweep, factors: list[np.ndarray], scale: float):
     """Run exact alternating sweeps on a stack of restarts in lockstep.
 
     ``factors`` hold the restarts along their first axis and are updated in
-    place; ``sweep`` updates a sub-stack and returns its objective values.  A
+    place; ``sweep`` updates a copy of the active ones and returns their values.  A
     restart whose gain is at most ``CONVERGENCE_TOL`` max(scale, |value|)
     freezes, so each does exactly the sweeps it would do alone, up to the cap.
     Returns per-restart values, sweep counts, whether each stopped on its gain,
@@ -171,8 +171,7 @@ def _lockstep(sweep, factors: list[np.ndarray], scale: float):
     rows = []
     active = np.arange(count)
     for _sweep in range(_SWEEP_CAP):
-        whole = active.size == count  # then the sweep updates the factors in place
-        part = factors if whole else [f[active] for f in factors]
+        part = [f.take(active, axis=0) for f in factors]
         new = sweep(part)
         old = values[active]
         if np.any(new < old - 1e-9 * np.maximum(scale, np.abs(old))):
@@ -180,9 +179,8 @@ def _lockstep(sweep, factors: list[np.ndarray], scale: float):
             raise InvariantViolationError(
                 f"alternating update decreased the objective: {old[worst]} -> {new[worst]}"
             )
-        if not whole:
-            for f, p in zip(factors, part):
-                f[active] = p
+        for f, p in zip(factors, part):
+            f[active] = p
         values[active] = new
         sweeps[active] += 1
         rows.append(values.copy())
@@ -354,25 +352,19 @@ def _bipartitions(n: int, permutation_invariant: bool):
 
 
 def _haar_pairs(x: np.ndarray, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Haar-random factors on C^d_a and C^d_b, one pair per row of ``x``, each
-    row 2 (d_a + d_b) normals: real and imaginary parts of the first factor,
-    then of the second.  Each factor gets the bits it would get alone."""
-    a = x[:, :d_a] + 1j * x[:, d_a:2 * d_a]
-    b = x[:, 2 * d_a:2 * d_a + d_b] + 1j * x[:, 2 * d_a + d_b:]
+    """Haar-random factors on C^d_a and C^d_b, one pair per row of ``x`` (one row
+    or a stack), each row 2 (d_a + d_b) normals: real and imaginary parts of the
+    first factor, then of the second.  Each factor gets the bits it would get alone."""
+    a = x[..., :d_a] + 1j * x[..., d_a:2 * d_a]
+    b = x[..., 2 * d_a:2 * d_a + d_b] + 1j * x[..., 2 * d_a + d_b:]
     return _unit_rows(a), _unit_rows(b)
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` over its norm, summed as 1-d ``np.linalg.norm`` sums
-    it (re . re + im . im over the strided views), so each row gets the bits
-    it would get alone."""
-    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
-
-
-def _haar_pair(rng: np.random.Generator, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """One pair of Haar-random factors from one draw of 2 (d_a + d_b) normals."""
-    a, b = _haar_pairs(rng.normal(size=(1, 2 * (d_a + d_b))), d_a, d_b)
-    return a[0], b[0]
+    """Each row of ``v`` (one row or a stack) over its norm, summed as 1-d
+    ``np.linalg.norm`` sums it (re . re + im . im over the strided views), so
+    each row gets the bits it would get alone."""
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
 
 
 def _bisep_sweep(w_l: np.ndarray, w_k: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
@@ -415,13 +407,12 @@ def maximize_over_biseparable(
         raise DomainError("biseparable maximization needs at least two qubits")
     _check_bisep_qubits(n)
 
-    tensor = mat.reshape([2] * (2 * n))
     for split in _bipartitions(n, _is_permutation_invariant(mat, n)):
-        axes, d_a, d_b = split.axes, 2 ** len(split.side_a), 2 ** len(split.side_b)
-        w = tensor.transpose(axes + tuple(n + q for q in axes)).reshape(d_a, d_b, d_a, d_b)
-        w_l = w.reshape(-1, d_b)
-        w_k = np.ascontiguousarray(w.transpose(0, 1, 3, 2)).reshape(-1, d_a)
-        search.run(lambda rng: _haar_pair(rng, d_a, d_b), partial(_bisep_sweep, w_l, w_k), split)
+        d_a, d_b = 2 ** len(split.side_a), 2 ** len(split.side_b)
+        w_l = mat[np.ix_(split.order, split.order)].reshape(-1, d_b)
+        w_k = np.ascontiguousarray(w_l.reshape(d_a, d_b, d_a, d_b).transpose(0, 1, 3, 2)).reshape(-1, d_a)
+        search.run(lambda rng: _haar_pairs(rng.normal(size=2 * (d_a + d_b)), d_a, d_b),
+                   partial(_bisep_sweep, w_l, w_k), split)
     return search.result(BiseparableArgument(search.label, *search.factors))
 
 
@@ -517,22 +508,21 @@ def _product_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 
 def _biseparable_block(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """Per sample one split draw, then one draw of normals for both factors;
-    the states are then assembled split by split."""
+    the pairs are then formed side-A size by size and placed by their splits' orders."""
     dim = 2 ** n
-    draws, rows_of = [], {}
+    draws, orders, rows_of, order_of = [], [], {}, {}
     for i in range(size):
         mask = int(rng.integers(1, dim - 1))  # uniform nonempty proper subset; bit q is qubit q + 1
+        if mask not in order_of:
+            order_of[mask] = Bipartition(n, tuple(q + 1 for q in range(n) if mask >> q & 1)).order
+        orders.append(order_of[mask])
         d_a = 2 ** mask.bit_count()
         draws.append(rng.normal(size=2 * (d_a + dim // d_a)))
-        rows_of.setdefault(mask, []).append(i)
+        rows_of.setdefault(d_a, []).append(i)
     amps = np.empty((size, dim), dtype=complex)
-    for mask, rows in rows_of.items():
-        # the axis rule of Bipartition.axes, read off the mask: side A's qubits, then side B's
-        axes = [q for q in range(n) if mask >> q & 1] + [q for q in range(n) if not mask >> q & 1]
-        d_a = 2 ** mask.bit_count()
-        pair = _outer_rows(*_haar_pairs(np.stack([draws[i] for i in rows]), d_a, dim // d_a))
-        back = [0, *(1 + i for i in sorted(range(n), key=axes.__getitem__))]  # argsort: back to qubit order
-        amps[rows] = pair.reshape([len(rows)] + [2] * n).transpose(back).reshape(len(rows), dim)
+    for d_a, rows in rows_of.items():
+        pairs = _outer_rows(*_haar_pairs(np.stack([draws[i] for i in rows]), d_a, dim // d_a))
+        amps[np.array(rows)[:, None], np.stack([orders[i] for i in rows])] = pairs
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 

@@ -410,10 +410,16 @@ class Bipartition:
         in_a = set(self.side_a)
         return tuple(q for q in range(1, self.n_qubits + 1) if q not in in_a)
 
-    @property
-    def axes(self) -> tuple[int, ...]:
-        """Tensor axes of side A's qubits, then of side B's: qubit q is axis q - 1."""
-        return tuple(q - 1 for q in self.side_a + self.side_b)
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The qubit-order label of each label in side order, read-only: the bits of
+        side-order label j, most significant first, belong to side A's qubits, then
+        side B's, so ``amps[order]`` reshaped (2^|A|, 2^|B|) is a state cut along the split."""
+        n = self.n_qubits
+        _check_qubit_count(n)  # 2^N labels: only a dense state is cut
+        order = np.arange(2 ** n).reshape([2] * n).transpose([q - 1 for q in self.side_a + self.side_b]).ravel()
+        order.setflags(write=False)
+        return order
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +459,13 @@ def symmetric_to_dense(state: SymmetricState) -> PureState:
     return PureState._from_stack(n, (state.sector_amplitudes * dicke_amplitudes)[_flip_table(n)[2]][None])[0]
 
 
-def _factor_product(factors: Sequence, names: Sequence[str], dims: Sequence[int], axes=None) -> PureState:
+def _factor_product(factors: Sequence, names: Sequence[str], dims: Sequence[int], order=None) -> PureState:
     """The normalized tensor product of caller factors, the first the most
     significant, factor k of ``dims[k]`` numbers named ``names[k]``; a zero or
     non-finite factor ahead of the first misshapen one is the first bad one.
     Each is scaled by the exact power of two that brings its largest entry into
     [1/2, 1), so any finite nonzero scale is accepted and a normal-range product
-    keeps its bits.  ``axes`` orders the qubits before the product is normalized."""
+    keeps its bits.  Amplitude j goes to label ``order[j]`` before the product is normalized."""
     vectors = [np.asarray(_check_numeric(f, name), dtype=complex) for f, name in zip(factors, names)]
     shaped = next((k for k, (v, d) in enumerate(zip(vectors, dims)) if v.shape != (d,)), len(vectors))
     rows = np.zeros((shaped, max(dims)), dtype=complex)  # one zero-padded row per factor ahead of it
@@ -475,8 +481,8 @@ def _factor_product(factors: Sequence, names: Sequence[str], dims: Sequence[int]
     amps = np.ones(1, dtype=complex)
     for row, d in zip(rows, dims):
         amps = np.multiply.outer(amps, row[:d]).ravel()
-    if axes is not None:
-        amps = np.transpose(amps.reshape([2] * len(axes)), axes).reshape(-1)
+    if order is not None:
+        amps[order] = amps.copy()
     return PureState._from_stack(amps.size.bit_length() - 1, (amps / np.linalg.norm(amps))[None])[0]
 
 
@@ -525,7 +531,7 @@ def assemble_bipartite(phi_a: np.ndarray, phi_b: np.ndarray, split: Bipartition)
     _check_qubit_count(_check_type(split, (Bipartition,), "split").n_qubits)
     names = ["assemble_bipartite factor phi_a", "assemble_bipartite factor phi_b"]
     dims = [2 ** len(split.side_a), 2 ** len(split.side_b)]
-    return _factor_product([phi_a, phi_b], names, dims, np.argsort(split.axes))  # the product's axes are split.axes
+    return _factor_product([phi_a, phi_b], names, dims, split.order)
 
 
 def white_noise_mix(target: PureState | SymmetricState, p: float) -> Mixture:
@@ -558,9 +564,7 @@ def schmidt_spectrum(state: PureState, split: Bipartition) -> np.ndarray:
         raise DomainError(
             f"split is over {split.n_qubits} qubits but the state has {state.n_qubits}"
         )
-    n = state.n_qubits
-    matrix = state.amplitudes.reshape([2] * n).transpose(split.axes)
-    matrix = matrix.reshape(2 ** len(split.side_a), 2 ** len(split.side_b))
+    matrix = state.amplitudes[split.order].reshape(2 ** len(split.side_a), 2 ** len(split.side_b))
     singular = np.linalg.svd(matrix, compute_uv=False)
     squared = np.sort(singular ** 2)[::-1]
     squared = squared / squared.sum()  # remove last-digit drift; sum is 1 by unitarity

@@ -256,6 +256,8 @@ _HUGE_OP2 = dk.HermitianOperator(np.full((4, 4), 1e308))
 _HUGE_OP2_MESSAGE = "a 4-dimensional HermitianOperator on 2 qubits leaves the float range of the expectation"
 _HUGE_TI = dk.QuadraticForm(a=(1e-200, 1.7e308, 1.7e308), b=(3.0, 1.0, 1e154))
 _HUGE_TI_MESSAGE = f"{_HUGE_TI} on 1 qubits leaves the float range of the tensor-power solver"
+_HUGE_A = dk.QuadraticForm(a=(1.7e308,) * 3)  # sum(a) leaves the float range; sum(a) N / 4 does not
+_HUGE_A_MESSAGE = f"{_HUGE_A} on 1 qubits leaves the float range of the tensor-power objective"
 
 
 @pytest.mark.filterwarnings("error")
@@ -275,9 +277,20 @@ _HUGE_TI_MESSAGE = f"{_HUGE_TI} on 1 qubits leaves the float range of the tensor
     (lambda: dk.expectation(dk.white_noise_mix(dk.psixy_state(2), 0.5), _HUGE_OP2), _HUGE_OP2_MESSAGE),
     (lambda: dk.lemma1_bound(_HUGE_TI, 1), _HUGE_TI_MESSAGE),
     (lambda: dk.maximize_over_ti_product(_HUGE_TI, 1), _HUGE_TI_MESSAGE),
+    (lambda: dk.BlochProduct(np.array([[1e300, 0.0, 0.0]])),
+     "Bloch vectors must be finite with length <= 1/2, max is inf"),
+    (lambda: ti_objective(dk.QuadraticForm(a=(1, 1, 0)), 1, [1e300, 0, 0]),
+     "Bloch vector s must be finite with length <= 1/2, max is inf"),
+    (lambda: dk.lemma2_eigenvalues([1e300, 0.0, 0.0]), "direction vector must be unit length, |n| = 1e+300"),
+    (lambda: ti_objective(_HUGE_A, 1, [0, 0, 0]), _HUGE_A_MESSAGE),
+    (lambda: ti_objective(_HUGE_A, 1, np.zeros((2, 3))), _HUGE_A_MESSAGE),
+    (lambda: ti_objective(dk.QuadraticForm(a=(1e300, 0, 0)), 10 ** 6, [0.5, 0, 0]),
+     "on 1000000 qubits leaves the float range of the tensor-power objective"),
 ], ids=["expectation-symmetric", "expectation-dense", "expectation-mixture", "superradiance_intensity",
         "operator-pure", "operator-density", "operator-mixture", "max_eigenvalue",
-        "operator-pure-2q", "operator-mixture-2q", "lemma1_bound-solver", "maximize_over_ti_product"])
+        "operator-pure-2q", "operator-mixture-2q", "lemma1_bound-solver", "maximize_over_ti_product",
+        "BlochProduct-length", "ti_objective-length", "lemma2_eigenvalues-length", "ti_objective-sum",
+        "ti_objective-sum-stack", "ti_objective-n"])
 def test_a_result_beyond_the_float_range_is_refused(call, message):
     with pytest.raises(dk.DomainError, match=re.escape(message)):
         call()

@@ -722,6 +722,18 @@ def test_batched_samples_replay_the_per_sample_stream(kind, n, block, monkeypatc
     assert seen == count
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_biseparable_samples_are_their_factors_assembled_on_their_split(n):
+    # the sampler's stream replayed sample by sample: a split mask, then both factors' normals
+    rng = np.random.default_rng([5])
+    for state in dk.sample_random_states("biseparable", n, 300, seed=5):
+        mask = int(rng.integers(1, 2 ** n - 1))
+        split = dk.Bipartition(n, tuple(q for q in range(1, n + 1) if mask >> (q - 1) & 1))
+        a, b = (rng.normal(size=2 ** len(side)) + 1j * rng.normal(size=2 ** len(side))
+                for side in (split.side_a, split.side_b))
+        assert np.abs(state.amplitudes - dk.assemble_bipartite(a, b, split).amplitudes).max() <= 1e-15
+
+
 def _negative_eigenvalue(rho):
     """rho with weight 1/2 moved from its smallest eigenvector to its largest:
     still Hermitian and of unit trace, but no longer positive semidefinite."""

@@ -458,12 +458,32 @@ def test_assemble_bipartite_matches_a_permuted_outer_product_bit_for_bit(n):
         split = dk.Bipartition(n, tuple(rng.choice(np.arange(1, n + 1), k, replace=False).tolist()))
         a = rng.normal(size=2 ** k) + 1j * rng.normal(size=2 ** k)
         b = rng.normal(size=2 ** (n - k)) + 1j * rng.normal(size=2 ** (n - k))
-        reference = np.transpose(np.outer(a, b).reshape([2] * n), np.argsort(split.axes)).reshape(-1)
+        axes = [q - 1 for q in split.side_a + split.side_b]  # the product's axes: side A's qubits, then side B's
+        reference = np.transpose(np.outer(a, b).reshape([2] * n), np.argsort(axes)).reshape(-1)
         reference = reference / np.linalg.norm(reference)
         assert dk.assemble_bipartite(a, b, split).amplitudes.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bipartition_order_puts_side_a_qubits_first(n):
+    # side-order label j has the bits of side A's qubits, then side B's, most significant
+    # first; qubit q is bit n - q of its qubit-order label
+    for size in range(1, n):
+        for side_a in itertools.combinations(range(1, n + 1), size):
+            split = dk.Bipartition(n, side_a)
+            qubits = split.side_a + split.side_b
+            want = [sum((j >> (n - 1 - k) & 1) << (n - q) for k, q in enumerate(qubits)) for j in range(2 ** n)]
+            assert split.order.tolist() == want, side_a
+
+
+def test_bipartition_order_refuses_a_split_past_the_dense_limit():
+    split = dk.Bipartition(20, (1,))  # a valid split, whose 2^20 labels are never formed
+    with pytest.raises(dk.DomainError, match="n_qubits = 20 exceeds the backend limit of 12 qubits"):
+        split.order
+
+
 def test_shared_tables_are_cached_and_read_only():
+    split = dk.Bipartition(6, (2, 5))
     tables = {
         "flip table": lambda: dk.states._flip_table(6),
         "Dicke amplitudes": lambda: (dk.states._dicke_amplitudes(6, 2),),
@@ -474,6 +494,7 @@ def test_shared_tables_are_cached_and_read_only():
                                           .argument.vectors,),
         "Lemma 2 operators": lambda: tuple(op.matrix for op in dk.lemma2_operators()),
         "Theorem 3 operators": lambda: tuple(op.matrix for op in dk.theorem3_operators()),
+        "Bipartition order": lambda: (split.order,),
     }
     for name, table in tables.items():
         first, second = table(), table()
