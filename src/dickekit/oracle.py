@@ -510,19 +510,18 @@ def _biseparable_block(rng: np.random.Generator, n: int, size: int) -> np.ndarra
     """Per sample one split draw, then one draw of normals for both factors;
     the pairs are then formed side-A size by size and placed by their splits' orders."""
     dim = 2 ** n
-    draws, orders, rows_of, order_of = [], [], {}, {}
+    draws, masks, rows_of = [], [], {}
     for i in range(size):
         mask = int(rng.integers(1, dim - 1))  # uniform nonempty proper subset; bit q is qubit q + 1
-        if mask not in order_of:
-            order_of[mask] = Bipartition(n, tuple(q + 1 for q in range(n) if mask >> q & 1)).order
-        orders.append(order_of[mask])
+        masks.append(mask)
         d_a = 2 ** mask.bit_count()
         draws.append(rng.normal(size=2 * (d_a + dim // d_a)))
         rows_of.setdefault(d_a, []).append(i)
+    order_of = {mask: Bipartition(n, tuple(q + 1 for q in range(n) if mask >> q & 1)).order for mask in set(masks)}
     amps = np.empty((size, dim), dtype=complex)
     for d_a, rows in rows_of.items():
         pairs = _outer_rows(*_haar_pairs(np.stack([draws[i] for i in rows]), d_a, dim // d_a))
-        amps[np.array(rows)[:, None], np.stack([orders[i] for i in rows])] = pairs
+        amps[np.array(rows)[:, None], np.stack([order_of[masks[i]] for i in rows])] = pairs
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
