@@ -34,6 +34,7 @@ from .states import (
     HermitianOperator,
     PureState,
     _check_qubit_count,
+    _split_order,
     assemble_bipartite,
     product_state,
     schmidt_spectrum,
@@ -517,7 +518,7 @@ def _biseparable_block(rng: np.random.Generator, n: int, size: int) -> np.ndarra
         d_a = 2 ** mask.bit_count()
         draws.append(rng.normal(size=2 * (d_a + dim // d_a)))
         rows_of.setdefault(d_a, []).append(i)
-    order_of = {mask: Bipartition(n, tuple(q + 1 for q in range(n) if mask >> q & 1)).order for mask in set(masks)}
+    order_of = {mask: _split_order(n, mask) for mask in set(masks)}
     amps = np.empty((size, dim), dtype=complex)
     for d_a, rows in rows_of.items():
         pairs = _outer_rows(*_haar_pairs(np.stack([draws[i] for i in rows]), d_a, dim // d_a))

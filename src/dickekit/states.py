@@ -23,14 +23,15 @@ exchanges the ground and excited levels), so the angular-momentum algebra
 Collective operators are J_a = (1/2) sum_k sigma_a^(k).  Quadratic forms
 sum_l a_l <J_l^2> + sum_l b_l <J_l> with a_l >= 0 are the building blocks of
 all collective entanglement criteria in this library; ``expectation`` reads
-them from the state's collective moments, and ``collective_operator`` writes
-their dense matrices from the same row tables.
+them from the state's collective moments; ``collective_operator`` writes their
+dense matrices, and a DensityMatrix reads its moments, from one closed-form
+table of their nonzero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb, frexp, isfinite, sqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -302,19 +303,14 @@ def _collective_moments(state: _State) -> Moments:
         return Moments(*map(tuple, table.tolist()))
     if isinstance(state, SymmetricState):
         return _sector_moments(state.sector_amplitudes, n)
-    if isinstance(state, PureState):
-        amps, images = state.amplitudes, _dense_images(state.amplitudes, n)
-    else:  # a DensityMatrix: Tr(rho J^p) = sum_i (J^p rho)_ii, gathered along the row table
-        diagonal = np.arange(2 ** n)
-
-        def trace(axis: str, power: int) -> float:
-            cols, vals = _spin_rows(n, axis, power)
-            return float(np.sum(vals * state.matrix[cols, diagonal]).real)
-
-        return Moments(tuple(trace(a, 1) for a in "xyz"), tuple(trace(a, 2) for a in "xyz"))
+    if not isinstance(state, PureState):  # a DensityMatrix: Tr(rho J_l^p) = sum of J_l^p_(i,col) rho_(col,i)
+        labels = np.arange(2 ** n)
+        traces = [float(sum(np.sum(vals * state.matrix[cols, labels]) for cols, vals in blocks).real)
+                  for blocks in map(partial(_collective_entries, n), np.eye(6))]  # J_x^2, .., J_z^2, J_x, .., J_z
+        return Moments(tuple(traces[3:]), tuple(traces[:3]))
     first, second = [], []
-    for image in images:  # <J> = <psi|J psi> and <J^2> = |J psi|^2, one image J psi at a time
-        first.append(float(np.vdot(amps, image).real))
+    for image in _dense_images(state.amplitudes, n):  # <J> = <psi|J psi> and <J^2> = |J psi|^2
+        first.append(float(np.vdot(state.amplitudes, image).real))
         second.append(float(np.vdot(image, image).real))
     return Moments(tuple(first), tuple(second))
 
@@ -367,25 +363,25 @@ def _sector_ladder(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return table
 
 
-def _spin_rows(n: int, axis: str, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Row table of J_axis^power on N qubits: (J^power x)_i = sum_r vals[r, i] x[cols[r, i]].
-
-    Row i of sigma_x or sigma_y on the qubit at bit k has its one entry in
-    column i ^ 2^k of the cached ``_flip_table``: -1 for sigma_x, and +i or -i
-    (its sign) for sigma_y.  J_z is diagonal.  J^2 composes the table with
-    itself, so a table has at most N^2 rows of 2^N entries and no 4^N matrix
-    is built.
-    """
+def _collective_entries(n: int, coeffs: np.ndarray):
+    """The nonzero entries of sum_l a_l J_l^2 + b_l J_l, ``coeffs`` = (a_x, a_y, a_z,
+    b_x, b_y, b_z), as blocks (cols, vals): entry vals[..., i] sits in row i, column
+    cols[..., i].  With z_i = excited count - N/2 and s_k the sign at bit k, read off
+    the cached ``_flip_table``: the diagonal a_x N/4 + a_y N/4 + a_z z_i^2 + b_z z_i;
+    flips i ^ 2^k, -b_x/2 + (i/2) b_y s_k; flips i ^ 2^k ^ 2^l (k < l), a_x/2 - (a_y/2)
+    s_k s_l.  No (row, col) repeats; all-zero blocks are left out.  Each entry sums its
+    terms in coefficient order from +0.0, as the sum of the terms' dense matrices does."""
     cols, signs, counts = _flip_table(n)
-    if axis == "z":  # (number of excited qubits) - N/2
-        cols, vals = np.arange(2 ** n)[None, :], counts[None, :] - 0.5 * n
-    else:
-        vals = np.full(cols.shape, -0.5) if axis == "x" else signs * 0.5j
-    if power == 2:  # (J^2 x)_i = sum_r vals[r, i] sum_s vals[s, c] x[cols[s, c]], c = cols[r, i]
-        flat = cols.ravel()
-        cols, vals = np.take(cols, flat, axis=1), np.take(vals, flat, axis=1) * vals.ravel()
-        cols, vals = cols.reshape(-1, 2 ** n), vals.reshape(-1, 2 ** n)
-    return cols, vals
+    labels = np.arange(2 ** n)
+    a_x, a_y, a_z, b_x, b_y, b_z = coeffs.tolist()
+    if a_x or a_y or a_z or b_z:
+        z = counts - 0.5 * n
+        yield labels, a_x * (n / 4) + a_y * (n / 4) + a_z * (z * z) + b_z * z
+    if b_x or b_y:
+        yield cols, (0.0 - 0.5 * b_x) + 0.5j * b_y * signs
+    if a_x or a_y:
+        k, l = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the bit pairs k < l
+        yield cols[k] ^ cols[l] ^ labels, 0.5 * a_x - 0.5 * a_y * (signs[k] * signs[l])
 
 
 @dataclass(frozen=True)
@@ -415,11 +411,17 @@ class Bipartition:
         """The qubit-order label of each label in side order, read-only: the bits of
         side-order label j, most significant first, belong to side A's qubits, then
         side B's, so ``amps[order]`` reshaped (2^|A|, 2^|B|) is a state cut along the split."""
-        n = self.n_qubits
-        _check_qubit_count(n)  # 2^N labels: only a dense state is cut
-        order = np.arange(2 ** n).reshape([2] * n).transpose([q - 1 for q in self.side_a + self.side_b]).ravel()
-        order.setflags(write=False)
-        return order
+        _check_qubit_count(self.n_qubits)  # 2^N labels: only a dense state is cut
+        return _split_order(self.n_qubits, sum(1 << (q - 1) for q in self.side_a))
+
+
+def _split_order(n: int, mask: int) -> np.ndarray:
+    """``Bipartition.order`` of the split of N qubits whose side A holds qubit q + 1
+    for each bit q of ``mask``, unchecked: the sampler's splits skip validation."""
+    axes = sorted(range(n), key=lambda q: not mask >> q & 1)  # stable: side A's qubits, then B's
+    order = np.arange(2 ** n).reshape([2] * n).transpose(axes).ravel()
+    order.setflags(write=False)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +638,7 @@ class QuadraticForm:
 def _form_sum(term, which: "QuadraticForm | str"):
     """sum_l a_l term(l, 2) + b_l term(l, 1) for a form, or term(axis, 1) for
     an axis tag: the one reading of a form, whether ``term(axis, power)``
-    gives <J_axis^power> or the matrix J_axis^power."""
+    gives <J_axis^power> or the coefficients (a_x, ..., b_z) of J_axis^power."""
     if isinstance(which, str):
         if which not in AXES:
             raise DomainError(f"axis must be one of {AXES}, got {which!r}")
@@ -654,19 +656,15 @@ def _form_sum(term, which: "QuadraticForm | str"):
 
 
 def collective_operator(n: int, which: "QuadraticForm | str") -> HermitianOperator:
-    """Dense J_axis for an axis tag, or sum_l a_l J_l^2 + b_l J_l for a form,
-    written from the row tables; expectations never need this matrix."""
+    """Dense J_axis for an axis tag, or sum_l a_l J_l^2 + b_l J_l for a form: the entries
+    of ``_collective_entries`` written into a zeroed 4^N matrix; expectations never need it."""
     _check_qubit_count(n)
-    dim = 2 ** n
-
-    def matrix(axis: str, power: int) -> np.ndarray:
-        cols, vals = _spin_rows(n, axis, power)
-        out = np.zeros(dim * dim, dtype=vals.dtype)  # J_x and J_z rows are real
-        np.add.at(out, (cols + dim * np.arange(dim)).ravel(), vals.ravel())  # exact: sums of +-1/4
-        return out.reshape(dim, dim)
-
+    mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    # J_axis^power's coefficients are row 3 (2 - power) + l of the identity; the zero form sums to 0.0
+    coeffs = np.zeros(6) + _form_sum(lambda axis, power: np.eye(6)[3 * (2 - power) + AXES.index(axis)], which)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        mat = np.zeros((dim, dim), dtype=complex) + _form_sum(matrix, which)
+        for cols, vals in _collective_entries(n, coeffs):
+            mat[np.arange(2 ** n), cols] = vals
     try:
         return HermitianOperator(mat)
     except DomainError as exc:  # Hermitian pieces fail only when large coefficients overflow, or via a bug

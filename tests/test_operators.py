@@ -105,18 +105,27 @@ def _single_site(op, qubit, n):
 
 
 def _kron_reference(n, which):
-    """J_l as sums of single-site kron chains, independent of the row tables."""
+    """J_l as sums of single-site kron chains, independent of the library's table
+    of entries, and a form as sum_l a_l (J_l J_l), then + sum_l b_l J_l."""
     j = {axis: 0.5 * sum(_single_site(_PAULI[axis], q, n) for q in range(1, n + 1)) for axis in "xyz"}
     if isinstance(which, str):
         return j[which]
-    return sum(a * j[axis] @ j[axis] + b * j[axis] for a, b, axis in zip(which.a, which.b, "xyz"))
+    return (sum(a * (j[axis] @ j[axis]) for a, axis in zip(which.a, "xyz"))
+            + sum(b * j[axis] for b, axis in zip(which.b, "xyz")))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_collective_operator_matches_kron_chains(n):
-    for which in ("x", "y", "z", _GENERIC):
+    # every partial sum in a chain's J_l J_l is a multiple of 1/4, so both routes
+    # round the same products and sums in the same order: equal bit for bit
+    rng = np.random.default_rng(n)
+    seeded = [dk.QuadraticForm(a=tuple((2 * rng.random(3) * (rng.random(3) < 0.8)).tolist()),
+                               b=tuple(rng.normal(size=3).tolist())) for _ in range(6)]
+    for which in ("x", "y", "z", dk.QuadraticForm(), _GENERIC, *seeded):
         built = dk.collective_operator(n, which).matrix
-        assert np.abs(built - _kron_reference(n, which)).max() < 1e-13, which
+        assert np.array_equal(built, _kron_reference(n, which)), which
+        parts = built.view(float)
+        assert not np.signbit(parts[parts == 0.0]).any(), which  # a vanishing entry is +0.0
 
 
 def _planar_chains(n):
@@ -168,7 +177,8 @@ def _random_symmetric(n, seed):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_density_moments_match_the_trace_against_kron_chains(n):
     for rho in dk.sample_random_states("density", n, 3, seed=n):
-        for which in ("x", "y", "z", dk.QuadraticForm(a=(1, 1, 0)), _GENERIC):
+        for which in ("x", "y", "z", dk.QuadraticForm(), dk.QuadraticForm(b=(0.6, -1.2, 0.3)),
+                      dk.QuadraticForm(a=(1, 1, 0)), _GENERIC):
             reference = np.trace(rho.matrix @ _kron_reference(n, which)).real
             assert dk.expectation(rho, which) == pytest.approx(reference, abs=1e-12), which
     # every state kind against the same reference, through its dense matrix
